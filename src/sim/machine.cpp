@@ -10,7 +10,6 @@ Machine::Machine(const MachineConfig& config)
     : config_(config),
       cache_(config.cache),
       bus_(config.bus),
-      dram_(config.dram),
       counters_(config.max_owners) {
   if (config_.attribution) {
     ledger_ = std::make_unique<AttributionLedger>(config_.max_owners);
@@ -29,9 +28,6 @@ Machine::Machine(const MachineConfig& config)
     t_atomic_locks_ = m.GetCounter("sim.bus.atomic_locks");
     t_stalls_ = m.GetCounter("sim.bus.stalls");
     t_saturated_ticks_ = m.GetCounter("sim.bus.saturated_ticks");
-    t_dram_reads_ = m.GetCounter("sim.dram.reads");
-    t_dram_latency_ =
-        m.GetHistogram("sim.dram.latency_ns", tel::LatencyNsBounds());
   }
 }
 
@@ -54,7 +50,6 @@ void Machine::SyncTelemetry() {
   }
   t_hits_->Add((accesses - misses) - (synced_accesses_ - synced_misses_));
   t_misses_->Add(misses - synced_misses_);
-  t_dram_reads_->Add(misses - synced_misses_);
   t_atomic_locks_->Add(atomic_ops - synced_atomic_ops_);
   t_stalls_->Add(stalls - synced_stalls_);
   synced_accesses_ = accesses;
@@ -66,7 +61,6 @@ void Machine::SyncTelemetry() {
 void Machine::BeginTick() {
   SDS_PROFILE_SPAN(prof_, span_tick_);
   bus_.BeginTick();
-  dram_.BeginTick();
   if (ledger_) ledger_->RecordTickStart();
   saturation_traced_ = false;
   ++now_;
@@ -94,8 +88,7 @@ void Machine::RecordStall(OwnerId owner) {
 }
 
 void Machine::InstrumentMiss(OwnerId owner, LineAddr addr, bool evicted_valid,
-                             OwnerId evicted_owner, double latency) {
-  t_dram_latency_->Observe(latency);
+                             OwnerId evicted_owner) {
   if (evicted_valid && evicted_owner != owner) {
     t_cross_evictions_->Add();
     tel::Telemetry* t = config_.telemetry;
@@ -116,14 +109,12 @@ AccessOutcome Machine::FinishAccess(OwnerId owner, LineAddr addr) {
   if (r.hit) return AccessOutcome::kHit;
 
   ++ctr.llc_misses;
-  // The DRAM transfer needs extra bus slots. If the budget runs dry the fill
-  // still completes (the hardware would simply slip into the next interval),
-  // so the failure only registers as bus pressure.
+  // The line fill from memory needs extra bus slots. If the budget runs dry
+  // the fill still completes (the hardware would simply slip into the next
+  // interval), so the failure only registers as bus pressure.
   bus_.TryConsume(owner, config_.bus.miss_extra_slots);
-  const double latency = dram_.Read();
-  ctr.dram_latency_ns += latency;
   if (instrumented_) [[unlikely]] {
-    InstrumentMiss(owner, addr, r.evicted_valid, r.evicted_owner, latency);
+    InstrumentMiss(owner, addr, r.evicted_valid, r.evicted_owner);
   }
   return AccessOutcome::kMiss;
 }

@@ -1,6 +1,6 @@
-// The simulated physical machine: one socket whose cores share an LLC, a
-// memory bus and a DRAM channel, with per-owner hardware counters — the
-// substrate on which VMs, attacks and the PCM sampler run.
+// The simulated physical machine: one socket whose cores share an LLC and a
+// memory bus, with per-owner hardware counters — the substrate on which VMs,
+// attacks and the PCM sampler run.
 //
 // The counter registers mirror what Intel PCM exposes: cumulative LLC access
 // and LLC miss counts per owner. The PCM sampler (src/pcm) reads deltas of
@@ -17,12 +17,10 @@
 #include "sim/attribution.h"
 #include "sim/bus.h"
 #include "sim/cache.h"
-#include "sim/dram.h"
 
 namespace sds::telemetry {
 class Telemetry;
 class Counter;
-class Histogram;
 class SpanProfiler;
 }  // namespace sds::telemetry
 
@@ -31,7 +29,6 @@ namespace sds::sim {
 struct MachineConfig {
   CacheConfig cache;
   BusConfig bus;
-  DramConfig dram;
   // Highest owner id (exclusive) the counter file is sized for.
   OwnerId max_owners = 32;
   // Maintain the per-resource interference attribution ledger
@@ -53,8 +50,6 @@ struct OwnerCounters {
   std::uint64_t atomic_ops = 0;
   // Requests that could not be served because the bus budget was exhausted.
   std::uint64_t bus_stalls = 0;
-  // Accumulated DRAM latency attributed to this owner (virtual ns).
-  double dram_latency_ns = 0.0;
 };
 
 enum class AccessOutcome : std::uint8_t {
@@ -95,7 +90,6 @@ class Machine {
   const LastLevelCache& cache() const { return cache_; }
   MemoryBus& bus() { return bus_; }
   const MemoryBus& bus() const { return bus_; }
-  const Dram& dram() const { return dram_; }
   const MachineConfig& config() const { return config_; }
 
   // The shared observability handle (nullptr when detached).
@@ -113,14 +107,13 @@ class Machine {
   // instrumented cost is one saturating pass over the counter file per tick.
   void SyncTelemetry();
   void InstrumentMiss(OwnerId owner, LineAddr addr, bool evicted_valid,
-                      OwnerId evicted_owner, double latency);
+                      OwnerId evicted_owner);
   void InstrumentAtomic(OwnerId owner);
   void InstrumentStall(OwnerId owner);
 
   MachineConfig config_;
   LastLevelCache cache_;
   MemoryBus bus_;
-  Dram dram_;
   std::vector<OwnerCounters> counters_;
   // Allocated only when config_.attribution is set; cache_ and bus_ hold
   // raw observer pointers to it.
@@ -146,8 +139,6 @@ class Machine {
   telemetry::Counter* t_atomic_locks_ = nullptr;
   telemetry::Counter* t_stalls_ = nullptr;
   telemetry::Counter* t_saturated_ticks_ = nullptr;
-  telemetry::Counter* t_dram_reads_ = nullptr;
-  telemetry::Histogram* t_dram_latency_ = nullptr;
   // Totals already folded into the registry by SyncTelemetry.
   std::uint64_t synced_accesses_ = 0;
   std::uint64_t synced_misses_ = 0;

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <ostream>
 
+#include "common/json.h"
 #include "telemetry/telemetry.h"
 
 namespace sds::telemetry {
@@ -58,40 +59,6 @@ void WriteMetadata(std::ostream& os, bool& first, const char* name, int pid,
 }
 
 }  // namespace
-
-std::string JsonEscape(const char* s) {
-  std::string out;
-  if (s == nullptr) return out;
-  for (const char* p = s; *p != '\0'; ++p) {
-    const unsigned char c = static_cast<unsigned char>(*p);
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
-  return out;
-}
 
 void WritePerfettoTrace(const Telemetry& telemetry, std::ostream& os,
                         const PerfettoOptions& options) {

@@ -50,8 +50,4 @@ bool WritePerfettoTraceFile(const Telemetry& telemetry,
                             const std::string& path,
                             const PerfettoOptions& options = {});
 
-// Escapes a string for embedding inside a JSON string literal (quotes,
-// backslashes, control characters). Exposed for the exporter's tests.
-std::string JsonEscape(const char* s);
-
 }  // namespace sds::telemetry

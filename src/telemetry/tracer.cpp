@@ -15,8 +15,6 @@ const char* LayerName(Layer layer) {
       return "sim.cache";
     case Layer::kSimBus:
       return "sim.bus";
-    case Layer::kSimDram:
-      return "sim.dram";
     case Layer::kVm:
       return "vm";
     case Layer::kPcm:

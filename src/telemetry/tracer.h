@@ -28,7 +28,6 @@ enum class Layer : std::uint8_t {
   kSimMachine = 0,
   kSimCache,
   kSimBus,
-  kSimDram,
   kVm,
   kPcm,
   // Monitoring-plane fault injection and the degradation actions detectors

@@ -222,15 +222,6 @@ void PopulateTelemetry(Telemetry& telemetry) {
   }
 }
 
-TEST(JsonEscapeTest, EscapesQuotesBackslashesAndControls) {
-  EXPECT_EQ(JsonEscape("plain"), "plain");
-  EXPECT_EQ(JsonEscape("a\"b"), "a\\\"b");
-  EXPECT_EQ(JsonEscape("a\\b"), "a\\\\b");
-  EXPECT_EQ(JsonEscape("a\nb\tc\rd"), "a\\nb\\tc\\rd");
-  EXPECT_EQ(JsonEscape("\x01"), "\\u0001");
-  EXPECT_EQ(JsonEscape(nullptr), "");
-}
-
 TEST(JsonValidatorSelfTest, AcceptsValidRejectsInvalid) {
   EXPECT_TRUE(IsValidJson("{\"a\":[1,2.5,-3e4,null,true,\"x\\n\"]}"));
   EXPECT_TRUE(IsValidJson("{}"));

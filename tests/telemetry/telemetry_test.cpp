@@ -3,9 +3,7 @@
 // combined JSONL stream format read by tools/trace_inspect.
 #include "telemetry/telemetry.h"
 
-#include <cmath>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -40,8 +38,6 @@ TEST(MetricsTest, ReRegistrationReturnsSameInstrument) {
   a->Add(5);
   EXPECT_EQ(b->value(), 5u);
   EXPECT_EQ(registry.GetGauge("g"), registry.GetGauge("g"));
-  EXPECT_EQ(registry.GetHistogram("h", {1.0}),
-            registry.GetHistogram("h", {2.0, 3.0}));
 }
 
 TEST(MetricsTest, InstrumentPointersSurviveFurtherRegistration) {
@@ -54,79 +50,10 @@ TEST(MetricsTest, InstrumentPointersSurviveFurtherRegistration) {
   EXPECT_EQ(registry.GetCounter("first")->value(), 7u);
 }
 
-TEST(MetricsTest, HistogramBucketsObservations) {
-  MetricsRegistry registry;
-  Histogram* h = registry.GetHistogram("lat", {10.0, 20.0, 30.0});
-  h->Observe(5.0);    // bucket 0
-  h->Observe(10.0);   // bucket 0 (<= bound)
-  h->Observe(15.0);   // bucket 1
-  h->Observe(100.0);  // overflow bucket
-  EXPECT_EQ(h->count(), 4u);
-  EXPECT_DOUBLE_EQ(h->sum(), 130.0);
-  ASSERT_EQ(h->buckets().size(), 4u);
-  EXPECT_EQ(h->buckets()[0], 2u);
-  EXPECT_EQ(h->buckets()[1], 1u);
-  EXPECT_EQ(h->buckets()[2], 0u);
-  EXPECT_EQ(h->buckets()[3], 1u);
-}
-
-TEST(MetricsTest, HistogramRoutesNonFiniteWithoutPoisoningSum) {
-  MetricsRegistry registry;
-  Histogram* h = registry.GetHistogram("lat", {10.0, 20.0});
-  h->Observe(std::numeric_limits<double>::quiet_NaN());
-  h->Observe(std::numeric_limits<double>::infinity());
-  h->Observe(-std::numeric_limits<double>::infinity());
-  h->Observe(15.0);  // the only finite observation
-  EXPECT_EQ(h->count(), 4u);
-  EXPECT_DOUBLE_EQ(h->sum(), 15.0);  // non-finite excluded from the sum
-  ASSERT_EQ(h->buckets().size(), 3u);
-  EXPECT_EQ(h->buckets()[0], 1u);  // -inf
-  EXPECT_EQ(h->buckets()[1], 1u);  // 15.0
-  EXPECT_EQ(h->buckets()[2], 2u);  // NaN and +inf in the overflow bucket
-}
-
-TEST(MetricsTest, ValuesAboveLastBoundLandInOverflowBucket) {
-  MetricsRegistry registry;
-  Histogram* h = registry.GetHistogram("lat", {10.0, 20.0});
-  h->Observe(20.0);     // == last bound: NOT overflow
-  h->Observe(20.0001);  // just beyond: overflow
-  h->Observe(1e18);     // far beyond: overflow
-  ASSERT_EQ(h->buckets().size(), 3u);
-  EXPECT_EQ(h->buckets()[1], 1u);
-  EXPECT_EQ(h->buckets()[2], 2u);
-  EXPECT_DOUBLE_EQ(h->sum(), 40.0001 + 1e18);  // finite values still summed
-}
-
-TEST(MetricsTest, QuantileInterpolatesWithinBuckets) {
-  const std::vector<double> bounds{10.0, 20.0, 30.0};
-  const std::vector<std::uint64_t> buckets{10, 10, 10, 0};
-  // Median rank 15 sits halfway through the (10, 20] bucket.
-  EXPECT_DOUBLE_EQ(QuantileFromBuckets(bounds, buckets, 0.5), 15.0);
-  EXPECT_DOUBLE_EQ(QuantileFromBuckets(bounds, buckets, 0.0), 0.0);
-  EXPECT_DOUBLE_EQ(QuantileFromBuckets(bounds, buckets, 1.0), 30.0);
-}
-
-TEST(MetricsTest, QuantileClampsOverflowToLastBound) {
-  const std::vector<double> bounds{10.0, 20.0, 30.0};
-  const std::vector<std::uint64_t> buckets{0, 0, 0, 5};
-  // Every observation is beyond resolution: all quantiles clamp to 30.
-  EXPECT_DOUBLE_EQ(QuantileFromBuckets(bounds, buckets, 0.5), 30.0);
-  EXPECT_DOUBLE_EQ(QuantileFromBuckets(bounds, buckets, 0.99), 30.0);
-}
-
-TEST(MetricsTest, QuantileOfEmptyHistogramIsNaN) {
-  MetricsRegistry registry;
-  Histogram* h = registry.GetHistogram("lat", {10.0});
-  EXPECT_TRUE(std::isnan(h->Quantile(0.5)));
-  h->Observe(5.0);
-  EXPECT_DOUBLE_EQ(h->Quantile(1.0), 10.0);
-}
-
 TEST(MetricsTest, WriteJsonlEmitsOneLinePerInstrument) {
   MetricsRegistry registry;
   registry.GetCounter("a")->Add(3);
   registry.GetGauge("b")->Set(1.5);
-  registry.GetHistogram("c", {1.0})->Observe(0.5);
   std::ostringstream os;
   registry.WriteJsonl(os);
   std::istringstream is(os.str());
@@ -136,9 +63,8 @@ TEST(MetricsTest, WriteJsonlEmitsOneLinePerInstrument) {
     ++lines;
     EXPECT_NE(line.find("\"type\":\"metric\""), std::string::npos) << line;
   }
-  EXPECT_EQ(lines, 3);
+  EXPECT_EQ(lines, 2);
   EXPECT_NE(os.str().find("\"name\":\"a\""), std::string::npos);
-  EXPECT_NE(os.str().find("\"buckets\":[1,0]"), std::string::npos);
 }
 
 TEST(TracerTest, LayerNamesAreDotted) {

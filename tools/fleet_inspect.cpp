@@ -19,11 +19,10 @@
 // "slo_status" (final per-rule state), the streaming-service
 // accounting pair "svc_ref" / "svc_recovery" written by
 // bench_svc_chaos_sweep --accounting_out, and "forensic_report"
-// (detect::WriteForensicReportJson incident records). Like trace_inspect, the parser
-// handles exactly the flat one-object-per-line JSON this repo emits and
-// malformed input never crashes the tool: empty lines, truncated records
-// and unknown "type" values are counted and reported, and everything
-// parseable is still summarized.
+// (detect::WriteForensicReportJson incident records). Like trace_inspect, it
+// reads lines with common/json.h, and malformed input never crashes the
+// tool: empty lines, truncated records and unknown "type" values are counted
+// and reported, and everything parseable is still summarized.
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
@@ -34,81 +33,16 @@
 
 #include "common/csv.h"
 #include "common/flags.h"
+#include "common/json.h"
 
 namespace {
 
 using sds::FormatFixed;
+using sds::JsonObject;
+using sds::NumOr;
+using sds::ParseJsonLine;
+using sds::StrOr;
 using sds::TextTable;
-
-// One parsed JSONL line: flat key -> raw value text (quotes stripped for
-// strings, arrays kept verbatim).
-using JsonObject = std::map<std::string, std::string>;
-
-bool ParseLine(const std::string& line, JsonObject& out) {
-  out.clear();
-  std::size_t i = 0;
-  const auto skip_ws = [&] {
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-  };
-  skip_ws();
-  if (i >= line.size() || line[i] != '{') return false;
-  ++i;
-  while (true) {
-    skip_ws();
-    if (i < line.size() && line[i] == '}') return true;
-    if (i >= line.size() || line[i] != '"') return false;
-    const auto key_end = line.find('"', i + 1);
-    if (key_end == std::string::npos) return false;
-    std::string key = line.substr(i + 1, key_end - i - 1);
-    i = key_end + 1;
-    skip_ws();
-    if (i >= line.size() || line[i] != ':') return false;
-    ++i;
-    skip_ws();
-    if (i >= line.size()) return false;
-    std::string value;
-    if (line[i] == '"') {
-      const auto end = line.find('"', i + 1);
-      if (end == std::string::npos) return false;
-      value = line.substr(i + 1, end - i - 1);
-      i = end + 1;
-    } else if (line[i] == '[') {
-      const auto end = line.find(']', i);
-      if (end == std::string::npos) return false;
-      value = line.substr(i, end - i + 1);
-      i = end + 1;
-    } else {
-      const auto end = line.find_first_of(",}", i);
-      if (end == std::string::npos) return false;
-      value = line.substr(i, end - i);
-      i = end;
-    }
-    out.emplace(std::move(key), std::move(value));
-    skip_ws();
-    if (i < line.size() && line[i] == ',') {
-      ++i;
-      continue;
-    }
-    if (i < line.size() && line[i] == '}') return true;
-    return false;
-  }
-}
-
-double NumOr(const JsonObject& o, const std::string& key, double fallback) {
-  const auto it = o.find(key);
-  if (it == o.end()) return fallback;
-  try {
-    return std::stod(it->second);
-  } catch (...) {
-    return fallback;
-  }
-}
-
-std::string StrOr(const JsonObject& o, const std::string& key,
-                  const std::string& fallback) {
-  const auto it = o.find(key);
-  return it == o.end() ? fallback : it->second;
-}
 
 // Per-metric fleet aggregate across all rollup rows.
 struct MetricHealth {
@@ -144,7 +78,9 @@ struct MetricHealth {
     worst_p99 = std::max(worst_p99, NumOr(row, "p99", 0.0));
   }
 
-  double mean() const { return count == 0 ? 0.0 : sum / count; }
+  double mean() const {
+    return count == 0 ? 0.0 : sum / static_cast<double>(count);
+  }
 };
 
 // Per-(host, tenant) ranking state for the --metric series.
@@ -155,7 +91,9 @@ struct TenantHealth {
   std::uint64_t count = 0;
   std::int64_t worst_window = 0;
 
-  double mean() const { return count == 0 ? 0.0 : sum / count; }
+  double mean() const {
+    return count == 0 ? 0.0 : sum / static_cast<double>(count);
+  }
 };
 
 }  // namespace
@@ -241,7 +179,7 @@ int main(int argc, char** argv) {
       ++empty_lines;
       continue;
     }
-    if (!ParseLine(line, obj)) {
+    if (!ParseJsonLine(line, obj)) {
       ++malformed_lines;
       continue;
     }

@@ -13,9 +13,9 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "sdslint/baseline.h"
 #include "sdslint/cache.h"
-#include "sdslint/json.h"
 #include "sdslint/model.h"
 #include "sdslint/passes.h"
 #include "sdslint/source.h"
@@ -25,6 +25,7 @@ namespace sdslint {
 namespace {
 
 namespace fs = std::filesystem;
+using sds::JsonEscape;
 
 // ---------------------------------------------------------------------------
 // Layer model

@@ -5,13 +5,14 @@
 #include <string>
 #include <system_error>
 
-#include "sdslint/json.h"
+#include "common/json.h"
 #include "sdslint/lint.h"
 
 namespace sdslint {
 namespace {
 
 namespace fs = std::filesystem;
+using sds::JsonEscape;
 
 // GitHub code scanning wants repo-relative, forward-slash URIs.
 std::string SarifUri(const std::string& path, const std::string& root) {

@@ -20,12 +20,11 @@
 //                                            under each host-chaos run
 //                                            (bench_hostchaos --trace_out)
 //
-// The parser handles exactly the flat one-object-per-line JSON this repo
-// emits (string/number/bool values, numeric arrays); it is not a general
-// JSON parser and does not try to be. Malformed input NEVER crashes the
-// tool: empty lines, truncated records and unknown "type" values are each
-// counted separately and reported in the summary, and everything parseable
-// is still summarized.
+// The reader (common/json.h) handles exactly the flat one-object-per-line
+// JSON this repo emits; it is not a general JSON parser and does not try to
+// be. Malformed input NEVER crashes the tool: empty lines, truncated records
+// and unknown "type" values are each counted separately and reported in the
+// summary, and everything parseable is still summarized.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -36,127 +35,17 @@
 #include <vector>
 
 #include "common/flags.h"
+#include "common/json.h"
 #include "common/types.h"
-#include "telemetry/metrics.h"
 
 namespace {
 
+using sds::JsonObject;
+using sds::NumOr;
+using sds::ParseJsonLine;
+using sds::ParseObjectArray;
+using sds::StrOr;
 using sds::TickClock;
-
-// One parsed JSONL line: flat key -> raw value text (quotes stripped for
-// strings, arrays kept verbatim).
-using JsonObject = std::map<std::string, std::string>;
-
-bool ParseLine(const std::string& line, JsonObject& out) {
-  out.clear();
-  std::size_t i = 0;
-  const auto skip_ws = [&] {
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-  };
-  skip_ws();
-  if (i >= line.size() || line[i] != '{') return false;
-  ++i;
-  while (true) {
-    skip_ws();
-    if (i < line.size() && line[i] == '}') return true;
-    // Key.
-    if (i >= line.size() || line[i] != '"') return false;
-    const auto key_end = line.find('"', i + 1);
-    if (key_end == std::string::npos) return false;
-    std::string key = line.substr(i + 1, key_end - i - 1);
-    i = key_end + 1;
-    skip_ws();
-    if (i >= line.size() || line[i] != ':') return false;
-    ++i;
-    skip_ws();
-    if (i >= line.size()) return false;
-    // Value: string, array (kept verbatim), or bare token (number/bool).
-    std::string value;
-    if (line[i] == '"') {
-      const auto end = line.find('"', i + 1);
-      if (end == std::string::npos) return false;
-      value = line.substr(i + 1, end - i - 1);
-      i = end + 1;
-    } else if (line[i] == '[') {
-      const auto end = line.find(']', i);
-      if (end == std::string::npos) return false;
-      value = line.substr(i, end - i + 1);
-      i = end + 1;
-    } else if (line[i] == '{') {
-      // One level of nesting, kept verbatim like arrays (the sdslint stats
-      // payload's flat "rule_hits" object); re-parse with ParseLine to read
-      // its fields.
-      const auto end = line.find('}', i);
-      if (end == std::string::npos) return false;
-      value = line.substr(i, end - i + 1);
-      i = end + 1;
-    } else {
-      const auto end = line.find_first_of(",}", i);
-      if (end == std::string::npos) return false;
-      value = line.substr(i, end - i);
-      i = end;
-    }
-    out.emplace(std::move(key), std::move(value));
-    skip_ws();
-    if (i < line.size() && line[i] == ',') {
-      ++i;
-      continue;
-    }
-    if (i < line.size() && line[i] == '}') return true;
-    return false;
-  }
-}
-
-double NumOr(const JsonObject& o, const std::string& key, double fallback) {
-  const auto it = o.find(key);
-  if (it == o.end()) return fallback;
-  try {
-    return std::stod(it->second);
-  } catch (...) {
-    return fallback;
-  }
-}
-
-std::string StrOr(const JsonObject& o, const std::string& key,
-                  const std::string& fallback) {
-  const auto it = o.find(key);
-  return it == o.end() ? fallback : it->second;
-}
-
-// Parses an "[{...},{...}]" array of FLAT objects (as ParseLine keeps them
-// verbatim — the forensic "suspects" field). Damaged elements are skipped.
-std::vector<JsonObject> ParseObjectArray(const std::string& raw) {
-  std::vector<JsonObject> out;
-  std::size_t i = 0;
-  while ((i = raw.find('{', i)) != std::string::npos) {
-    const auto end = raw.find('}', i);
-    if (end == std::string::npos) break;
-    JsonObject o;
-    if (ParseLine(raw.substr(i, end - i + 1), o)) out.push_back(std::move(o));
-    i = end + 1;
-  }
-  return out;
-}
-
-// Parses a "[1,2,3]" array value (as ParseLine keeps them) into numbers.
-// Unparseable elements are skipped rather than fatal.
-std::vector<double> ParseNumberArray(const std::string& raw) {
-  std::vector<double> out;
-  if (raw.size() < 2 || raw.front() != '[' || raw.back() != ']') return out;
-  std::size_t i = 1;
-  while (i < raw.size() - 1) {
-    const auto end = raw.find_first_of(",]", i);
-    const std::string token = raw.substr(i, end - i);
-    try {
-      out.push_back(std::stod(token));
-    } catch (...) {
-      // skip
-    }
-    if (end == std::string::npos || end >= raw.size() - 1) break;
-    i = end + 1;
-  }
-  return out;
-}
 
 struct LayerSummary {
   std::uint64_t events = 0;
@@ -283,7 +172,7 @@ int main(int argc, char** argv) {
       continue;
     }
     JsonObject o;
-    if (!ParseLine(line, o)) {
+    if (!ParseJsonLine(line, o)) {
       ++bad_lines;
       continue;
     }
@@ -594,7 +483,7 @@ int main(int argc, char** argv) {
                 "self");
     for (const auto& s : span_lines) {
       JsonObject o;
-      if (!ParseLine(s, o)) continue;
+      if (!ParseJsonLine(s, o)) continue;
       const auto depth = static_cast<int>(NumOr(o, "depth", 0));
       const std::string indent(static_cast<std::size_t>(
                                    std::max(0, std::min(depth, 16))) * 2,
@@ -610,41 +499,9 @@ int main(int argc, char** argv) {
     std::printf("\nmetrics snapshot\n");
     for (const auto& m : metric_lines) {
       JsonObject o;
-      if (!ParseLine(m, o)) continue;
-      const std::string kind = StrOr(o, "metric", "?");
-      if (kind == "histogram") {
-        std::printf("  %-36s count=%lld sum=%.6g",
-                    StrOr(o, "name", "?").c_str(),
-                    static_cast<long long>(NumOr(o, "count", 0)),
-                    NumOr(o, "sum", 0.0));
-        // Interpolated quantiles from the serialized buckets — same
-        // estimator the in-process Histogram::Quantile uses. Only printed
-        // when the arrays are well formed (a damaged line degrades to the
-        // raw bucket dump, never a crash).
-        const auto bounds = ParseNumberArray(StrOr(o, "bounds", ""));
-        const auto raw_buckets = ParseNumberArray(StrOr(o, "buckets", ""));
-        if (!bounds.empty() && raw_buckets.size() == bounds.size() + 1) {
-          std::vector<std::uint64_t> buckets;
-          buckets.reserve(raw_buckets.size());
-          for (double b : raw_buckets) {
-            buckets.push_back(
-                b < 0.0 ? 0 : static_cast<std::uint64_t>(b));
-          }
-          const double p50 =
-              sds::telemetry::QuantileFromBuckets(bounds, buckets, 0.50);
-          const double p95 =
-              sds::telemetry::QuantileFromBuckets(bounds, buckets, 0.95);
-          const double p99 =
-              sds::telemetry::QuantileFromBuckets(bounds, buckets, 0.99);
-          std::printf(" p50=%.6g p95=%.6g p99=%.6g", p50, p95, p99);
-        } else {
-          std::printf(" buckets=%s", StrOr(o, "buckets", "[]").c_str());
-        }
-        std::printf("\n");
-      } else {
-        std::printf("  %-36s %.6g\n", StrOr(o, "name", "?").c_str(),
-                    NumOr(o, "value", 0.0));
-      }
+      if (!ParseJsonLine(m, o)) continue;
+      std::printf("  %-36s %.6g\n", StrOr(o, "name", "?").c_str(),
+                  NumOr(o, "value", 0.0));
     }
   }
 
@@ -737,7 +594,7 @@ int main(int argc, char** argv) {
                 stale != 0 ? "  ** STALE BASELINE **" : "");
     if (dump_lint) {
       JsonObject hits;
-      if (ParseLine(StrOr(s, "rule_hits", "{}"), hits) && !hits.empty()) {
+      if (ParseJsonLine(StrOr(s, "rule_hits", "{}"), hits) && !hits.empty()) {
         std::printf("  %-40s %10s\n", "rule", "hits");
         for (const auto& [rule, count] : hits) {
           std::printf("  %-40s %10s\n", rule.c_str(), count.c_str());
