@@ -125,7 +125,7 @@ void MaybeEmitTelemetryRun(const SweepOptions& options, std::ostream& log) {
       << telemetry.tracer().emitted() << " events, "
       << telemetry.audit().records().size() << " audit records; run "
       << (result.detected ? "detected" : "missed")
-      << " the attack); inspect with tools/trace_inspect\n";
+      << " the attack); inspect with tools/inspect\n";
 }
 
 std::vector<AccuracyRow> RunOrLoadAccuracySweep(const SweepOptions& options,

@@ -26,7 +26,7 @@ struct SweepOptions {
   std::uint64_t base_seed = 1000;
   // When non-empty, one representative instrumented SDS run is executed after
   // the sweep and its telemetry stream (events + detector audit + metrics) is
-  // written here as JSONL for tools/trace_inspect.
+  // written here as JSONL for tools/inspect.
   std::string telemetry_out;
   // Set when parsing stopped because --help was given (exit 0, not 1).
   bool help = false;

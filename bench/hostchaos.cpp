@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
            {"json_out", "also write the BENCH_hostchaos JSON to this file"},
            {"trace_out",
             "write one warm + one cold chaos-run JSONL trace for "
-            "trace_inspect --hostchaos"}})) {
+            "tools/inspect --hostchaos"}})) {
     return flags.help_requested() ? 0 : 1;
   }
 
@@ -133,8 +133,8 @@ int main(int argc, char** argv) {
 
   const std::string trace_out = flags.GetString("trace_out", "");
   if (!trace_out.empty()) {
-    // One warm + one cold run of the first chaos cell (same seeds), so the
-    // inspectors can show the host timeline, evacuations and both handoff
+    // One warm + one cold run of the first chaos cell (same seeds), so
+    // tools/inspect can show the host timeline, evacuations and both handoff
     // modes side by side.
     eval::HostChaosRunConfig run = config.run;
     run.host_plan.set_rate(fault::HostFaultKind::kCrash,

@@ -196,7 +196,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::printf("telemetry JSONL written to %s (inspect with "
-                "tools/trace_inspect)\n",
+                "tools/inspect)\n",
                 profile_out.c_str());
   }
   return 0;

@@ -6,7 +6,7 @@
 //   3. Attach the SDS detector and run: 60 s clean, then a bus locking
 //      attack — and watch the alarm fire.
 //   4. Read the detector's decision audit trail back out of the attached
-//      telemetry handle (the same data --telemetry_out + trace_inspect use),
+//      telemetry handle (the same data --telemetry_out + tools/inspect use),
 //      and reconstruct the incident timeline: attack -> first check ->
 //      violation streak -> alarm, with the detection delay decomposed.
 //   5. With the hardware attribution ledger enabled, ask the forensics

@@ -39,7 +39,7 @@ enum class HostState : std::uint8_t {
 const char* HostStateName(HostState state);
 
 // One state transition, in tick order — the host up/down timeline consumed
-// by trace_inspect --hostchaos.
+// by tools/inspect --hostchaos.
 struct HostTransition {
   Tick tick = 0;
   int host = 0;

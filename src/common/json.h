@@ -1,8 +1,7 @@
 // JSON text helpers shared by every writer and reader of this repo's JSON:
 // one string escaper for the emitters (telemetry's Perfetto export, sdslint's
 // --json / SARIF / --stats output) and one reader for the flat
-// one-object-per-line JSONL streams the inspectors summarize
-// (tools/trace_inspect, tools/fleet_inspect).
+// one-object-per-line JSONL streams tools/inspect summarizes.
 //
 // The reader handles exactly the JSON this repo emits — string, number and
 // bool values, arrays, and one level of nested object — and is not a general

@@ -9,12 +9,11 @@
 namespace sds {
 namespace {
 
-std::uint64_t SplitMix64(std::uint64_t& x) {
+// One step of the stateful SplitMix64 generator.
+std::uint64_t SplitMix64Next(std::uint64_t& x) {
+  const std::uint64_t r = SplitMix64(x);
   x += 0x9e3779b97f4a7c15ull;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
+  return r;
 }
 
 constexpr std::uint64_t Rotl(std::uint64_t x, int k) {
@@ -23,9 +22,17 @@ constexpr std::uint64_t Rotl(std::uint64_t x, int k) {
 
 }  // namespace
 
+double Draw01(std::uint64_t seed, std::uint64_t tenant, Tick tick,
+              std::uint64_t salt) {
+  std::uint64_t h = SplitMix64(seed ^ (salt << 48));
+  h = SplitMix64(h ^ (tenant << 24));
+  h = SplitMix64(h ^ static_cast<std::uint64_t>(tick));
+  return static_cast<double>(h >> 11) * 0x1.0p-53;
+}
+
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t sm = seed;
-  for (auto& word : s_) word = SplitMix64(sm);
+  for (auto& word : s_) word = SplitMix64Next(sm);
   // Avoid the (astronomically unlikely) all-zero state.
   if (s_[0] == 0 && s_[1] == 0 && s_[2] == 0 && s_[3] == 0) s_[0] = 1;
 }

@@ -11,7 +11,26 @@
 #include <cmath>
 #include <vector>
 
+#include "common/types.h"
+
 namespace sds {
+
+// SplitMix64 (Steele, Lea & Flood): the golden-ratio increment followed by
+// the finalizer. Stateless, so parallel workers derive the same draw from
+// (seed, coordinates) without sharing generator state; Rng seeds
+// xoshiro256++ by stepping it.
+constexpr std::uint64_t SplitMix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+// Stateless uniform draw in [0, 1) keyed by (seed, tenant, tick, salt):
+// three chained SplitMix64 rounds, top 53 bits. `salt` separates the
+// independent draws a caller makes at one (tenant, tick).
+double Draw01(std::uint64_t seed, std::uint64_t tenant, Tick tick,
+              std::uint64_t salt);
 
 // xoshiro256++ by Blackman & Vigna (public domain reference implementation
 // re-expressed here). Satisfies UniformRandomBitGenerator.

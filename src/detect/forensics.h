@@ -122,8 +122,8 @@ class ForensicsEngine {
 };
 
 // Deterministic renderings for tools and the eval sweep: a compact JSON
-// object and the human-readable section trace_inspect/fleet_inspect print
-// under --forensics.
+// object and the human-readable section tools/inspect prints under
+// --forensics.
 void WriteForensicReportJson(std::ostream& os, const ForensicReport& report);
 void WriteForensicReportText(std::ostream& os, const ForensicReport& report);
 

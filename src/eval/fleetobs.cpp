@@ -7,6 +7,7 @@
 #include <span>
 
 #include "common/check.h"
+#include "common/rng.h"
 #include "eval/aggregate.h"
 
 namespace sds::eval {
@@ -23,29 +24,21 @@ constexpr const char* kMetricNames[] = {
 };
 constexpr std::size_t kMetricCount = 4;
 
-// SplitMix64 finalizer: stateless per-sample noise so every worker computes
-// the same stream without sharing generator state.
-std::uint64_t Mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 double Noise01(std::uint64_t seed, std::uint32_t host, std::uint32_t tenant,
                std::size_t metric, Tick tick) {
   std::uint64_t h = seed;
-  h = Mix(h ^ host);
-  h = Mix(h ^ (static_cast<std::uint64_t>(tenant) << 20));
-  h = Mix(h ^ (static_cast<std::uint64_t>(metric) << 40));
-  h = Mix(h ^ static_cast<std::uint64_t>(tick));
+  h = SplitMix64(h ^ host);
+  h = SplitMix64(h ^ (static_cast<std::uint64_t>(tenant) << 20));
+  h = SplitMix64(h ^ (static_cast<std::uint64_t>(metric) << 40));
+  h = SplitMix64(h ^ static_cast<std::uint64_t>(tick));
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
 bool PairAttacked(std::uint64_t seed, std::uint32_t host, std::uint32_t tenant,
                   double fraction) {
-  const std::uint64_t h = Mix(Mix(seed ^ 0xa77acced) ^ host ^
-                              (static_cast<std::uint64_t>(tenant) << 24));
+  const std::uint64_t h =
+      SplitMix64(SplitMix64(seed ^ 0xa77acced) ^ host ^
+                 (static_cast<std::uint64_t>(tenant) << 24));
   return static_cast<double>(h >> 11) * 0x1.0p-53 < fraction;
 }
 

@@ -81,7 +81,7 @@ struct FleetObsResult {
 
 // Runs the sweep. When `rollup_out` is non-null, the merged rollup stream,
 // rollup_stats accounting line, SLO alerts and rule status are written to it
-// as JSONL — the input of tools/fleet_inspect.
+// as JSONL — an input of tools/inspect.
 FleetObsResult RunFleetObsSweep(const FleetObsConfig& config,
                                 std::ostream* rollup_out = nullptr);
 

@@ -166,7 +166,7 @@ void WriteHostChaosJson(std::ostream& os, const HostChaosSweepConfig& config,
                         const HostChaosSweepResult& result);
 
 // Writes one run's host up/down timeline, evacuations and handoffs as
-// JSONL records for trace_inspect / fleet_inspect --hostchaos.
+// JSONL records for tools/inspect --hostchaos.
 void WriteHostChaosTrace(std::ostream& os, const HostChaosRunConfig& config,
                          const HostChaosRunResult& result);
 

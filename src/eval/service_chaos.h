@@ -105,7 +105,7 @@ struct ServiceChaosResult {
 
 // Runs the sweep. When `accounting_out` is non-null, one svc_ref line plus
 // one svc_recovery line per crash point are written as JSONL — the input of
-// the --svc section in tools/trace_inspect and tools/fleet_inspect.
+// the streaming service section of tools/inspect.
 ServiceChaosResult RunServiceChaosSweep(const ServiceChaosConfig& config,
                                         std::ostream* accounting_out = nullptr);
 

@@ -71,7 +71,7 @@ void ShardWriter::Ingest(const ObsSample& sample) {
   if (it == series_.end()) {
     if (series_.size() >= config_.max_series_per_shard) {
       // Fixed-memory ceiling: never grow past it. The drop is accounted so
-      // truncation is loud (rollup_stats line, fleet_inspect, SLO rules).
+      // truncation is loud (rollup_stats line, tools/inspect, SLO rules).
       // dropped_series_ counts DISTINCT locked-out keys; the tracking set
       // is itself capped at the ceiling, after which only the per-sample
       // counter keeps growing.

@@ -188,7 +188,7 @@ class FleetRollup {
   std::size_t ApproxMemoryBytes() const;
 
   // One JSONL line per completed rollup row (type "rollup"), plus a trailing
-  // accounting line (type "rollup_stats"); the stream fleet_inspect reads.
+  // accounting line (type "rollup_stats"); the stream tools/inspect reads.
   void WriteJsonl(std::ostream& os) const;
 
  private:
@@ -202,7 +202,7 @@ class FleetRollup {
 // Tracer-ingest adapter: feeds the telemetry ring's saturation accounting
 // (emitted / dropped totals) into the rollup as per-host samples, so ring
 // overflow shows up in fleet rollups and SLO rules, not only in
-// trace_inspect. Registers metrics "tracer.emitted" and "tracer.dropped".
+// tools/inspect. Registers metrics "tracer.emitted" and "tracer.dropped".
 void IngestTracerStats(const telemetry::EventTracer& tracer, Tick tick,
                        std::uint32_t host, std::uint32_t tenant,
                        FleetRollup* rollup);

@@ -33,7 +33,7 @@ std::optional<std::vector<PcmSample>> ReadTraceFile(const std::string& path);
 //   {"type":"event","tick":N,"layer":"pcm","event":"sample",
 //    "access_num":A,"miss_num":M}
 // so recorded traces and live telemetry streams share one tooling format
-// (tools/trace_inspect reads both). Returns false on I/O failure.
+// (tools/inspect reads both). Returns false on I/O failure.
 bool WriteTraceJsonl(std::ostream& os, std::span<const PcmSample> samples);
 bool WriteTraceJsonlFile(const std::string& path,
                          std::span<const PcmSample> samples);

@@ -13,7 +13,7 @@ void Telemetry::WriteJsonl(std::ostream& os) {
   tracer_.WriteStatsJson(os);
   os << "\n";
   // Surface ring saturation as first-class metrics so rollup/alerting
-  // pipelines (obs layer, fleet_inspect) see drops without parsing the
+  // pipelines (obs layer, tools/inspect) see drops without parsing the
   // tracer_stats line.
   metrics_.GetGauge("telemetry.tracer.emitted")
       ->Set(static_cast<double>(tracer_.emitted()));

@@ -45,7 +45,7 @@ class Telemetry {
   // Writes the full telemetry state as one JSONL stream: a header line, the
   // retained event window (tracer ring is drained), every audit record, the
   // profiler's span tree (when it was enabled), and a final metrics
-  // snapshot. This is the format tools/trace_inspect reads and benches write
+  // snapshot. This is the format tools/inspect reads and benches write
   // via --telemetry_out.
   void WriteJsonl(std::ostream& os);
   // Convenience wrapper; returns false when the file cannot be opened.

@@ -121,7 +121,7 @@ class EventTracer {
   // One {"type":"tracer_stats",...} JSON line: capacity, retained, emitted,
   // dropped, and the nonzero per-layer emitted/dropped breakdown. Written by
   // Telemetry::WriteJsonl so saturated rings are visible in every stream
-  // tools/trace_inspect reads.
+  // tools/inspect reads.
   void WriteStatsJson(std::ostream& os) const;
 
  private:

@@ -1,6 +1,6 @@
 // Tests for common/json.h: the JSON string escaper every emitter uses and
-// the flat-JSONL reader both inspectors use. The reader is fed one real line
-// of every record type the inspectors consume, then seeded mutants of those
+// the flat-JSONL reader tools/inspect uses. The reader is fed one real line
+// of every record type the inspector consumes, then seeded mutants of those
 // lines (every truncation, bit flips, splices of two lines): each mutant
 // must either parse or be rejected, never crash or read out of bounds.
 #include "common/json.h"
@@ -48,7 +48,7 @@ TEST(JsonEscapeTest, EscapesEveryControlByte) {
   EXPECT_EQ(JsonEscape(" ~\x7f\xc3\xa9"), " ~\x7f\xc3\xa9");
 }
 
-// One line of each record type the inspectors read, as the repo's writers
+// One line of each record type the inspector reads, as the repo's writers
 // emit them: telemetry metric/event/audit, a forensic report with its
 // suspects array, a fleet rollup row, a service recovery row and the
 // sdslint stats payload with its nested rule_hits object.
@@ -65,8 +65,8 @@ const std::vector<std::string>& RealLines() {
   return lines;
 }
 
-// Runs the reader over one (possibly damaged) line the way the inspectors
-// do: parse, then read every field as a number and as a string, and expand
+// Runs the reader over one (possibly damaged) line the way the inspector
+// does: parse, then read every field as a number and as a string, and expand
 // every verbatim array or nested object. A parsed line may only hold text
 // taken from the input.
 void ReadLikeAnInspector(const std::string& line) {

@@ -10,6 +10,14 @@
 namespace sds {
 namespace {
 
+TEST(SplitMix64Test, MatchesReferenceSequence) {
+  // The published SplitMix64 outputs for state 0, stepped by the golden
+  // ratio increment.
+  EXPECT_EQ(SplitMix64(0), 0xe220a8397b1dcdafULL);
+  EXPECT_EQ(SplitMix64(0x9e3779b97f4a7c15ULL), 0x6e789e6aa1b965f4ULL);
+  EXPECT_EQ(SplitMix64(0x3c6ef372fe94f82aULL), 0x06c45d188009454fULL);
+}
+
 TEST(RngTest, DeterministicForSameSeed) {
   Rng a(123);
   Rng b(123);

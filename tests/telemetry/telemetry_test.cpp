@@ -1,6 +1,6 @@
 // Unit tests for the telemetry subsystem: metrics registry semantics, event
 // tracer ring-buffer overflow behavior, audit log serialization, and the
-// combined JSONL stream format read by tools/trace_inspect.
+// combined JSONL stream format read by tools/inspect.
 #include "telemetry/telemetry.h"
 
 #include <fstream>

@@ -24,6 +24,7 @@
 #include <string>
 
 #include "common/flags.h"
+#include "common/rng.h"
 #include "common/types.h"
 #include "svc/sample.h"
 #include "svc/service.h"
@@ -32,22 +33,6 @@
 namespace {
 
 using namespace sds;
-
-// SplitMix64 — same deterministic noise idiom as the eval sweeps.
-std::uint64_t Mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-double Draw01(std::uint64_t seed, std::uint64_t tenant, Tick tick,
-              std::uint64_t salt) {
-  std::uint64_t h = Mix(seed ^ (salt << 48));
-  h = Mix(h ^ (tenant << 24));
-  h = Mix(h ^ static_cast<std::uint64_t>(tick));
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
 
 // Small-window detector config so the demo feed alarms within a few hundred
 // ticks; the library defaults (window 200, profile 600) are sized for
