@@ -18,6 +18,7 @@
 #include "common/csv.h"
 #include "common/flags.h"
 #include "detect/sds_detector.h"
+#include "eval/experiment.h"
 #include "eval/scenario.h"
 #include "stats/descriptive.h"
 #include "workloads/catalog.h"
@@ -96,7 +97,9 @@ PulseResult RunPulse(Tick on, Tick off, std::uint64_t seed) {
 
 int main(int argc, char** argv) {
   Flags flags;
-  if (!flags.Parse(argc, argv, {"seed"})) return 1;
+  if (!flags.Parse(argc, argv, {"seed"})) {
+    return flags.help_requested() ? 0 : 1;
+  }
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 91));
 
   bench::PrintBenchHeader(

@@ -16,6 +16,7 @@
 #include "common/csv.h"
 #include "common/flags.h"
 #include "detect/sds_detector.h"
+#include "eval/experiment.h"
 #include "workloads/catalog.h"
 
 namespace {
@@ -111,7 +112,9 @@ PipelineResult RunPipeline(cluster::MitigationPolicy policy,
 
 int main(int argc, char** argv) {
   Flags flags;
-  if (!flags.Parse(argc, argv, {"seed"})) return 1;
+  if (!flags.Parse(argc, argv, {"seed"})) {
+    return flags.help_requested() ? 0 : 1;
+  }
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 101));
 
   bench::PrintBenchHeader(

@@ -58,7 +58,9 @@ std::optional<double> AcfOnly(const std::vector<double>& x) {
 
 int main(int argc, char** argv) {
   Flags flags;
-  if (!flags.Parse(argc, argv, {"trials"})) return 1;
+  if (!flags.Parse(argc, argv, {"trials"})) {
+    return flags.help_requested() ? 0 : 1;
+  }
   const int trials = static_cast<int>(flags.GetInt("trials", 200));
 
   bench::PrintBenchHeader(

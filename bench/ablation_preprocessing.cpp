@@ -11,13 +11,16 @@
 #include "common/bench_common.h"
 #include "common/csv.h"
 #include "common/flags.h"
+#include "eval/aggregate.h"
 #include "eval/report.h"
 #include "stats/chebyshev.h"
 
 int main(int argc, char** argv) {
   using namespace sds;
   Flags flags;
-  if (!flags.Parse(argc, argv, {"runs", "seed", "app"})) return 1;
+  if (!flags.Parse(argc, argv, {"runs", "seed", "app"})) {
+    return flags.help_requested() ? 0 : 1;
+  }
   const int runs = static_cast<int>(flags.GetInt("runs", 3));
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 81));
   const std::string app = flags.GetString("app", "kmeans");
@@ -54,22 +57,25 @@ int main(int argc, char** argv) {
     variants.push_back({"MA + EWMA", p});
   }
 
-  const int threads = eval::DefaultThreads();
-  TextTable table;
-  table.SetHeader({"preprocessing", "recall", "specificity", "delay (s)"});
+  std::vector<eval::DetectionRunConfig> cells;
   for (const auto& v : variants) {
     eval::DetectionRunConfig cfg;
     cfg.app = app;
     cfg.attack = eval::AttackKind::kBusLock;
     cfg.scheme = eval::Scheme::kSdsB;
     cfg.params = v.params;
-    const auto agg = eval::AggregateDetection(cfg, runs, seed, threads);
-    table.Row(v.name, FormatFixed(agg.recall.median, 2),
-              FormatFixed(agg.specificity.median, 2),
-              FormatFixed(agg.delay_seconds.median, 1));
-    std::cout << "." << std::flush;
+    cells.push_back(cfg);
   }
-  std::cout << "\n\n";
+  const auto aggs =
+      eval::AggregateDetection(cells, runs, seed, eval::DefaultThreads());
+  TextTable table;
+  table.SetHeader({"preprocessing", "recall", "specificity", "delay (s)"});
+  for (std::size_t i = 0; i < variants.size(); ++i) {
+    table.Row(variants[i].name, FormatFixed(aggs[i].recall.median, 2),
+              FormatFixed(aggs[i].specificity.median, 2),
+              FormatFixed(aggs[i].delay_seconds.median, 1));
+  }
+  std::cout << "\n";
   table.Print(std::cout);
   std::cout << "\nExpected: the smoothed variants hold high specificity; "
                "raw thresholding trades accuracy for nothing (its per-"

@@ -9,12 +9,15 @@
 #include "common/bench_common.h"
 #include "common/csv.h"
 #include "common/flags.h"
+#include "eval/experiment.h"
 #include "workloads/catalog.h"
 
 int main(int argc, char** argv) {
   using namespace sds;
   Flags flags;
-  if (!flags.Parse(argc, argv, {"intervals", "seed"})) return 1;
+  if (!flags.Parse(argc, argv, {"intervals", "seed"})) {
+    return flags.help_requested() ? 0 : 1;
+  }
   const int intervals = static_cast<int>(flags.GetInt("intervals", 12));
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 21));
 

@@ -12,6 +12,7 @@
 #include "common/csv.h"
 #include "common/flags.h"
 #include "detect/profile.h"
+#include "eval/experiment.h"
 #include "signal/moving_average.h"
 #include "signal/period_detect.h"
 #include "stats/descriptive.h"
@@ -53,7 +54,9 @@ std::string PeriodString(const std::vector<double>& series, std::size_t from,
 
 int main(int argc, char** argv) {
   Flags flags;
-  if (!flags.Parse(argc, argv, {"seconds", "seed"})) return 1;
+  if (!flags.Parse(argc, argv, {"seconds", "seed"})) {
+    return flags.help_requested() ? 0 : 1;
+  }
   const double seconds = flags.GetDouble("seconds", 120.0);
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 33));
 

@@ -16,7 +16,9 @@
 int main(int argc, char** argv) {
   using namespace sds;
   Flags flags;
-  if (!flags.Parse(argc, argv, {"app", "seed", "csv"})) return 1;
+  if (!flags.Parse(argc, argv, {"app", "seed", "csv"})) {
+    return flags.help_requested() ? 0 : 1;
+  }
   const std::string app = flags.GetString("app", "kmeans");
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 11));
 

@@ -18,7 +18,9 @@
 int main(int argc, char** argv) {
   using namespace sds;
   Flags flags;
-  if (!flags.Parse(argc, argv, {"app", "attack", "seed"})) return 1;
+  if (!flags.Parse(argc, argv, {"app", "attack", "seed"})) {
+    return flags.help_requested() ? 0 : 1;
+  }
   const std::string app = flags.GetString("app", "facenet");
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 13));
   const auto attack = flags.GetString("attack", "bus-lock") == "llc-cleansing"

@@ -5,20 +5,23 @@
 // amount of work; no attack is launched. The normalized execution time
 // (relative to running with no detection scheme) is the figure's metric.
 // Baselines are computed once per (application, seed) and shared across
-// schemes.
+// schemes; each application's runs x (baseline + schemes) grid runs in
+// parallel.
 #include <iostream>
 
 #include "common/bench_common.h"
 #include "common/csv.h"
 #include "common/flags.h"
+#include "eval/aggregate.h"
 #include "eval/report.h"
-#include "stats/descriptive.h"
 #include "workloads/catalog.h"
 
 int main(int argc, char** argv) {
   using namespace sds;
   Flags flags;
-  if (!flags.Parse(argc, argv, {"runs", "work-units", "seed"})) return 1;
+  if (!flags.Parse(argc, argv, {"runs", "work-units", "seed"})) {
+    return flags.help_requested() ? 0 : 1;
+  }
   const int runs = static_cast<int>(flags.GetInt("runs", 5));
   const auto work =
       static_cast<std::uint64_t>(flags.GetInt("work-units", 2000));
@@ -36,32 +39,21 @@ int main(int argc, char** argv) {
   double ks_total = 0.0;
   int apps = 0;
 
+  const std::vector<eval::Scheme> schemes = {
+      eval::Scheme::kSds, eval::Scheme::kSdsB, eval::Scheme::kSdsP,
+      eval::Scheme::kKsTest};
+  const int threads = eval::DefaultThreads();
   for (const auto& info : workloads::AppCatalog()) {
-    std::vector<eval::Scheme> schemes = {eval::Scheme::kSds,
-                                         eval::Scheme::kSdsB,
-                                         eval::Scheme::kSdsP,
-                                         eval::Scheme::kKsTest};
-    std::vector<std::vector<double>> ratios(schemes.size());
-    for (int r = 0; r < runs; ++r) {
-      eval::OverheadRunConfig cfg;
-      cfg.app = info.name;
-      cfg.work_target_units = work;
-      cfg.scheme = eval::Scheme::kNone;
-      const auto base = eval::RunOverheadRun(cfg, seed + static_cast<std::uint64_t>(r));
-      for (std::size_t s = 0; s < schemes.size(); ++s) {
-        cfg.scheme = schemes[s];
-        const auto with =
-            eval::RunOverheadRun(cfg, seed + static_cast<std::uint64_t>(r));
-        ratios[s].push_back(static_cast<double>(with.completion_ticks) /
-                            static_cast<double>(base.completion_ticks));
-      }
-    }
+    eval::OverheadRunConfig cfg;
+    cfg.app = info.name;
+    cfg.work_target_units = work;
+    const auto aggs = eval::AggregateOverhead(cfg, schemes, runs, seed, threads);
     std::vector<std::string> row = {info.name};
     for (std::size_t s = 0; s < schemes.size(); ++s) {
-      const auto summary = Summarize(ratios[s]);
-      row.push_back(FormatFixed(summary.median, 3));
-      if (schemes[s] == eval::Scheme::kSds) sds_total += summary.median;
-      if (schemes[s] == eval::Scheme::kKsTest) ks_total += summary.median;
+      const double median = aggs[s].normalized_time.median;
+      row.push_back(FormatFixed(median, 3));
+      if (schemes[s] == eval::Scheme::kSds) sds_total += median;
+      if (schemes[s] == eval::Scheme::kKsTest) ks_total += median;
     }
     table.AddRow(row);
     ++apps;

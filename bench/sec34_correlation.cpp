@@ -10,13 +10,16 @@
 #include "common/csv.h"
 #include "common/flags.h"
 #include "detect/profile.h"
+#include "eval/experiment.h"
 #include "signal/coherence.h"
 #include "stats/correlation.h"
 
 int main(int argc, char** argv) {
   using namespace sds;
   Flags flags;
-  if (!flags.Parse(argc, argv, {"seed"})) return 1;
+  if (!flags.Parse(argc, argv, {"seed"})) {
+    return flags.help_requested() ? 0 : 1;
+  }
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 71));
 
   bench::PrintBenchHeader(

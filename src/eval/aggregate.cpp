@@ -80,57 +80,73 @@ int DefaultThreads(int max_threads) {
   return std::max(1, std::min(max_threads, hw > 0 ? hw : 4));
 }
 
-AggregatedDetection AggregateDetection(const DetectionRunConfig& config,
-                                       int runs, std::uint64_t base_seed,
-                                       int threads) {
+std::vector<AggregatedDetection> AggregateDetection(
+    const std::vector<DetectionRunConfig>& cells, int runs,
+    std::uint64_t base_seed, int threads) {
   SDS_CHECK(runs >= 1, "need at least one run");
-  std::vector<DetectionRunResult> results(static_cast<std::size_t>(runs));
-  ParallelFor(runs, threads, [&](int i) {
-    results[static_cast<std::size_t>(i)] =
-        RunDetectionRun(config, base_seed + static_cast<std::uint64_t>(i));
+  const auto per_cell = static_cast<std::size_t>(runs);
+  std::vector<DetectionRunResult> results(cells.size() * per_cell);
+  ParallelFor(static_cast<int>(results.size()), threads, [&](int i) {
+    const auto job = static_cast<std::size_t>(i);
+    results[job] = RunDetectionRun(cells[job / per_cell],
+                                   base_seed + job % per_cell);
   });
 
-  std::vector<double> recalls;
-  std::vector<double> specificities;
-  std::vector<double> delays;
-  AggregatedDetection agg;
-  agg.runs = runs;
-  for (const auto& r : results) {
-    recalls.push_back(r.recall());
-    specificities.push_back(r.specificity());
-    if (r.detected) {
-      ++agg.detected_runs;
-      delays.push_back(static_cast<double>(*r.detection_delay_ticks) *
-                       kDefaultTpcmSeconds);
+  std::vector<AggregatedDetection> aggs(cells.size());
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    std::vector<double> recalls;
+    std::vector<double> specificities;
+    std::vector<double> delays;
+    AggregatedDetection& agg = aggs[c];
+    agg.runs = runs;
+    for (std::size_t r = 0; r < per_cell; ++r) {
+      const DetectionRunResult& result = results[c * per_cell + r];
+      recalls.push_back(result.recall());
+      specificities.push_back(result.specificity());
+      if (result.detected) {
+        ++agg.detected_runs;
+        delays.push_back(
+            static_cast<double>(*result.detection_delay_ticks) *
+            kDefaultTpcmSeconds);
+      }
     }
+    agg.recall = Summarize(recalls);
+    agg.specificity = Summarize(specificities);
+    if (!delays.empty()) agg.delay_seconds = Summarize(delays);
   }
-  agg.recall = Summarize(recalls);
-  agg.specificity = Summarize(specificities);
-  if (!delays.empty()) agg.delay_seconds = Summarize(delays);
-  return agg;
+  return aggs;
 }
 
-AggregatedOverhead AggregateOverhead(const OverheadRunConfig& config,
-                                     int runs, std::uint64_t base_seed,
-                                     int threads) {
+std::vector<AggregatedOverhead> AggregateOverhead(
+    const OverheadRunConfig& config, const std::vector<Scheme>& schemes,
+    int runs, std::uint64_t base_seed, int threads) {
   SDS_CHECK(runs >= 1, "need at least one run");
-  std::vector<double> ratios(static_cast<std::size_t>(runs), 0.0);
-  ParallelFor(runs, threads, [&](int i) {
-    const std::uint64_t seed = base_seed + static_cast<std::uint64_t>(i);
-    OverheadRunConfig baseline = config;
-    baseline.scheme = Scheme::kNone;
-    const OverheadRunResult base = RunOverheadRun(baseline, seed);
-    const OverheadRunResult with = RunOverheadRun(config, seed);
-    SDS_CHECK(base.completed && with.completed,
+  // Job slot 0 of each seed is the baseline; slot 1 + s is schemes[s].
+  const std::size_t per_seed = 1 + schemes.size();
+  std::vector<Tick> ticks(static_cast<std::size_t>(runs) * per_seed);
+  ParallelFor(static_cast<int>(ticks.size()), threads, [&](int i) {
+    const auto job = static_cast<std::size_t>(i);
+    const std::size_t slot = job % per_seed;
+    OverheadRunConfig cfg = config;
+    cfg.scheme = slot == 0 ? Scheme::kNone : schemes[slot - 1];
+    const OverheadRunResult result =
+        RunOverheadRun(cfg, base_seed + job / per_seed);
+    SDS_CHECK(result.completed,
               "overhead run hit the tick cap; raise max_ticks");
-    ratios[static_cast<std::size_t>(i)] =
-        static_cast<double>(with.completion_ticks) /
-        static_cast<double>(base.completion_ticks);
+    ticks[job] = result.completion_ticks;
   });
-  AggregatedOverhead agg;
-  agg.runs = runs;
-  agg.normalized_time = Summarize(ratios);
-  return agg;
+
+  std::vector<AggregatedOverhead> aggs(schemes.size());
+  for (std::size_t s = 0; s < schemes.size(); ++s) {
+    std::vector<double> ratios;
+    for (std::size_t r = 0; r < static_cast<std::size_t>(runs); ++r) {
+      ratios.push_back(static_cast<double>(ticks[r * per_seed + 1 + s]) /
+                       static_cast<double>(ticks[r * per_seed]));
+    }
+    aggs[s].runs = runs;
+    aggs[s].normalized_time = Summarize(ratios);
+  }
+  return aggs;
 }
 
 }  // namespace sds::eval

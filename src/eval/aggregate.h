@@ -21,11 +21,13 @@ struct AggregatedDetection {
   int detected_runs = 0;
 };
 
-// Runs `runs` seeded repetitions of the detection experiment (seeds
-// base_seed, base_seed+1, ...) on up to `threads` worker threads.
-AggregatedDetection AggregateDetection(const DetectionRunConfig& config,
-                                       int runs, std::uint64_t base_seed,
-                                       int threads);
+// Runs `runs` seeded repetitions (seeds base_seed, base_seed+1, ...) of every
+// cell, as one ParallelFor over cells x runs on up to `threads` workers.
+// Returns one summary per cell, in cell order; each is a pure function of its
+// cell and the seeds, so the thread count never changes a value.
+std::vector<AggregatedDetection> AggregateDetection(
+    const std::vector<DetectionRunConfig>& cells, int runs,
+    std::uint64_t base_seed, int threads);
 
 struct AggregatedOverhead {
   // Normalized execution time: scheme completion ticks / baseline (no
@@ -34,9 +36,13 @@ struct AggregatedOverhead {
   int runs = 0;
 };
 
-AggregatedOverhead AggregateOverhead(const OverheadRunConfig& config,
-                                     int runs, std::uint64_t base_seed,
-                                     int threads);
+// Runs the Scheme::kNone baseline of `config` (whose own `scheme` is ignored)
+// once per seed and every scheme in `schemes` against it, as one ParallelFor over runs x (1 + schemes).
+// Returns one summary per scheme, in scheme order. Every run must finish its
+// work before config.max_ticks (SDS_CHECK).
+std::vector<AggregatedOverhead> AggregateOverhead(
+    const OverheadRunConfig& config, const std::vector<Scheme>& schemes,
+    int runs, std::uint64_t base_seed, int threads);
 
 // Simple index-parallel loop used by the aggregators and benches. `threads`
 // <= 1 runs inline. fn must be safe to call concurrently for distinct i.

@@ -68,8 +68,9 @@ TEST(AggregateStressTest, EightWorkerDetectionMatchesSerial) {
   cfg.clean_ticks = 5000;
   cfg.attack_ticks = 8000;
   constexpr int kRuns = 8;
-  const auto parallel = AggregateDetection(cfg, kRuns, 10, kStressWorkers);
-  const auto serial = AggregateDetection(cfg, kRuns, 10, 1);
+  const auto parallel =
+      AggregateDetection({cfg}, kRuns, 10, kStressWorkers).at(0);
+  const auto serial = AggregateDetection({cfg}, kRuns, 10, 1).at(0);
   EXPECT_EQ(parallel.runs, kRuns);
   EXPECT_EQ(parallel.detected_runs, serial.detected_runs);
   EXPECT_DOUBLE_EQ(parallel.recall.median, serial.recall.median);
@@ -81,14 +82,104 @@ TEST(AggregateStressTest, EightWorkerDetectionMatchesSerial) {
 TEST(AggregateStressTest, EightWorkerOverheadMatchesSerial) {
   OverheadRunConfig cfg;
   cfg.app = "bayes";
-  cfg.scheme = Scheme::kNone;
   cfg.work_target_units = 500;
-  const auto parallel = AggregateOverhead(cfg, 8, 5, kStressWorkers);
-  const auto serial = AggregateOverhead(cfg, 8, 5, 1);
+  const auto parallel =
+      AggregateOverhead(cfg, {Scheme::kNone}, 8, 5, kStressWorkers).at(0);
+  const auto serial = AggregateOverhead(cfg, {Scheme::kNone}, 8, 5, 1).at(0);
   EXPECT_DOUBLE_EQ(parallel.normalized_time.median,
                    serial.normalized_time.median);
   EXPECT_DOUBLE_EQ(parallel.normalized_time.p10, serial.normalized_time.p10);
   EXPECT_DOUBLE_EQ(parallel.normalized_time.p90, serial.normalized_time.p90);
+}
+
+// Bit-for-bit comparison: the determinism contract allows no rounding slack.
+void ExpectSameSummary(const PercentileSummary& a, const PercentileSummary& b) {
+  EXPECT_EQ(a.p10, b.p10);
+  EXPECT_EQ(a.median, b.median);
+  EXPECT_EQ(a.p90, b.p90);
+}
+
+void ExpectSameDetection(const AggregatedDetection& a,
+                         const AggregatedDetection& b) {
+  EXPECT_EQ(a.runs, b.runs);
+  EXPECT_EQ(a.detected_runs, b.detected_runs);
+  ExpectSameSummary(a.recall, b.recall);
+  ExpectSameSummary(a.specificity, b.specificity);
+  ExpectSameSummary(a.delay_seconds, b.delay_seconds);
+}
+
+// Three short cells that differ in app, attack, scheme and DetectorParams, so
+// a cell or seed mix-up in the flattened cells x runs index changes a value.
+std::vector<DetectionRunConfig> HeterogeneousCells() {
+  std::vector<DetectionRunConfig> cells(3);
+  cells[0].app = "bayes";
+  cells[0].scheme = Scheme::kSds;
+  cells[0].params.window = 100;
+  cells[0].params.step = 20;
+  cells[1].app = "pca";
+  cells[1].scheme = Scheme::kSdsB;
+  cells[1].params.alpha = 0.4;
+  cells[2].app = "kmeans";
+  cells[2].attack = AttackKind::kLlcCleansing;
+  cells[2].scheme = Scheme::kKsTest;
+  for (auto& cell : cells) {
+    cell.profile_ticks = 4000;
+    cell.clean_ticks = 3000;
+    cell.attack_ticks = 4000;
+  }
+  return cells;
+}
+
+TEST(AggregateStressTest, DetectionGridIsThreadCountInvariant) {
+  const auto cells = HeterogeneousCells();
+  constexpr int kRuns = 2;
+  const auto serial = AggregateDetection(cells, kRuns, 30, 1);
+  ASSERT_EQ(serial.size(), cells.size());
+  for (int threads : {4, kStressWorkers}) {
+    SCOPED_TRACE(threads);
+    const auto parallel = AggregateDetection(cells, kRuns, 30, threads);
+    ASSERT_EQ(parallel.size(), cells.size());
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+      ExpectSameDetection(parallel[c], serial[c]);
+    }
+  }
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    SCOPED_TRACE(c);
+    const auto alone = AggregateDetection({cells[c]}, kRuns, 30, kRuns);
+    ASSERT_EQ(alone.size(), 1u);
+    ExpectSameDetection(alone[0], serial[c]);
+  }
+}
+
+TEST(AggregateStressTest, OverheadGridIsThreadCountInvariant) {
+  OverheadRunConfig cfg;
+  cfg.app = "bayes";
+  cfg.work_target_units = 300;
+  const std::vector<Scheme> schemes = {Scheme::kSds, Scheme::kKsTest};
+  constexpr int kRuns = 3;
+  const auto serial = AggregateOverhead(cfg, schemes, kRuns, 7, 1);
+  ASSERT_EQ(serial.size(), schemes.size());
+  for (int threads : {4, kStressWorkers}) {
+    SCOPED_TRACE(threads);
+    const auto parallel = AggregateOverhead(cfg, schemes, kRuns, 7, threads);
+    ASSERT_EQ(parallel.size(), schemes.size());
+    for (std::size_t s = 0; s < schemes.size(); ++s) {
+      EXPECT_EQ(parallel[s].runs, kRuns);
+      ExpectSameSummary(parallel[s].normalized_time,
+                        serial[s].normalized_time);
+    }
+  }
+  for (std::size_t s = 0; s < schemes.size(); ++s) {
+    SCOPED_TRACE(s);
+    const auto alone = AggregateOverhead(cfg, {schemes[s]}, kRuns, 7, 4);
+    ASSERT_EQ(alone.size(), 1u);
+    ExpectSameSummary(alone[0].normalized_time, serial[s].normalized_time);
+  }
+  const auto none = AggregateOverhead(cfg, {Scheme::kNone}, kRuns, 7, 4);
+  ASSERT_EQ(none.size(), 1u);
+  EXPECT_EQ(none[0].normalized_time.p10, 1.0);
+  EXPECT_EQ(none[0].normalized_time.median, 1.0);
+  EXPECT_EQ(none[0].normalized_time.p90, 1.0);
 }
 
 }  // namespace

@@ -86,7 +86,9 @@ TEST(AggregateDetectionTest, ShortSweepProducesSaneMetrics) {
   cfg.profile_ticks = 6000;
   cfg.clean_ticks = 5000;
   cfg.attack_ticks = 8000;
-  const auto agg = AggregateDetection(cfg, 2, 10, 1);
+  const auto aggs = AggregateDetection({cfg}, 2, 10, 1);
+  ASSERT_EQ(aggs.size(), 1u);
+  const auto& agg = aggs[0];
   EXPECT_EQ(agg.runs, 2);
   EXPECT_EQ(agg.detected_runs, 2);
   EXPECT_DOUBLE_EQ(agg.recall.median, 1.0);
@@ -98,10 +100,11 @@ TEST(AggregateDetectionTest, ShortSweepProducesSaneMetrics) {
 TEST(AggregateOverheadTest, SchemeNoneHasRatioOne) {
   OverheadRunConfig cfg;
   cfg.app = "bayes";
-  cfg.scheme = Scheme::kNone;
   cfg.work_target_units = 500;
-  const auto agg = AggregateOverhead(cfg, 2, 5, 1);
-  EXPECT_DOUBLE_EQ(agg.normalized_time.median, 1.0);
+  const auto aggs = AggregateOverhead(cfg, {Scheme::kNone}, 2, 5, 1);
+  ASSERT_EQ(aggs.size(), 1u);
+  EXPECT_EQ(aggs[0].runs, 2);
+  EXPECT_DOUBLE_EQ(aggs[0].normalized_time.median, 1.0);
 }
 
 TEST(SchemeNameTest, AllNames) {
