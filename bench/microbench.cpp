@@ -113,12 +113,13 @@ void BM_SlidingWindowAverage(benchmark::State& state) {
 }
 BENCHMARK(BM_SlidingWindowAverage);
 
-void BM_CacheAccess(benchmark::State& state) {
-  sim::MachineConfig cfg;
+// 64 machine accesses per iteration by one owner, uniform over `region`
+// lines.
+void CacheAccessLoop(benchmark::State& state, const sim::MachineConfig& cfg,
+                     std::uint64_t region) {
   sim::Machine machine(cfg);
   machine.BeginTick();
   Rng rng(9);
-  const std::uint64_t region = 100000;
   for (auto _ : state) {
     machine.BeginTick();
     for (int i = 0; i < 64; ++i) {
@@ -127,7 +128,19 @@ void BM_CacheAccess(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 64);
 }
+
+// A 100k-line region against the default 32k-line LLC: almost all misses.
+void BM_CacheAccess(benchmark::State& state) {
+  CacheAccessLoop(state, sim::MachineConfig{}, 100000);
+}
 BENCHMARK(BM_CacheAccess);
+
+// The hit path: a 16k-line region fits the LLC, so after warm-up almost
+// every access hits.
+void BM_CacheAccessHot(benchmark::State& state) {
+  CacheAccessLoop(state, sim::MachineConfig{}, 16384);
+}
+BENCHMARK(BM_CacheAccessHot);
 
 // The same hot path with a telemetry handle attached but the profiler left
 // DISABLED (the default) — the documented "observability off" configuration.
@@ -138,17 +151,7 @@ void BM_CacheAccessInstrumentedOff(benchmark::State& state) {
   telemetry.tracer().DisableAllLayers();
   sim::MachineConfig cfg;
   cfg.telemetry = &telemetry;
-  sim::Machine machine(cfg);
-  machine.BeginTick();
-  Rng rng(9);
-  const std::uint64_t region = 100000;
-  for (auto _ : state) {
-    machine.BeginTick();
-    for (int i = 0; i < 64; ++i) {
-      benchmark::DoNotOptimize(machine.Access(1, rng.UniformInt(region)));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * 64);
+  CacheAccessLoop(state, cfg, 100000);
 }
 BENCHMARK(BM_CacheAccessInstrumentedOff);
 

@@ -79,7 +79,7 @@ class LlcCleansingAttacker final : public vm::Workload {
   // Per-set probe-miss counters for the current recon round.
   std::vector<std::uint16_t> probe_misses_;
   // Set of the probe op most recently produced (for OnOutcome attribution);
-  // cache_sets means "none pending".
+  // meaningful only while pending_probe_ is set.
   std::uint32_t pending_probe_set_ = 0;
   bool pending_probe_ = false;
   bool last_probe_of_round_ = false;

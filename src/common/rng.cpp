@@ -16,10 +16,6 @@ std::uint64_t SplitMix64Next(std::uint64_t& x) {
   return r;
 }
 
-constexpr std::uint64_t Rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 double Draw01(std::uint64_t seed, std::uint64_t tenant, Tick tick,
@@ -37,45 +33,11 @@ Rng::Rng(std::uint64_t seed) {
   if (s_[0] == 0 && s_[1] == 0 && s_[2] == 0 && s_[3] == 0) s_[0] = 1;
 }
 
-Rng::result_type Rng::operator()() {
-  const std::uint64_t result = Rotl(s_[0] + s_[3], 23) + s_[0];
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
-std::uint64_t Rng::UniformInt(std::uint64_t bound) {
-  SDS_CHECK(bound > 0, "UniformInt bound must be positive");
-  // Lemire multiply-shift with rejection of the biased region.
-  std::uint64_t x = (*this)();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  auto lo = static_cast<std::uint64_t>(m);
-  if (lo < bound) {
-    const std::uint64_t threshold = -bound % bound;
-    while (lo < threshold) {
-      x = (*this)();
-      m = static_cast<__uint128_t>(x) * bound;
-      lo = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
-}
-
 std::int64_t Rng::UniformInt(std::int64_t lo, std::int64_t hi) {
   SDS_CHECK(lo <= hi, "UniformInt range is empty");
   const auto span =
       static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
   return lo + static_cast<std::int64_t>(UniformInt(span));
-}
-
-double Rng::UniformDouble() {
-  // 53 random bits into [0, 1).
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
 }
 
 double Rng::UniformDouble(double lo, double hi) {
@@ -119,8 +81,6 @@ std::int64_t Rng::Poisson(double lambda) {
   const double v = Normal(lambda, std::sqrt(lambda));
   return std::max<std::int64_t>(0, static_cast<std::int64_t>(v + 0.5));
 }
-
-bool Rng::Bernoulli(double p) { return UniformDouble() < p; }
 
 double Rng::Exponential(double lambda) {
   SDS_CHECK(lambda > 0.0, "Exponential rate must be positive");

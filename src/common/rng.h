@@ -11,6 +11,7 @@
 #include <cmath>
 #include <vector>
 
+#include "common/check.h"
 #include "common/types.h"
 
 namespace sds {
@@ -43,6 +44,9 @@ class Rng {
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~result_type{0}; }
 
+  // The per-op draws (this, the bounded UniformInt, UniformDouble and
+  // Bernoulli) are defined below the class so they inline into the
+  // simulator's hot loops.
   result_type operator()();
 
   // Uniform integer in [0, bound) using Lemire's rejection-free-in-practice
@@ -77,10 +81,50 @@ class Rng {
   Rng Fork();
 
  private:
+  static constexpr std::uint64_t Rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<std::uint64_t, 4> s_;
   double cached_normal_ = 0.0;
   bool has_cached_normal_ = false;
 };
+
+inline Rng::result_type Rng::operator()() {
+  const std::uint64_t result = Rotl(s_[0] + s_[3], 23) + s_[0];
+  const std::uint64_t t = s_[1] << 17;
+  s_[2] ^= s_[0];
+  s_[3] ^= s_[1];
+  s_[1] ^= s_[2];
+  s_[0] ^= s_[3];
+  s_[2] ^= t;
+  s_[3] = Rotl(s_[3], 45);
+  return result;
+}
+
+inline std::uint64_t Rng::UniformInt(std::uint64_t bound) {
+  SDS_CHECK(bound > 0, "UniformInt bound must be positive");
+  // Lemire multiply-shift with rejection of the biased region.
+  std::uint64_t x = (*this)();
+  __uint128_t m = static_cast<__uint128_t>(x) * bound;
+  auto lo = static_cast<std::uint64_t>(m);
+  if (lo < bound) {
+    const std::uint64_t threshold = -bound % bound;
+    while (lo < threshold) {
+      x = (*this)();
+      m = static_cast<__uint128_t>(x) * bound;
+      lo = static_cast<std::uint64_t>(m);
+    }
+  }
+  return static_cast<std::uint64_t>(m >> 64);
+}
+
+inline double Rng::UniformDouble() {
+  // 53 random bits into [0, 1).
+  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+}
+
+inline bool Rng::Bernoulli(double p) { return UniformDouble() < p; }
 
 // Samples from a Zipf(n, s) distribution over {0, ..., n-1} using a
 // precomputed inverse-CDF table. Used by the PageRank-style workloads whose

@@ -4,8 +4,20 @@
 // line-address ranges, their accesses contend for the same physical sets, and
 // the LLC cleansing attack's effect on victim miss counts EMERGES from actual
 // evictions rather than being injected. The default configuration scales the
-// paper's 35 MB / 20-way Xeon LLC down to 2 MiB / 16-way so that 600 virtual
-// seconds simulate in about a second of wall time; shapes are scale-free.
+// paper's 35 MB / 20-way Xeon LLC down to 2 MiB / 16-way; shapes are
+// scale-free. Measured on a 4-vCPU x86 box (perfbench, one thread): 8-10k
+// simulated ticks/s on the cleansing deployment (terasort_cleanse_kstest,
+// ~1800 ops/tick, 80% misses) and 22-30k ticks/s on the 9-VM bus-lock one
+// (pca_buslock_sds).
+//
+// Each set is one packed block: the tags and owners of its ways plus a
+// recency stack, a uint64 holding one 4-bit way index per nibble with the
+// MRU way in the low nibble. Lines are only ever invalidated all at once (by
+// Flush), so the valid ways are always the prefix [0, fill): a miss fills way
+// `fill` while the set has room, and otherwise evicts the way in nibble
+// ways-1, the LRU. A hit moves its way to the front with constant-time nibble
+// arithmetic, so no access scans for a victim. The 4-bit nibbles cap the
+// associativity at 16 ways.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +32,9 @@ class AttributionLedger;
 struct CacheConfig {
   // Number of sets; must be a power of two.
   std::uint32_t sets = 2048;
-  // Associativity (lines per set). Paper hardware: 20-way.
+  // Associativity (lines per set), 1..16: the recency stack packs one 4-bit
+  // way index per way into a uint64. Paper hardware is 20-way; the default
+  // scales it down with the set count.
   std::uint32_t ways = 16;
 };
 
@@ -70,20 +84,25 @@ class LastLevelCache {
   void Flush();
 
  private:
-  struct Line {
-    LineAddr tag = 0;
-    OwnerId owner = 0;
-    std::uint64_t lru = 0;
-    bool valid = false;
+  static constexpr std::uint32_t kMaxWays = 16;
+
+  struct Set {
+    // Way indices by recency, 4 bits each, MRU in the low nibble. Only the
+    // low `fill` nibbles are meaningful; evictions shift stale nibbles past
+    // position ways-1, where nothing reads them.
+    std::uint64_t stack = 0;
+    std::uint32_t fill = 0;  // ways [0, fill) hold valid lines
+    LineAddr tag[kMaxWays] = {};
+    OwnerId owner[kMaxWays] = {};
   };
 
-  Line* FindLine(std::uint32_t set, LineAddr addr);
-  const Line* FindLine(std::uint32_t set, LineAddr addr) const;
+  // Way holding `addr` in `set`, or -1.
+  static int FindWay(const Set& set, LineAddr addr);
 
   CacheConfig config_;
   std::uint32_t set_mask_;
-  std::vector<Line> lines_;  // sets * ways, row-major by set
-  std::uint64_t lru_clock_ = 0;
+  std::uint32_t lru_shift_;  // bit offset of the LRU nibble of a full set
+  std::vector<Set> sets_;
   AttributionLedger* ledger_ = nullptr;  // not owned; see AttachLedger
 };
 

@@ -1,5 +1,6 @@
 #include "sim/cache.h"
 
+#include <algorithm>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -168,6 +169,151 @@ TEST(CacheTest, WorkingSetSmallerThanCacheAlwaysHitsEventually) {
   }
   EXPECT_LT(misses, 50);
 }
+
+TEST(CacheTest, MoreThanSixteenWaysRejected) {
+  EXPECT_DEATH(LastLevelCache(SmallCache(8, 17)), "16 ways");
+}
+
+// Reference LRU: per-line timestamps, fill the first invalid way, else evict
+// the way with the oldest stamp. The straightforward model the packed
+// recency stack must match access for access.
+class ReferenceCache {
+ public:
+  explicit ReferenceCache(const CacheConfig& config)
+      : config_(config),
+        lines_(static_cast<std::size_t>(config.sets) * config.ways) {}
+
+  CacheAccessResult Access(OwnerId owner, LineAddr addr) {
+    Line* base = SetBase(static_cast<std::uint32_t>(addr) & (config_.sets - 1));
+    CacheAccessResult result;
+    for (std::uint32_t w = 0; w < config_.ways; ++w) {
+      if (base[w].valid && base[w].tag == addr) {
+        base[w].lru = ++lru_clock_;
+        base[w].owner = owner;
+        result.hit = true;
+        return result;
+      }
+    }
+    Line* victim = nullptr;
+    for (std::uint32_t w = 0; w < config_.ways; ++w) {
+      if (!base[w].valid) {
+        victim = &base[w];
+        break;
+      }
+    }
+    if (victim == nullptr) {
+      victim = base;
+      for (std::uint32_t w = 1; w < config_.ways; ++w) {
+        if (base[w].lru < victim->lru) victim = &base[w];
+      }
+      result.evicted_valid = true;
+      result.evicted_owner = victim->owner;
+    }
+    *victim = Line{addr, owner, ++lru_clock_, true};
+    return result;
+  }
+
+  std::size_t CountOwnerLines(OwnerId owner) const {
+    std::size_t count = 0;
+    for (const Line& line : lines_) count += line.valid && line.owner == owner;
+    return count;
+  }
+
+  std::uint32_t OwnerLinesInSet(std::uint32_t set, OwnerId owner) const {
+    const Line* base = &lines_[static_cast<std::size_t>(set) * config_.ways];
+    std::uint32_t count = 0;
+    for (std::uint32_t w = 0; w < config_.ways; ++w) {
+      count += base[w].valid && base[w].owner == owner;
+    }
+    return count;
+  }
+
+  void Flush() {
+    for (Line& line : lines_) line.valid = false;
+    lru_clock_ = 0;
+  }
+
+ private:
+  struct Line {
+    LineAddr tag = 0;
+    OwnerId owner = 0;
+    std::uint64_t lru = 0;
+    bool valid = false;
+  };
+
+  Line* SetBase(std::uint32_t set) {
+    return &lines_[static_cast<std::size_t>(set) * config_.ways];
+  }
+
+  CacheConfig config_;
+  std::vector<Line> lines_;
+  std::uint64_t lru_clock_ = 0;
+};
+
+// Drives the cache and the reference with one seeded stream that mixes hot
+// reuse, set-conflict storms (the cleansing pattern: ways+1 fresh lines into
+// one set) and scattered misses, flushing both every few thousand accesses.
+class CacheDifferentialTest
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(CacheDifferentialTest, MatchesTimestampLru) {
+  const auto [sets_i, ways_i] = GetParam();
+  const auto sets = static_cast<std::uint32_t>(sets_i);
+  const auto ways = static_cast<std::uint32_t>(ways_i);
+  const CacheConfig config = SmallCache(sets, ways);
+  LastLevelCache cache(config);
+  ReferenceCache reference(config);
+  Rng rng(static_cast<std::uint64_t>(sets * 131 + ways));
+  constexpr OwnerId kOwners = 4;
+  const std::uint64_t hot_lines = std::max<std::uint64_t>(1, sets * ways / 2);
+  const std::uint64_t wide_lines = std::uint64_t{sets} * ways * 4;
+  LineAddr storm_cursor = 0;
+
+  auto step = [&](OwnerId owner, LineAddr addr) {
+    const CacheAccessResult got = cache.Access(owner, addr);
+    const CacheAccessResult want = reference.Access(owner, addr);
+    ASSERT_EQ(got.hit, want.hit) << "addr " << addr;
+    ASSERT_EQ(got.evicted_valid, want.evicted_valid) << "addr " << addr;
+    if (want.evicted_valid) {
+      ASSERT_EQ(got.evicted_owner, want.evicted_owner) << "addr " << addr;
+    }
+  };
+
+  for (int i = 0; i < 40000; ++i) {
+    if (i % 7919 == 7918) {
+      cache.Flush();
+      reference.Flush();
+    }
+    const OwnerId owner = 1 + static_cast<OwnerId>(rng.UniformInt(kOwners));
+    const double mode = rng.UniformDouble();
+    if (mode < 0.55) {
+      // Hot reuse: each owner revisits its own half-cache working set.
+      step(owner, owner * (1ull << 32) + rng.UniformInt(hot_lines));
+    } else if (mode < 0.9) {
+      // Conflict storm: a burst of fresh lines into one set.
+      const std::uint64_t set = rng.UniformInt(std::uint64_t{sets});
+      const std::uint64_t burst = 1 + rng.UniformInt(std::uint64_t{ways} + 2);
+      for (std::uint64_t b = 0; b < burst; ++b) {
+        step(owner, (1ull << 40) + (++storm_cursor) * sets + set);
+      }
+    } else {
+      step(owner, owner * (1ull << 32) + rng.UniformInt(wide_lines));
+    }
+    if (HasFatalFailure()) return;
+  }
+  for (OwnerId o = 0; o <= kOwners; ++o) {
+    EXPECT_EQ(cache.CountOwnerLines(o), reference.CountOwnerLines(o));
+    for (std::uint32_t s = 0; s < sets; ++s) {
+      EXPECT_EQ(cache.OwnerLinesInSet(s, o), reference.OwnerLinesInSet(s, o))
+          << "set " << s << " owner " << o;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Geometries, CacheDifferentialTest,
+                         ::testing::Combine(::testing::Values(1, 4, 64),
+                                            ::testing::Values(1, 2, 8, 15,
+                                                              16)));
 
 }  // namespace
 }  // namespace sds::sim
