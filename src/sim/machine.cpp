@@ -28,12 +28,13 @@ Machine::Machine(const MachineConfig& config)
     t_atomic_locks_ = m.GetCounter("sim.bus.atomic_locks");
     t_stalls_ = m.GetCounter("sim.bus.stalls");
     t_saturated_ticks_ = m.GetCounter("sim.bus.saturated_ticks");
+    tick_events_.resize(counters_.size());
   }
 }
 
 Machine::~Machine() {
-  // Fold the final (partial) tick's activity into the registry so metrics
-  // read after a run are exact.
+  // Fold the final (partial) tick's activity into the registry and the
+  // tracer so metrics and events read after a run are exact.
   if (instrumented_) SyncTelemetry();
 }
 
@@ -56,18 +57,42 @@ void Machine::SyncTelemetry() {
   synced_misses_ = misses;
   synced_atomic_ops_ = atomic_ops;
   synced_stalls_ = stalls;
+  EmitTickEvents();
+}
+
+void Machine::EmitTickEvents() {
+  tel::EventTracer& tracer = config_.telemetry->tracer();
+  const bool trace_cache = tracer.enabled(tel::Layer::kSimCache);
+  const bool trace_bus = tracer.enabled(tel::Layer::kSimBus);
+  std::uint64_t cross_evictions = 0;
+  for (OwnerId owner = 0; owner < tick_events_.size(); ++owner) {
+    TickEvents& e = tick_events_[owner];
+    cross_evictions += e.cross_evictions;
+    if (e.cross_evictions != 0 && trace_cache) {
+      tracer.Emit(tel::MakeEvent(now_, tel::Layer::kSimCache,
+                                 "cross_owner_eviction", owner)
+                      .Num("count", static_cast<double>(e.cross_evictions)));
+    }
+    if (e.lock_windows != 0 && trace_bus) {
+      tracer.Emit(
+          tel::MakeEvent(now_, tel::Layer::kSimBus, "lock_window_open", owner)
+              .Num("count", static_cast<double>(e.lock_windows))
+              .Num("slots", config_.bus.atomic_lock_slots));
+    }
+    e = {};
+  }
+  t_cross_evictions_->Add(cross_evictions);
 }
 
 void Machine::BeginTick() {
   SDS_PROFILE_SPAN(prof_, span_tick_);
+  // Close out the tick that is ending while now_ still names it.
+  if (instrumented_) [[unlikely]] SyncTelemetry();
   bus_.BeginTick();
   if (ledger_) ledger_->RecordTickStart();
   saturation_traced_ = false;
   ++now_;
-  if (instrumented_) [[unlikely]] {
-    t_ticks_->Add();
-    SyncTelemetry();
-  }
+  if (instrumented_) [[unlikely]] t_ticks_->Add();
 }
 
 void Machine::InstrumentStall(OwnerId owner) {
@@ -87,20 +112,6 @@ void Machine::RecordStall(OwnerId owner) {
   if (instrumented_) [[unlikely]] InstrumentStall(owner);
 }
 
-void Machine::InstrumentMiss(OwnerId owner, LineAddr addr, bool evicted_valid,
-                             OwnerId evicted_owner) {
-  if (evicted_valid && evicted_owner != owner) {
-    t_cross_evictions_->Add();
-    tel::Telemetry* t = config_.telemetry;
-    if (t->tracer().enabled(tel::Layer::kSimCache)) {
-      t->tracer().Emit(tel::MakeEvent(now_, tel::Layer::kSimCache,
-                                      "cross_owner_eviction", owner)
-                           .Num("victim", evicted_owner)
-                           .Num("set", cache_.SetIndexOf(addr)));
-    }
-  }
-}
-
 AccessOutcome Machine::FinishAccess(OwnerId owner, LineAddr addr) {
   SDS_DCHECK(owner < counters_.size(), "owner out of range");
   OwnerCounters& ctr = counters_[owner];
@@ -114,7 +125,9 @@ AccessOutcome Machine::FinishAccess(OwnerId owner, LineAddr addr) {
   // interval), so the failure only registers as bus pressure.
   bus_.TryConsume(owner, config_.bus.miss_extra_slots);
   if (instrumented_) [[unlikely]] {
-    InstrumentMiss(owner, addr, r.evicted_valid, r.evicted_owner);
+    if (r.evicted_valid && r.evicted_owner != owner) {
+      ++tick_events_[owner].cross_evictions;
+    }
   }
   return AccessOutcome::kMiss;
 }
@@ -128,15 +141,6 @@ AccessOutcome Machine::Access(OwnerId owner, LineAddr addr) {
   return FinishAccess(owner, addr);
 }
 
-void Machine::InstrumentAtomic(OwnerId owner) {
-  tel::Telemetry* t = config_.telemetry;
-  if (t->tracer().enabled(tel::Layer::kSimBus)) {
-    t->tracer().Emit(tel::MakeEvent(now_, tel::Layer::kSimBus,
-                                    "lock_window_open", owner)
-                         .Num("slots", config_.bus.atomic_lock_slots));
-  }
-}
-
 AccessOutcome Machine::AtomicAccess(OwnerId owner, LineAddr addr) {
   SDS_DCHECK(owner < counters_.size(), "owner out of range");
   if (!bus_.TryAtomicLock(owner)) {
@@ -144,7 +148,7 @@ AccessOutcome Machine::AtomicAccess(OwnerId owner, LineAddr addr) {
     return AccessOutcome::kStalled;
   }
   ++counters_[owner].atomic_ops;
-  if (instrumented_) [[unlikely]] InstrumentAtomic(owner);
+  if (instrumented_) [[unlikely]] ++tick_events_[owner].lock_windows;
   return FinishAccess(owner, addr);
 }
 

@@ -99,16 +99,17 @@ class Machine {
   AccessOutcome FinishAccess(OwnerId owner, LineAddr addr);
   void RecordStall(OwnerId owner);
 
-  // Cold instrumentation paths, out of line so the access fast path stays
-  // compact. Only ever called when instrumented_ is true. Counter-style
-  // metrics (hits/misses/stalls/atomic ops) are NOT updated per access;
-  // SyncTelemetry folds the per-owner counter deltas into the registry once
-  // per tick, so the uninstrumented per-access cost is zero and the
-  // instrumented cost is one saturating pass over the counter file per tick.
+  // Instrumentation, run only when instrumented_ is true. Nothing reaches
+  // the registry or the tracer per access. SyncTelemetry runs at the start
+  // of every BeginTick (before now_ advances) and from ~Machine, so the last
+  // tick of a run is flushed at the next BeginTick or at destruction. It
+  // folds the per-owner counter deltas into the registry, then
+  // EmitTickEvents turns tick_events_ into one "cross_owner_eviction"
+  // (sim.cache) and one "lock_window_open" (sim.bus) event per owner with a
+  // nonzero count, stamped with the tick the ops ran in and carrying that
+  // count.
   void SyncTelemetry();
-  void InstrumentMiss(OwnerId owner, LineAddr addr, bool evicted_valid,
-                      OwnerId evicted_owner);
-  void InstrumentAtomic(OwnerId owner);
+  void EmitTickEvents();
   void InstrumentStall(OwnerId owner);
 
   MachineConfig config_;
@@ -144,6 +145,13 @@ class Machine {
   std::uint64_t synced_misses_ = 0;
   std::uint64_t synced_atomic_ops_ = 0;
   std::uint64_t synced_stalls_ = 0;
+  // Per owner, the cross-owner evictions it caused and the bus-lock windows
+  // it opened in the current tick (sized only when instrumented).
+  struct TickEvents {
+    std::uint64_t cross_evictions = 0;
+    std::uint64_t lock_windows = 0;
+  };
+  std::vector<TickEvents> tick_events_;
 };
 
 }  // namespace sds::sim

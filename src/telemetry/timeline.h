@@ -53,8 +53,10 @@ struct Incident {
   std::string channel;
   Tick attack_start = kInvalidTick;
   // First contention symptom in the event window (bus_saturated /
-  // cross_owner_eviction / lock_window_open at or after attack_start);
-  // kInvalidTick when those events were dropped or tracing was off.
+  // cross_owner_eviction / lock_window_open at or after attack_start). The
+  // machine emits the last two as one aggregate per (tick, owner), so a
+  // default-size ring keeps them for a whole attack episode; kInvalidTick
+  // when they were dropped anyway or tracing was off.
   Tick first_contention = kInvalidTick;
   Tick first_check = kInvalidTick;       // first post-attack audited check
   Tick streak_start = kInvalidTick;      // first violation of decisive streak

@@ -8,7 +8,10 @@
 // serializes the retained window as JSONL:
 //
 //   {"type":"event","tick":1234,"layer":"sim.bus","event":"lock_window_open",
-//    "owner":3,"slots":40}
+//    "owner":3,"count":118,"slots":40}
+//
+// (High-rate sites aggregate before they emit: that line is owner 3's 118
+// bus-lock windows of tick 1234, not one window.)
 //
 // Each layer has an enable bit; a disabled layer's instrumentation reduces
 // to one inline mask test, which is what keeps always-compiled tracing

@@ -8,7 +8,10 @@
 // counts to the pre-actuation-plane engine. The constants were captured from
 // the one-shot MitigationEngine before the rework; drift here is a behavior
 // change in the default (fault-free) control plane and must be justified,
-// not re-golded casually.
+// not re-golded casually. `emitted` counts the machine's cross-owner
+// eviction and lock-window events as one aggregate per (tick, owner, kind),
+// whose summed `count` fields equal the sim.cache.cross_owner_evictions and
+// sim.bus.atomic_locks counters.
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -158,7 +161,7 @@ TEST(ActuationGoldenTest, MigrateVictimSeed42) {
   EXPECT_EQ(g.victim_id, 1u);
   EXPECT_EQ(g.audit_records, 177u);
   EXPECT_EQ(g.audit_hash, 18261495189989815477ull);
-  EXPECT_EQ(g.emitted, 1115516u);
+  EXPECT_EQ(g.emitted, 30315u);
   EXPECT_EQ(g.accesses, 982730u);
 }
 
@@ -171,7 +174,7 @@ TEST(ActuationGoldenTest, QuarantineAttributedSeed42) {
   EXPECT_EQ(g.victim_host, 0);
   EXPECT_EQ(g.victim_id, 1u);
   EXPECT_EQ(g.audit_hash, 16051581706462009017ull);
-  EXPECT_EQ(g.emitted, 533992u);
+  EXPECT_EQ(g.emitted, 27094u);
   EXPECT_EQ(g.accesses, 2873980u);
 }
 
@@ -185,7 +188,7 @@ TEST(ActuationGoldenTest, QuarantineUnattributedFallsBackSeed42) {
   EXPECT_EQ(g.applied, cluster::MitigationPolicy::kMigrateVictim);
   EXPECT_EQ(g.victim_host, 1);
   EXPECT_EQ(g.audit_hash, 16582245344652577492ull);
-  EXPECT_EQ(g.emitted, 1115516u);
+  EXPECT_EQ(g.emitted, 30315u);
   EXPECT_EQ(g.accesses, 982730u);
 }
 

@@ -140,7 +140,7 @@ TEST(HostChaosTransparencyTest, NullPlanLifecycleIsBitTransparent) {
     h.U64(rec.alarm ? 1 : 0);
   }
   EXPECT_EQ(h.hash(), 18261495189989815477ull);
-  EXPECT_EQ(telemetry.tracer().emitted(), 1115516u);
+  EXPECT_EQ(telemetry.tracer().emitted(), 30315u);
   EXPECT_EQ(cl.counters(engine.victim()).llc_accesses, 982730u);
 
   // And the chaos plane itself never moved.

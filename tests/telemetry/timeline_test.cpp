@@ -222,5 +222,49 @@ TEST(Timeline, QuickstartScenarioDecompositionSumsToDetectionDelay) {
   EXPECT_NE(os.str().find("detection delay"), std::string::npos);
 }
 
+// Regression: the bench_perf_baseline scenario (kmeans victim, bus-locking
+// attacker from t=3000, 6000 ticks, default ring). Traced one event per op,
+// its ~970k lock windows and evictions overflow the 65,536-slot ring, the
+// attack's first contention is dropped and the report puts it after the
+// alarm. Traced as one aggregate per (tick, owner, kind), nothing is dropped
+// and the chain is causal.
+TEST(Timeline, PerfBaselineScenarioKeepsFirstContentionBeforeTheAlarm) {
+  const TickClock clock;
+  const std::uint64_t seed = 42;
+  Telemetry telemetry;
+
+  eval::ScenarioConfig base;
+  base.app = "kmeans";
+  const auto clean_samples =
+      eval::CollectCleanSamples(base, clock.ToTicks(120.0), seed + 1);
+  detect::DetectorParams params;
+  const detect::SdsProfile profile =
+      detect::BuildSdsProfile(clean_samples, params);
+
+  eval::ScenarioConfig cfg;
+  cfg.app = "kmeans";
+  cfg.attack = eval::AttackKind::kBusLock;
+  cfg.attack_start = 3000;
+  cfg.seed = seed;
+  cfg.machine.telemetry = &telemetry;
+  eval::Scenario scenario = eval::BuildScenario(cfg);
+  detect::SdsDetector detector(*scenario.hypervisor, scenario.victim, profile,
+                               params, detect::SdsMode::kCombined);
+  for (Tick t = 0; t < 6000; ++t) {
+    scenario.hypervisor->RunTick();
+    detector.OnTick();
+  }
+
+  EXPECT_EQ(telemetry.tracer().capacity(), EventTracer::kDefaultCapacity);
+  EXPECT_EQ(telemetry.tracer().dropped(), 0u);
+  const auto incidents = ReconstructIncidents(
+      telemetry, {.attack_start = cfg.attack_start});
+  ASSERT_FALSE(incidents.empty());
+  const Incident& inc = incidents[0];
+  ASSERT_NE(inc.first_contention, kInvalidTick);
+  EXPECT_GE(inc.first_contention, inc.attack_start);
+  EXPECT_LE(inc.first_contention, inc.alarm);
+}
+
 }  // namespace
 }  // namespace sds::telemetry

@@ -62,8 +62,9 @@ struct Options {
 
 // Numeric fields printed as integers. Counts are unsigned; ticks, ids and
 // windows are signed because the writers use -1 for "none".
-unsigned long long Count(const JsonObject& o, const std::string& key) {
-  return static_cast<unsigned long long>(NumOr(o, key, 0));
+unsigned long long Count(const JsonObject& o, const std::string& key,
+                         double fallback = 0) {
+  return static_cast<unsigned long long>(NumOr(o, key, fallback));
 }
 long long Int(const JsonObject& o, const std::string& key, double fallback) {
   return static_cast<long long>(NumOr(o, key, fallback));
@@ -141,7 +142,9 @@ bool Telemetry::Add(const std::string& type, const JsonObject& o,
     if (ls.first_tick < 0) ls.first_tick = tick;
     ls.last_tick = tick;
     if (opt.layer.empty() || layer == opt.layer) {
-      ++event_counts[layer + "/" + event];
+      // An aggregate event (the sim layer's per-tick cross_owner_eviction /
+      // lock_window_open) stands for "count" occurrences; others for one.
+      event_counts[layer + "/" + event] += Count(o, "count", 1);
       if (event_dump.size() < opt.events) event_dump.push_back(line);
     }
     if (event == "alarm_raised" || event == "alarm_cleared") {
