@@ -11,6 +11,7 @@
 #include <span>
 #include <vector>
 
+#include "common/snapshot.h"
 #include "detect/boundary.h"
 #include "detect/params.h"
 #include "detect/period.h"
@@ -34,6 +35,13 @@ struct SdsProfile {
 // Builds the full profile from clean samples.
 SdsProfile BuildSdsProfile(std::span<const pcm::PcmSample> clean,
                            const DetectorParams& params);
+
+// The profile as a field stream: both boundary profiles (mean, stddev),
+// then a presence flag plus (period, strength) per channel. Read refuses a
+// stream no analyzer could be built from: a non-finite mean or stddev, a
+// negative stddev, or a non-finite or non-positive period.
+void WriteSdsProfile(SnapshotWriter& w, const SdsProfile& profile);
+bool ReadSdsProfile(SnapshotReader& r, SdsProfile* profile);
 
 // Extracts one channel of a sample series as doubles.
 std::vector<double> ChannelSeries(std::span<const pcm::PcmSample> samples,

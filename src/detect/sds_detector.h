@@ -1,37 +1,23 @@
 // The SDS detection system (Section 5.1): SDS/B alone, SDS/P alone, or the
 // combined SDS, wired to a live hypervisor through one always-on PCM sampler.
 //
-// Channel policy: both statistic channels are monitored simultaneously —
-// AccessNum catches the bus locking attack, MissNum the LLC cleansing attack
-// — and a scheme is active when EITHER channel's analyzer is active. The
-// combined SDS follows the paper exactly: for non-periodic applications only
-// SDS/B decides; for periodic applications BOTH SDS/B and SDS/P must agree
-// before the alarm is raised (this conjunction removes residual false
-// positives, Figure 10).
+// The decision itself — analyzers, channel policy, the periodic
+// conjunction — is detect/sds_analyzer.h's SdsAnalyzer. This class adds
+// what a live deployment needs around it: the degradation gate over the
+// sample source, decision audit records, alarm/retraction edges,
+// telemetry, and snapshots of all of that.
 #pragma once
 
 #include <memory>
-#include <optional>
-#include <string>
 
-#include "detect/boundary.h"
 #include "detect/degrade.h"
 #include "detect/detector.h"
-#include "detect/period.h"
-#include "detect/profile.h"
+#include "detect/sds_analyzer.h"
 #include "pcm/pcm_sampler.h"
 #include "pcm/sample_source.h"
 #include "vm/hypervisor.h"
 
 namespace sds::detect {
-
-enum class SdsMode : std::uint8_t {
-  kBoundaryOnly,  // SDS/B
-  kPeriodOnly,    // SDS/P (valid only for periodic applications)
-  kCombined,      // SDS
-};
-
-const char* SdsModeName(SdsMode mode);
 
 class SdsDetector final : public Detector {
  public:
@@ -55,23 +41,23 @@ class SdsDetector final : public Detector {
               const DegradeConfig& degrade);
 
   void OnTick() override;
-  bool attack_active() const override;
+  bool attack_active() const override { return analyzer_.active(); }
   std::uint64_t alarm_events() const override { return alarm_events_; }
   Tick last_alarm_trigger_tick() const override { return last_trigger_; }
   std::uint64_t retraction_events() const override {
     return retraction_events_;
   }
   Tick last_retraction_tick() const override { return last_retraction_; }
-  std::string_view name() const override { return name_; }
+  std::string_view name() const override { return SdsModeName(mode()); }
 
   // Introspection for the example binaries and the Figure 7/8 benches.
-  const BoundaryAnalyzer& access_boundary() const { return *b_access_; }
-  const BoundaryAnalyzer& miss_boundary() const { return *b_miss_; }
-  const PeriodAnalyzer* access_period() const { return p_access_.get(); }
-  const PeriodAnalyzer* miss_period() const { return p_miss_.get(); }
-  bool boundary_active() const;
-  bool period_active() const;
-  SdsMode mode() const { return mode_; }
+  const PeriodAnalyzer* access_period() const {
+    return analyzer_.access_period();
+  }
+  const PeriodAnalyzer* miss_period() const { return analyzer_.miss_period(); }
+  bool boundary_active() const { return analyzer_.boundary_active(); }
+  bool period_active() const { return analyzer_.period_active(); }
+  SdsMode mode() const { return analyzer_.mode(); }
 
   // Degradation activity of this detector's sample gate.
   const DegradingSampleGate& gate() const { return gate_; }
@@ -90,10 +76,6 @@ class SdsDetector final : public Detector {
   bool RestoreState(SnapshotReader& r);
 
  private:
-  // Resets the preprocessing pipeline (EWMA/MA windows, consecutive
-  // counters) after a gap or sampler restart severed the sample stream; the
-  // clean profile itself stays valid.
-  void Rewarm();
   // Decision auditing (no-ops when the hypervisor has no telemetry handle).
   void AuditBoundary(Tick tick, const char* channel,
                      const BoundaryAnalyzer& analyzer, double ewma,
@@ -107,17 +89,8 @@ class SdsDetector final : public Detector {
   // to it. With an external SampleSource, owned_sampler_ stays null.
   std::unique_ptr<pcm::PcmSampler> owned_sampler_;
   pcm::SampleSource& source_;
-  // Kept so Rewarm() can rebuild the analyzers from scratch.
-  SdsProfile profile_;
-  DetectorParams params_;
-  SdsMode mode_;
-  std::string name_;
   DegradingSampleGate gate_;
-  std::unique_ptr<BoundaryAnalyzer> b_access_;
-  std::unique_ptr<BoundaryAnalyzer> b_miss_;
-  std::unique_ptr<PeriodAnalyzer> p_access_;
-  std::unique_ptr<PeriodAnalyzer> p_miss_;
-  bool profile_periodic_;
+  SdsAnalyzer analyzer_;
   // "detect.sds.tick" profiler span around OnTick (gate read + analyzers +
   // auditing). Span id is a raw integer (telemetry::SpanId).
   telemetry::SpanProfiler* prof_ = nullptr;

@@ -142,7 +142,6 @@ double ShedRate(const svc::SvcAccounting& acct) {
 
 svc::SvcConfig ChaosSvcConfig() {
   svc::SvcConfig c;
-  c.pipeline.mode = svc::PipelineMode::kSds;
   c.pipeline.det.window = 40;
   c.pipeline.det.step = 10;
   c.pipeline.det.h_c = 4;

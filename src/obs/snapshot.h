@@ -34,7 +34,7 @@ namespace sds::obs {
 
 // Bump when the envelope or any SaveState field layout changes; OpenSnapshot
 // rejects every other version (no migration — a stale snapshot re-warms).
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 enum class SnapshotStatus : std::uint8_t {
   kOk,

@@ -1,88 +1,26 @@
 #include "svc/pipeline.h"
 
-#include <span>
-
-#include "stats/ks_test.h"
-
 namespace sds::svc {
-
-const char* PipelineModeName(PipelineMode mode) {
-  switch (mode) {
-    case PipelineMode::kSds:
-      return "sds";
-    case PipelineMode::kKs:
-      return "ks";
-  }
-  return "?";
-}
 
 TenantPipeline::TenantPipeline(const PipelineConfig& config)
     : config_(config) {}
 
-void TenantPipeline::FinishProfiling() {
-  if (config_.mode == PipelineMode::kSds) {
-    profile_ = detect::BuildSdsProfile(warmup_, config_.det);
-    b_access_ = std::make_unique<detect::BoundaryAnalyzer>(
-        profile_.access_boundary, config_.det);
-    b_miss_ = std::make_unique<detect::BoundaryAnalyzer>(
-        profile_.miss_boundary, config_.det);
-    if (profile_.access_period) {
-      p_access_ = std::make_unique<detect::PeriodAnalyzer>(
-          *profile_.access_period, config_.det);
-    }
-    if (profile_.miss_period) {
-      p_miss_ = std::make_unique<detect::PeriodAnalyzer>(
-          *profile_.miss_period, config_.det);
-    }
-  } else {
-    ks_reference_ =
-        detect::ChannelSeries(warmup_, pcm::Channel::kAccessNum);
-  }
-  warmup_.clear();
-  warmup_.shrink_to_fit();
-  monitoring_ = true;
-}
-
-bool TenantPipeline::EvaluateSds(const pcm::PcmSample& sample) {
-  const auto access = static_cast<double>(sample.access_num);
-  const auto miss = static_cast<double>(sample.miss_num);
-  b_access_->Observe(access);
-  b_miss_->Observe(miss);
-  if (p_access_) p_access_->Observe(access);
-  if (p_miss_) p_miss_->Observe(miss);
-
-  const bool boundary = b_access_->attack_active() || b_miss_->attack_active();
-  const bool period = (p_access_ && p_access_->attack_active()) ||
-                      (p_miss_ && p_miss_->attack_active());
-  return profile_.periodic() ? (boundary && period) : boundary;
-}
-
-bool TenantPipeline::EvaluateKs(const pcm::PcmSample& sample) {
-  ks_window_.push_back(static_cast<double>(sample.access_num));
-  while (ks_window_.size() > config_.ks_window) ks_window_.pop_front();
-  ++ks_since_check_;
-  if (ks_window_.size() == config_.ks_window &&
-      ks_since_check_ >= config_.ks_stride && !ks_reference_.empty()) {
-    ks_since_check_ = 0;
-    const std::vector<double> window(ks_window_.begin(), ks_window_.end());
-    ks_active_ =
-        KsRejectsSameDistribution(ks_reference_, window, config_.ks_alpha);
-  }
-  return ks_active_;
-}
-
 PipelineDecision TenantPipeline::OnSample(const pcm::PcmSample& sample) {
   ++samples_seen_;
   PipelineDecision decision;
-  if (!monitoring_) {
+  if (!analyzer_) {
     warmup_.push_back(sample);
-    if (warmup_.size() >= config_.profile_len) FinishProfiling();
+    if (warmup_.size() >= config_.profile_len) {
+      analyzer_.emplace(detect::BuildSdsProfile(warmup_, config_.det),
+                        config_.det, detect::SdsMode::kCombined);
+      warmup_.clear();
+      warmup_.shrink_to_fit();
+    }
     return decision;
   }
+  analyzer_->Observe(sample);
+  const bool active = analyzer_->active();
   decision.decided = true;
-  const bool active = (config_.mode == PipelineMode::kSds)
-                          ? EvaluateSds(sample)
-                          : EvaluateKs(sample);
   decision.active = active;
   decision.alarm = active && !was_active_;
   decision.cleared = !active && was_active_;
@@ -91,114 +29,46 @@ PipelineDecision TenantPipeline::OnSample(const pcm::PcmSample& sample) {
 }
 
 void TenantPipeline::SaveState(SnapshotWriter& w) const {
-  w.U32(static_cast<std::uint32_t>(config_.mode));
-  w.Bool(monitoring_);
+  w.Bool(monitoring());
   w.Bool(was_active_);
   w.U64(samples_seen_);
-  if (!monitoring_) {
-    w.U64(warmup_.size());
-    for (const auto& s : warmup_) {
-      w.I64(s.tick);
-      w.U64(s.access_num);
-      w.U64(s.miss_num);
-    }
+  if (analyzer_) {
+    detect::WriteSdsProfile(w, analyzer_->profile());
+    analyzer_->SaveState(w);
     return;
   }
-  if (config_.mode == PipelineMode::kSds) {
-    w.F64(profile_.access_boundary.mean);
-    w.F64(profile_.access_boundary.stddev);
-    w.F64(profile_.miss_boundary.mean);
-    w.F64(profile_.miss_boundary.stddev);
-    w.Bool(profile_.access_period.has_value());
-    if (profile_.access_period) {
-      w.F64(profile_.access_period->period);
-      w.F64(profile_.access_period->strength);
-    }
-    w.Bool(profile_.miss_period.has_value());
-    if (profile_.miss_period) {
-      w.F64(profile_.miss_period->period);
-      w.F64(profile_.miss_period->strength);
-    }
-    b_access_->SaveState(w);
-    b_miss_->SaveState(w);
-    if (p_access_) p_access_->SaveState(w);
-    if (p_miss_) p_miss_->SaveState(w);
-  } else {
-    w.VecF64(ks_reference_);
-    w.VecF64(std::vector<double>(ks_window_.begin(), ks_window_.end()));
-    w.U64(ks_since_check_);
-    w.Bool(ks_active_);
+  w.U64(warmup_.size());
+  for (const auto& s : warmup_) {
+    w.I64(s.tick);
+    w.U64(s.access_num);
+    w.U64(s.miss_num);
   }
 }
 
 bool TenantPipeline::RestoreState(SnapshotReader& r) {
-  const std::uint32_t mode = r.U32();
-  if (!r.ok() || mode != static_cast<std::uint32_t>(config_.mode)) {
-    return false;
-  }
-  monitoring_ = r.Bool();
+  const bool monitoring = r.Bool();
   was_active_ = r.Bool();
   samples_seen_ = r.U64();
   if (!r.ok()) return false;
-  if (!monitoring_) {
-    const std::uint64_t n = r.U64();
-    if (!r.ok() || n > config_.profile_len) return false;
-    warmup_.clear();
-    warmup_.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      pcm::PcmSample s;
-      s.tick = r.I64();
-      s.access_num = r.U64();
-      s.miss_num = r.U64();
-      warmup_.push_back(s);
-    }
-    return r.ok();
+  warmup_.clear();
+  analyzer_.reset();
+  if (monitoring) {
+    detect::SdsProfile profile;
+    if (!detect::ReadSdsProfile(r, &profile)) return false;
+    analyzer_.emplace(profile, config_.det, detect::SdsMode::kCombined);
+    return analyzer_->RestoreState(r);
   }
-  if (config_.mode == PipelineMode::kSds) {
-    profile_ = detect::SdsProfile{};
-    profile_.access_boundary.mean = r.F64();
-    profile_.access_boundary.stddev = r.F64();
-    profile_.miss_boundary.mean = r.F64();
-    profile_.miss_boundary.stddev = r.F64();
-    if (r.Bool()) {
-      detect::PeriodProfile p;
-      p.period = r.F64();
-      p.strength = r.F64();
-      profile_.access_period = p;
-    }
-    if (r.Bool()) {
-      detect::PeriodProfile p;
-      p.period = r.F64();
-      p.strength = r.F64();
-      profile_.miss_period = p;
-    }
-    if (!r.ok()) return false;
-    b_access_ = std::make_unique<detect::BoundaryAnalyzer>(
-        profile_.access_boundary, config_.det);
-    b_miss_ = std::make_unique<detect::BoundaryAnalyzer>(
-        profile_.miss_boundary, config_.det);
-    p_access_.reset();
-    p_miss_.reset();
-    if (!b_access_->RestoreState(r)) return false;
-    if (!b_miss_->RestoreState(r)) return false;
-    if (profile_.access_period) {
-      p_access_ = std::make_unique<detect::PeriodAnalyzer>(
-          *profile_.access_period, config_.det);
-      if (!p_access_->RestoreState(r)) return false;
-    }
-    if (profile_.miss_period) {
-      p_miss_ = std::make_unique<detect::PeriodAnalyzer>(
-          *profile_.miss_period, config_.det);
-      if (!p_miss_->RestoreState(r)) return false;
-    }
-    return r.ok();
+  const std::uint64_t n = r.U64();
+  if (!r.ok() || n > config_.profile_len) return false;
+  warmup_.reserve(n);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    pcm::PcmSample s;
+    s.tick = r.I64();
+    s.access_num = r.U64();
+    s.miss_num = r.U64();
+    warmup_.push_back(s);
   }
-  ks_reference_ = r.VecF64();
-  const std::vector<double> window = r.VecF64();
-  ks_window_.assign(window.begin(), window.end());
-  ks_since_check_ = r.U64();
-  ks_active_ = r.Bool();
-  return r.ok() && ks_window_.size() <= config_.ks_window;
+  return r.ok();
 }
 
 }  // namespace sds::svc

@@ -1,15 +1,11 @@
 // Per-tenant detection pipeline hosted by the streaming service.
 //
-// Each admitted tenant runs the paper's detection machinery over its own
-// sample stream, hypervisor-free: the service consumes counter readings off
-// a feed, so it builds on the pure stream analyzers (BoundaryAnalyzer /
-// PeriodAnalyzer) rather than the hypervisor-wired SdsDetector. The
-// combination logic is exactly detect/offline.cpp's ReplaySds: profile both
-// channels during the tenant's clean warm-up window, then alarm on boundary
-// violations — AND'ed with period violations when the profile found the
-// tenant periodic. A KS mode mirrors the KStest baseline: the warm-up
-// window becomes the reference distribution and a sliding monitored window
-// is KS-tested against it at a fixed stride.
+// Each admitted tenant runs the paper's combined SDS over its own sample
+// stream, hypervisor-free: the service consumes counter readings off a feed,
+// so the pipeline profiles both channels during the tenant's clean warm-up
+// window (BuildSdsProfile) and then hands every sample to one
+// detect::SdsAnalyzer in kCombined mode — the same decision core the live
+// SdsDetector runs.
 //
 // Every pipeline is snapshot-complete: SaveState serializes the phase, the
 // warm-up trace (when still profiling), the built profile and the analyzer
@@ -19,37 +15,21 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/snapshot.h"
-#include "common/types.h"
 #include "detect/params.h"
-#include "detect/profile.h"
+#include "detect/sds_analyzer.h"
 #include "pcm/pcm_sampler.h"
 
 namespace sds::svc {
 
-enum class PipelineMode : std::uint8_t {
-  kSds = 0,  // SDS/B (+ SDS/P when the profile is periodic)
-  kKs = 1,   // two-sample KS test against the warm-up reference
-};
-
-const char* PipelineModeName(PipelineMode mode);
-
 struct PipelineConfig {
-  PipelineMode mode = PipelineMode::kSds;
   detect::DetectorParams det;
   // Admitted samples collected before monitoring starts. Must be large
-  // enough for BuildSdsProfile (>= det.window + det.step) in SDS mode; in
-  // KS mode it is the reference window length.
+  // enough for BuildSdsProfile (>= det.window + det.step).
   std::uint32_t profile_len = 600;
-  // KS mode: monitored sliding-window length, test stride (in admitted
-  // samples), and significance level.
-  std::uint32_t ks_window = 100;
-  std::uint32_t ks_stride = 25;
-  double ks_alpha = 0.05;
 };
 
 // The verdict for one admitted sample.
@@ -68,38 +48,23 @@ class TenantPipeline {
   // Feeds one admitted sample (drained from the service queue, in order).
   PipelineDecision OnSample(const pcm::PcmSample& sample);
 
-  bool monitoring() const { return monitoring_; }
+  bool monitoring() const { return analyzer_.has_value(); }
   bool active() const { return was_active_; }
   std::uint64_t samples_seen() const { return samples_seen_; }
 
+  // Restore refuses a stream whose profile no analyzer could be built from
+  // or whose analyzer section disagrees with that profile.
   void SaveState(SnapshotWriter& w) const;
   bool RestoreState(SnapshotReader& r);
 
  private:
-  void FinishProfiling();
-  bool EvaluateSds(const pcm::PcmSample& sample);
-  bool EvaluateKs(const pcm::PcmSample& sample);
-
   PipelineConfig config_;
-  bool monitoring_ = false;
   bool was_active_ = false;
   std::uint64_t samples_seen_ = 0;
-
   // Profiling phase: the clean warm-up trace.
   std::vector<pcm::PcmSample> warmup_;
-
-  // SDS monitoring state.
-  detect::SdsProfile profile_;
-  std::unique_ptr<detect::BoundaryAnalyzer> b_access_;
-  std::unique_ptr<detect::BoundaryAnalyzer> b_miss_;
-  std::unique_ptr<detect::PeriodAnalyzer> p_access_;
-  std::unique_ptr<detect::PeriodAnalyzer> p_miss_;
-
-  // KS monitoring state.
-  std::vector<double> ks_reference_;
-  std::deque<double> ks_window_;
-  std::uint64_t ks_since_check_ = 0;
-  bool ks_active_ = false;
+  // Monitoring phase: set once the warm-up window is full.
+  std::optional<detect::SdsAnalyzer> analyzer_;
 };
 
 }  // namespace sds::svc

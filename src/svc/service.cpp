@@ -21,7 +21,6 @@ static_assert(kWalPayloadVersion == obs::kSnapshotVersion,
 
 std::uint64_t SvcConfig::Fingerprint() const {
   SnapshotWriter w;
-  w.U32(static_cast<std::uint32_t>(pipeline.mode));
   w.U64(pipeline.det.window);
   w.U64(pipeline.det.step);
   w.F64(pipeline.det.alpha);
@@ -32,9 +31,6 @@ std::uint64_t SvcConfig::Fingerprint() const {
   w.I64(pipeline.det.h_p);
   w.F64(pipeline.det.period_tolerance);
   w.U32(pipeline.profile_len);
-  w.U32(pipeline.ks_window);
-  w.U32(pipeline.ks_stride);
-  w.F64(pipeline.ks_alpha);
   w.Bool(admission.sanity.enabled);
   w.U64(admission.sanity.max_delta_per_tick);
   w.Bool(admission.sanity.check_miss_le_access);

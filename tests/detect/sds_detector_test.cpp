@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/snapshot.h"
 #include "eval/experiment.h"
 #include "eval/scenario.h"
 
@@ -130,6 +131,37 @@ TEST(SdsDetectorTest, AlarmEventsCountRisingEdges) {
   rig.Run(det, 1000);
   EXPECT_TRUE(det.attack_active());
   EXPECT_EQ(det.alarm_events(), events);
+}
+
+// Pins a live detector's snapshot payload and configuration fingerprint at
+// a fixed tick of two seeded runs, one non-periodic and one periodic: the
+// analyzer section's layout, the profile's field order and every decision
+// up to that tick must stay as they are.
+TEST(SdsDetectorTest, SnapshotPayloadAndFingerprintArePinned) {
+  struct Pin {
+    const char* app;
+    eval::AttackKind attack;
+    bool periodic;
+    std::uint64_t state_fnv;
+    std::uint64_t config_fingerprint;
+  };
+  const Pin pins[] = {
+      {"kmeans", eval::AttackKind::kBusLock, false, 0x74a9e033c66a4219ULL,
+       0x8505907c445a44c7ULL},
+      {"pca", eval::AttackKind::kLlcCleansing, true, 0x94578354367dea15ULL,
+       0x092f6ba1b15fbb4cULL},
+  };
+  for (const Pin& pin : pins) {
+    Rig rig(pin.app, pin.attack, 3000, 31);
+    SdsDetector det(*rig.scenario.hypervisor, rig.scenario.victim,
+                    rig.profile, rig.params, SdsMode::kCombined);
+    rig.Run(det, 6000);
+    ASSERT_EQ(rig.profile.periodic(), pin.periodic) << pin.app;
+    SnapshotWriter w;
+    det.SaveState(w);
+    EXPECT_EQ(Fnv1a(w.data()), pin.state_fnv) << pin.app;
+    EXPECT_EQ(det.ConfigFingerprint(), pin.config_fingerprint) << pin.app;
+  }
 }
 
 }  // namespace

@@ -36,7 +36,6 @@ double Draw01(std::uint64_t seed, std::uint64_t tenant, Tick tick,
 
 SvcConfig TestConfig() {
   SvcConfig c;
-  c.pipeline.mode = PipelineMode::kSds;
   c.pipeline.det.window = 20;
   c.pipeline.det.step = 5;
   c.pipeline.det.h_c = 3;

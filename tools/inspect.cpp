@@ -3,8 +3,7 @@
 // section prints only when the stream held a record of that family:
 //
 //   telemetry   header / event / audit / metric / tracer_stats / profile /
-//               span (a bench's --telemetry_out or --profile_out,
-//               pcm::WriteTraceJsonl)
+//               span (a bench's --telemetry_out or --profile_out)
 //   fleet       rollup / rollup_stats / slo_alert / slo_status
 //               (bench_fleetobs --rollup_out)
 //   svc         svc_ref / svc_recovery (bench_svc_chaos_sweep
@@ -20,14 +19,17 @@
 // The reader (common/json.h) handles exactly the flat one-object-per-line
 // JSON this repo emits; it is not a general JSON parser and does not try to
 // be. Malformed input NEVER crashes the tool: empty lines, truncated records
-// and unknown "type" values are each counted separately and reported in the
-// stream header, and everything parseable is still summarized.
+// (and records whose integer fields are out of range) and unknown "type"
+// values are each counted separately and reported in the stream header, and
+// everything parseable is still summarized.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -60,14 +62,61 @@ struct Options {
   std::size_t alerts = 0;
 };
 
-// Numeric fields printed as integers. Counts are unsigned; ticks, ids and
-// windows are signed because the writers use -1 for "none".
+// Every field a table prints as an integer. Counts are never negative;
+// ticks, ids and windows are signed because the writers use -1 for "none".
+const std::set<std::string> kSignedFields = {
+    "alarm_tick", "attack_start", "blind_ticks", "crash_tick", "from_host",
+    "horizon", "kstest_culprit", "prime_suspect", "schema_version", "tick",
+    "to_host", "vm", "window", "window_end", "window_start"};
+const std::set<std::string> kCountFields = {
+    "admitted", "alarms", "attempts", "audit_records", "baselined",
+    "bus_delay", "cache_hits", "call_edges", "capacity", "checkpoints",
+    "coalesced", "count", "decisions", "deduped", "depth", "diagnostics",
+    "dropped", "dropped_late", "dropped_samples", "dropped_series", "emitted",
+    "events", "events_dropped", "events_emitted", "evictions",
+    "files_scanned", "functions", "host", "hosts", "ingested", "live_series",
+    "occupancy", "op_index", "parsed", "quarantines", "replayed", "retained",
+    "rows", "shards", "shed", "slices_dropped", "slices_retained",
+    "stale_baseline_entries", "suppressions", "taint_seeds",
+    "tainted_functions", "tenant", "violating", "wal_appends", "window_ticks",
+    "windows"};
+
+// The one conversion from a JSON number to a printed integer: nullopt
+// unless `v` is finite, inside long long's range and, for a count, not
+// negative. (A bare cast of such a value is undefined behaviour.)
+std::optional<long long> ToInteger(double v, bool count) {
+  if (!(v >= (count ? 0.0 : -0x1p63) && v < 0x1p63)) return std::nullopt;
+  return static_cast<long long>(v);
+}
+
+// True when every integer field of `o`, and of each object in its object
+// arrays, converts. A line that fails is counted as unparseable, so no
+// table ever sees its numbers.
+bool IntegersInRange(const JsonObject& o) {
+  for (const auto& [key, raw] : o) {
+    if (raw.starts_with('[')) {
+      for (const JsonObject& e : ParseObjectArray(raw)) {
+        if (!IntegersInRange(e)) return false;
+      }
+      continue;
+    }
+    const bool count = kCountFields.count(key) != 0;
+    if (!count && kSignedFields.count(key) == 0) continue;
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    if (!ToInteger(NumOr(o, key, nan), count)) return false;
+  }
+  return true;
+}
+
 unsigned long long Count(const JsonObject& o, const std::string& key,
                          double fallback = 0) {
-  return static_cast<unsigned long long>(NumOr(o, key, fallback));
+  return static_cast<unsigned long long>(
+      ToInteger(NumOr(o, key, fallback), true).value_or(0));
 }
-long long Int(const JsonObject& o, const std::string& key, double fallback) {
-  return static_cast<long long>(NumOr(o, key, fallback));
+long long Int(const JsonObject& o, const std::string& key,
+              long long fallback) {
+  return ToInteger(NumOr(o, key, static_cast<double>(fallback)), false)
+      .value_or(fallback);
 }
 bool IsTrue(const JsonObject& o, const std::string& key) {
   return StrOr(o, key, "false") == "true";
@@ -325,10 +374,8 @@ void Telemetry::Print(const Options& opt) const {
     std::printf("\n  %-44s %10s %14s %14s\n", "span", "count", "total",
                 "self");
     for (const auto& o : spans) {
-      const auto depth = static_cast<int>(NumOr(o, "depth", 0));
-      const std::string indent(static_cast<std::size_t>(
-                                   std::max(0, std::min(depth, 16))) * 2,
-                               ' ');
+      const long long depth = std::clamp(Int(o, "depth", 0), 0LL, 16LL);
+      const std::string indent(static_cast<std::size_t>(depth) * 2, ' ');
       std::printf("  %-44s %10lld %14.6g %14.6g\n",
                   (indent + StrOr(o, "name", "?")).c_str(), Int(o, "count", 0),
                   NumOr(o, "total", 0.0), NumOr(o, "self", 0.0));
@@ -368,7 +415,7 @@ struct SeriesHealth {
   void Add(const JsonObject& row) {
     const double row_min = NumOr(row, "min", 0.0);
     const double row_max = NumOr(row, "max", 0.0);
-    const long long window = Int(row, "window", 0.0);
+    const long long window = Int(row, "window", 0);
     if (rows == 0) {
       min = row_min;
       max = row_max;
@@ -514,7 +561,7 @@ void Fleet::Print(const Options& opt) const {
         {"window", "rule", "level", "burn", "host", "tenant", "observed"});
     for (std::size_t i = 0; i < alerts.size() && i < opt.alerts; ++i) {
       const JsonObject& a = alerts[i];
-      table.Row(TextTable::Str(Int(a, "window", 0.0)), StrOr(a, "rule", "?"),
+      table.Row(TextTable::Str(Int(a, "window", 0)), StrOr(a, "rule", "?"),
                 StrOr(a, "level", "?"), FormatFixed(NumOr(a, "burn", 0.0), 3),
                 TextTable::Str(Count(a, "host")),
                 TextTable::Str(Count(a, "tenant")),
@@ -769,13 +816,14 @@ void PrintHostChaos(const std::vector<HostChaosRun>& runs,
 
     if (!hc.evacuations.empty()) {
       std::map<std::string, unsigned long long> run_outcomes;
-      unsigned long long run_attempts = 0, duration = 0;
+      unsigned long long run_attempts = 0;
+      double duration = 0;
       for (const auto& e : hc.evacuations) {
         ++run_outcomes[StrOr(e, "outcome", "?")];
         ++outcomes[StrOr(e, "outcome", "?")];
         run_attempts += Count(e, "attempts");
-        duration += static_cast<unsigned long long>(NumOr(e, "finished", 0) -
-                                                    NumOr(e, "tick", 0));
+        duration +=
+            std::max(0.0, NumOr(e, "finished", 0) - NumOr(e, "tick", 0));
       }
       attempts += run_attempts;
       evacuations += hc.evacuations.size();
@@ -786,8 +834,7 @@ void PrintHostChaos(const std::vector<HostChaosRun>& runs,
       std::printf("  mean_attempts=%.1f mean_ticks=%.1f\n",
                   static_cast<double>(run_attempts) /
                       static_cast<double>(hc.evacuations.size()),
-                  static_cast<double>(duration) /
-                      static_cast<double>(hc.evacuations.size()));
+                  duration / static_cast<double>(hc.evacuations.size()));
       if (opt.hostchaos) {
         for (const auto& e : hc.evacuations) {
           const long long tick = Int(e, "tick", -1);
@@ -985,7 +1032,7 @@ int main(int argc, char** argv) {
       continue;
     }
     JsonObject o;
-    if (!ParseJsonLine(line, o)) {
+    if (!ParseJsonLine(line, o) || !IntegersInRange(o)) {
       ++bad_lines;
       continue;
     }

@@ -42,7 +42,6 @@ using namespace sds;
 // so a wide k costs no detection delay while keeping clean tenants quiet.
 svc::SvcConfig DemoConfig() {
   svc::SvcConfig config;
-  config.pipeline.mode = svc::PipelineMode::kSds;
   config.pipeline.det.window = 40;
   config.pipeline.det.step = 10;
   config.pipeline.det.h_c = 4;
