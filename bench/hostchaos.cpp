@@ -60,19 +60,11 @@ int main(int argc, char** argv) {
   config.runs_per_cell = static_cast<int>(flags.GetInt("runs", 2));
   config.base_seed = static_cast<std::uint64_t>(flags.GetInt("seed", 9100));
 
-  config.migration_periods.clear();
-  std::stringstream periods(flags.GetString("periods", "800,1600,3200"));
-  for (std::string tok; std::getline(periods, tok, ',');) {
-    if (!tok.empty()) {
-      config.migration_periods.push_back(
-          static_cast<Tick>(std::stoll(tok)));
-    }
-  }
-  config.crash_rates.clear();
-  std::stringstream rates(flags.GetString("rates", "0.0003,0.0006,0.0012"));
-  for (std::string tok; std::getline(rates, tok, ',');) {
-    if (!tok.empty()) config.crash_rates.push_back(std::stod(tok));
-  }
+  const auto periods = flags.GetList<Tick>("periods", "800,1600,3200");
+  const auto rates = flags.GetList<double>("rates", "0.0003,0.0006,0.0012");
+  if (!periods || !rates) return 1;
+  config.migration_periods = *periods;
+  config.crash_rates = *rates;
 
   if (flags.GetBool("smoke", false)) {
     // CI-sized: one run per cell side, one cell per family, a short
@@ -136,17 +128,8 @@ int main(int argc, char** argv) {
     // One warm + one cold run of the first chaos cell (same seeds), so
     // tools/inspect can show the host timeline, evacuations and both handoff
     // modes side by side.
-    eval::HostChaosRunConfig run = config.run;
-    run.host_plan.set_rate(fault::HostFaultKind::kCrash,
-                           config.crash_rates.empty()
-                               ? 0.0
-                               : config.crash_rates.front());
-    fault::ScheduledHostFault crash;
-    crash.tick = run.attack_start + config.scheduled_crash_after;
-    crash.host = 0;
-    crash.kind = fault::HostFaultKind::kCrash;
-    crash.duration = config.scheduled_crash_down;
-    run.host_plan.scheduled.push_back(crash);
+    eval::HostChaosRunConfig run = eval::ChaosCellRun(
+        config, config.crash_rates.empty() ? 0.0 : config.crash_rates.front());
     run.host_plan.seed = config.fault_seed;
     std::ofstream trace(trace_out);
     if (!trace) {

@@ -15,7 +15,6 @@
 // earning its keep?
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -62,11 +61,9 @@ int main(int argc, char** argv) {
   config.runs_per_cell = static_cast<int>(flags.GetInt("runs", 3));
   config.base_seed = static_cast<std::uint64_t>(flags.GetInt("seed", 9000));
 
-  config.rates.clear();
-  std::stringstream rates(flags.GetString("rates", "0.01,0.05,0.2"));
-  for (std::string tok; std::getline(rates, tok, ',');) {
-    if (!tok.empty()) config.rates.push_back(std::stod(tok));
-  }
+  const auto rates = flags.GetList<double>("rates", "0.01,0.05,0.2");
+  if (!rates) return 1;
+  config.rates = *rates;
 
   if (flags.GetBool("smoke", false)) {
     // CI-sized: one run per cell, short stages, two rates. Still covers

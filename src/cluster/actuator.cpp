@@ -87,9 +87,7 @@ Actuator::Actuator(Cluster& cluster, const fault::ActuationFaultPlan& plan)
   SDS_CHECK(plan_.host_down_min_ticks > 0 &&
                 plan_.host_down_max_ticks >= plan_.host_down_min_ticks,
             "bad host-down duration range");
-  for (const double r : plan_.rates) {
-    SDS_CHECK(r >= 0.0 && r <= 1.0, "fault rate must be a probability");
-  }
+  plan_.CheckRates();
   host_down_until_.assign(static_cast<std::size_t>(cluster_.host_count()), 0);
   telemetry_ = cluster_.machine(0).telemetry();
   if (telemetry_) {

@@ -35,9 +35,7 @@ HostLifecycle::HostLifecycle(int hosts, const fault::HostFaultPlan& plan)
   SDS_CHECK(plan_.recovery_min_ticks >= 0 &&
                 plan_.recovery_max_ticks >= plan_.recovery_min_ticks,
             "bad recovery-latency range");
-  for (const double r : plan_.rates) {
-    SDS_CHECK(r >= 0.0 && r <= 1.0, "fault rate must be a probability");
-  }
+  plan_.CheckRates();
   for (const fault::ScheduledHostFault& f : plan_.scheduled) {
     SDS_CHECK(f.host >= 0 && f.host < hosts, "scheduled fault: no such host");
     SDS_CHECK(f.kind != fault::HostFaultKind::kFlakyRecovery,

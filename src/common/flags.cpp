@@ -1,8 +1,12 @@
 #include "common/flags.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <system_error>
 
 namespace sds {
 
@@ -98,5 +102,34 @@ bool Flags::GetBool(const std::string& name, bool default_value) const {
   if (it == values_.end()) return default_value;
   return it->second == "true" || it->second == "1" || it->second == "yes";
 }
+
+template <typename T>
+std::optional<std::vector<T>> Flags::GetList(
+    const std::string& name, const std::string& default_value) const {
+  const std::string text = GetString(name, default_value);
+  std::vector<T> out;
+  for (std::size_t begin = 0; begin <= text.size();) {
+    const std::size_t end = std::min(text.find(',', begin), text.size());
+    const std::string token = text.substr(begin, end - begin);
+    begin = end + 1;
+    if (token.empty()) continue;
+    T value{};
+    const char* last = token.data() + token.size();
+    const auto [ptr, ec] = std::from_chars(token.data(), last, value);
+    if (ec != std::errc() || ptr != last ||
+        !std::isfinite(static_cast<double>(value))) {
+      std::fprintf(stderr, "%s: --%s: malformed list element '%s'\n",
+                   program_.c_str(), name.c_str(), token.c_str());
+      return std::nullopt;
+    }
+    out.push_back(value);
+  }
+  return out;
+}
+
+template std::optional<std::vector<double>> Flags::GetList<double>(
+    const std::string&, const std::string&) const;
+template std::optional<std::vector<std::int64_t>> Flags::GetList<std::int64_t>(
+    const std::string&, const std::string&) const;
 
 }  // namespace sds

@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -54,6 +55,13 @@ class Flags {
   long long GetInt(const std::string& name, long long default_value) const;
   double GetDouble(const std::string& name, double default_value) const;
   bool GetBool(const std::string& name, bool default_value) const;
+  // A comma-separated list of numbers (empty elements are skipped). T is
+  // double or std::int64_t. On an element that is not exactly one finite
+  // number, prints a message naming the flag to stderr and returns nullopt;
+  // callers then exit 1.
+  template <typename T>
+  std::optional<std::vector<T>> GetList(const std::string& name,
+                                        const std::string& default_value) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
 

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <memory>
 #include <ostream>
+#include <span>
 
 #include "attacks/bus_lock_attacker.h"
 #include "attacks/scheduled_workload.h"
 #include "common/check.h"
+#include "eval/aggregate.h"
 #include "workloads/catalog.h"
 
 namespace sds::eval {
@@ -92,31 +94,22 @@ ActuationRunResult RunActuationRun(const ActuationRunConfig& config,
 
 namespace {
 
-// Runs runs_per_cell seeded runs of one grid cell and aggregates them.
-ActuationCell RunCell(const ActuationSweepConfig& config,
-                      const fault::ActuationFaultPlan& plan,
-                      fault::ActuationFaultKind kind, double rate) {
+// Seed of every fault plan in the sweep, varied per run and cell below.
+constexpr std::uint64_t kFaultSeed = 0xac7f5eedull;
+// Command latency of the faulted cells; the baseline keeps the plan's
+// synchronous 0..0 so it pins the pre-actuation-plane behavior.
+constexpr Tick kFaultedLatencyMin = 2;
+constexpr Tick kFaultedLatencyMax = 12;
+
+// Folds one grid cell's runs, in run order.
+ActuationCell FoldCell(const FaultCell<fault::ActuationFaultKind>& grid_cell,
+                       std::span<const ActuationRunResult> runs) {
   ActuationCell cell;
-  cell.kind = kind;
-  cell.rate = rate;
+  cell.kind = grid_cell.kind;
+  cell.rate = grid_cell.rate;
   double settle_sum = 0.0;
   double residual_sum = 0.0;
-  for (int r = 0; r < config.runs_per_cell; ++r) {
-    ActuationRunConfig run = config.run;
-    run.plan = plan;
-    // Vary the fault schedule with the run AND the grid cell while keeping
-    // it a pure function of (fault_seed, kind, rate, run index). Cells fire
-    // few commands each, so if only the run index entered the seed every
-    // cell would share one fault schedule and a single lucky draw would
-    // blank the whole grid.
-    run.plan.seed =
-        config.fault_seed +
-        std::uint64_t{0x9e3779b97f4a7c15} * static_cast<std::uint64_t>(r + 1) +
-        std::uint64_t{0x85ebca6b} *
-            (static_cast<std::uint64_t>(kind) + 1) +
-        std::uint64_t{0xc2b2ae3d} * static_cast<std::uint64_t>(rate * 1000.0);
-    const ActuationRunResult res = RunActuationRun(
-        run, config.base_seed + static_cast<std::uint64_t>(r));
+  for (const ActuationRunResult& res : runs) {
     ++cell.runs;
     if (res.settled) {
       ++cell.settled_runs;
@@ -169,29 +162,41 @@ void WriteCellJson(std::ostream& os, const ActuationCell& cell,
 }  // namespace
 
 ActuationSweepResult RunActuationSweep(const ActuationSweepConfig& config) {
-  SDS_CHECK(config.runs_per_cell >= 1, "need at least one run per cell");
-  SDS_CHECK(!config.kinds.empty() && !config.rates.empty(),
-            "empty sweep grid");
+  // The baseline cell keeps the full engine + actuator machinery in the
+  // path with an inert plan — synchronous, infallible, settles at the alarm
+  // tick. Equals the one-shot engine's behavior by the actuation golden
+  // invariant.
+  const auto grid = FaultGrid(config.kinds, config.rates);
+  const std::vector<ActuationRunResult> runs = RunGrid(
+      grid.size(), config.runs_per_cell, DefaultThreads(),
+      [&](std::size_t c, std::size_t r) {
+        const FaultCell<fault::ActuationFaultKind>& cell = grid[c];
+        ActuationRunConfig run = config.run;
+        // Vary the fault schedule with the run AND the grid cell. Cells
+        // fire few commands each, so if only the run index entered the seed
+        // every cell would share one fault schedule and a single lucky draw
+        // would blank the whole grid.
+        run.plan = fault::ActuationFaultPlan::Single(
+            cell.kind, cell.rate,
+            kFaultSeed + std::uint64_t{0x9e3779b97f4a7c15} * (r + 1) +
+                std::uint64_t{0x85ebca6b} *
+                    (static_cast<std::uint64_t>(cell.kind) + 1) +
+                std::uint64_t{0xc2b2ae3d} *
+                    static_cast<std::uint64_t>(cell.rate * 1000.0));
+        if (cell.rate > 0.0) {
+          run.plan.latency_min_ticks = kFaultedLatencyMin;
+          run.plan.latency_max_ticks = kFaultedLatencyMax;
+        }
+        return RunActuationRun(run, config.base_seed + r);
+      });
+
+  const auto per_cell = static_cast<std::size_t>(config.runs_per_cell);
+  const std::span<const ActuationRunResult> all(runs);
   ActuationSweepResult result;
-
-  // Baseline: the full engine + actuator machinery in the path, but an
-  // inert plan — synchronous, infallible, settles at the alarm tick. Equals
-  // the one-shot engine's behavior by the actuation golden invariant.
-  result.baseline =
-      RunCell(config, fault::ActuationFaultPlan{},
-              fault::ActuationFaultKind::kCommandLost, 0.0);
-
-  for (const fault::ActuationFaultKind kind : config.kinds) {
-    for (const double rate : config.rates) {
-      SDS_CHECK(rate > 0.0 && rate <= 1.0,
-                "sweep rates must be probabilities > 0");
-      result.cells.push_back(RunCell(
-          config,
-          fault::ActuationFaultPlan::Single(kind, rate, 0,
-                                            config.faulted_latency_min,
-                                            config.faulted_latency_max),
-          kind, rate));
-    }
+  result.baseline = FoldCell(grid[0], all.first(per_cell));
+  for (std::size_t c = 1; c < grid.size(); ++c) {
+    result.cells.push_back(
+        FoldCell(grid[c], all.subspan(c * per_cell, per_cell)));
   }
   return result;
 }
@@ -206,8 +211,8 @@ void WriteActuationJson(std::ostream& os, const ActuationSweepConfig& config,
      << ",\"command_timeout\":" << config.run.mitigation.command_timeout
      << ",\"max_attempts\":" << config.run.mitigation.max_attempts
      << ",\"verify_window\":" << config.run.mitigation.verify_window
-     << ",\"latency\":[" << config.faulted_latency_min << ","
-     << config.faulted_latency_max << "],\"baseline\":";
+     << ",\"latency\":[" << kFaultedLatencyMin << "," << kFaultedLatencyMax
+     << "],\"baseline\":";
   WriteCellJson(os, result.baseline, "none");
   os << ",\"cells\":[";
   for (std::size_t i = 0; i < result.cells.size(); ++i) {

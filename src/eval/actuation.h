@@ -84,16 +84,11 @@ struct ActuationSweepConfig {
       fault::ActuationFaultKind::kSpareAtCapacity,
       fault::ActuationFaultKind::kStopRejected,
   };
+  // Faulted cells also run with a 2..12-tick command latency; the baseline
+  // stays synchronous.
   std::vector<double> rates = {0.1, 0.25, 0.5};
-  // Command latency of the faulted cells (the baseline stays at the plan's
-  // synchronous 0..0 so it pins the pre-actuation-plane behavior).
-  Tick faulted_latency_min = 2;
-  Tick faulted_latency_max = 12;
   int runs_per_cell = 3;
   std::uint64_t base_seed = 7100;
-  // Seed of the fault plans; varied per run so fault schedules differ
-  // across repeat runs of a cell.
-  std::uint64_t fault_seed = 0xac7f5eedull;
 };
 
 // One (kind, rate) grid cell, aggregated over runs_per_cell seeded runs.
@@ -131,6 +126,7 @@ struct ActuationSweepResult {
   std::vector<ActuationCell> cells;  // kinds x rates, kind-major
 };
 
+// Runs the grid in parallel; the thread count never changes a value.
 ActuationSweepResult RunActuationSweep(const ActuationSweepConfig& config);
 
 // Writes the whole sweep as one JSON object (the BENCH_actuation schema):

@@ -83,15 +83,12 @@ int DefaultThreads(int max_threads) {
 std::vector<AggregatedDetection> AggregateDetection(
     const std::vector<DetectionRunConfig>& cells, int runs,
     std::uint64_t base_seed, int threads) {
-  SDS_CHECK(runs >= 1, "need at least one run");
-  const auto per_cell = static_cast<std::size_t>(runs);
-  std::vector<DetectionRunResult> results(cells.size() * per_cell);
-  ParallelFor(static_cast<int>(results.size()), threads, [&](int i) {
-    const auto job = static_cast<std::size_t>(i);
-    results[job] = RunDetectionRun(cells[job / per_cell],
-                                   base_seed + job % per_cell);
-  });
+  const std::vector<DetectionRunResult> results =
+      RunGrid(cells.size(), runs, threads, [&](std::size_t c, std::size_t r) {
+        return RunDetectionRun(cells[c], base_seed + r);
+      });
 
+  const auto per_cell = static_cast<std::size_t>(runs);
   std::vector<AggregatedDetection> aggs(cells.size());
   for (std::size_t c = 0; c < cells.size(); ++c) {
     std::vector<double> recalls;
@@ -120,28 +117,24 @@ std::vector<AggregatedDetection> AggregateDetection(
 std::vector<AggregatedOverhead> AggregateOverhead(
     const OverheadRunConfig& config, const std::vector<Scheme>& schemes,
     int runs, std::uint64_t base_seed, int threads) {
-  SDS_CHECK(runs >= 1, "need at least one run");
-  // Job slot 0 of each seed is the baseline; slot 1 + s is schemes[s].
-  const std::size_t per_seed = 1 + schemes.size();
-  std::vector<Tick> ticks(static_cast<std::size_t>(runs) * per_seed);
-  ParallelFor(static_cast<int>(ticks.size()), threads, [&](int i) {
-    const auto job = static_cast<std::size_t>(i);
-    const std::size_t slot = job % per_seed;
-    OverheadRunConfig cfg = config;
-    cfg.scheme = slot == 0 ? Scheme::kNone : schemes[slot - 1];
-    const OverheadRunResult result =
-        RunOverheadRun(cfg, base_seed + job / per_seed);
-    SDS_CHECK(result.completed,
-              "overhead run hit the tick cap; raise max_ticks");
-    ticks[job] = result.completion_ticks;
-  });
+  // Cell 0 is the baseline; cell 1 + s is schemes[s].
+  const std::vector<Tick> ticks = RunGrid(
+      1 + schemes.size(), runs, threads, [&](std::size_t c, std::size_t r) {
+        OverheadRunConfig cfg = config;
+        cfg.scheme = c == 0 ? Scheme::kNone : schemes[c - 1];
+        const OverheadRunResult result = RunOverheadRun(cfg, base_seed + r);
+        SDS_CHECK(result.completed,
+                  "overhead run hit the tick cap; raise max_ticks");
+        return result.completion_ticks;
+      });
 
+  const auto per_cell = static_cast<std::size_t>(runs);
   std::vector<AggregatedOverhead> aggs(schemes.size());
   for (std::size_t s = 0; s < schemes.size(); ++s) {
     std::vector<double> ratios;
-    for (std::size_t r = 0; r < static_cast<std::size_t>(runs); ++r) {
-      ratios.push_back(static_cast<double>(ticks[r * per_seed + 1 + s]) /
-                       static_cast<double>(ticks[r * per_seed]));
+    for (std::size_t r = 0; r < per_cell; ++r) {
+      ratios.push_back(static_cast<double>(ticks[(1 + s) * per_cell + r]) /
+                       static_cast<double>(ticks[r]));
     }
     aggs[s].runs = runs;
     aggs[s].normalized_time = Summarize(ratios);

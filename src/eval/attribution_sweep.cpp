@@ -5,9 +5,13 @@
 
 #include "common/check.h"
 #include "detect/kstest_detector.h"
+#include "eval/aggregate.h"
 
 namespace sds::eval {
 namespace {
+
+// Tick budget for the KStest cell before giving up on an alarm.
+constexpr Tick kKstestRunCap = 12000;
 
 // FNV-1a, doubles hashed by bit pattern (any numeric drift changes it).
 class Fingerprinter {
@@ -97,7 +101,7 @@ void RunKstestCell(const AttributionSweepConfig& config, AttributionCell& cell,
   kp.initial_offset = kp.l_r - 1;  // first reference collection immediately
   detect::KsTestDetector detector(*s.hypervisor, s.victim, kp);
   detect::ForensicsEngine engine(*s.hypervisor, s.victim, config.forensics);
-  for (Tick t = 0; t < config.kstest_run_cap; ++t) {
+  for (Tick t = 0; t < kKstestRunCap; ++t) {
     s.hypervisor->RunTick();
     detector.OnTick();
     engine.OnTick();
@@ -133,30 +137,40 @@ AttributionSweepResult RunAttributionSweep(const AttributionSweepConfig& config,
   colluding.attack2 = AttackKind::kLlcCleansing;
   grid.push_back(colluding);
 
-  std::uint64_t seed = config.base_seed;
-  for (AttributionCell& cell : grid) {
-    RunForcedAlarmCell(config, cell, seed++);
-    if (log != nullptr) {
-      *log << "  " << cell.app << " / " << AttackName(cell.attack)
-           << (cell.attack2 != AttackKind::kNone ? " + colluder" : "")
+  if (config.kstest_cell) {
+    AttributionCell kstest;
+    kstest.app = "bayes";
+    kstest.attack = AttackKind::kBusLock;
+    grid.push_back(kstest);
+  }
+  const auto is_kstest = [&](std::size_t c) {
+    return config.kstest_cell && c + 1 == grid.size();
+  };
+
+  const auto run_cell = [&](std::size_t c, std::size_t /*run*/) {
+    AttributionCell cell = grid[c];
+    const std::uint64_t seed = config.base_seed + c;
+    if (is_kstest(c)) {
+      RunKstestCell(config, cell, seed);
+    } else {
+      RunForcedAlarmCell(config, cell, seed);
+    }
+    return cell;
+  };
+  result.cells = RunGrid(grid.size(), 1, DefaultThreads(), run_cell);
+
+  for (std::size_t c = 0; c < result.cells.size() && log != nullptr; ++c) {
+    const AttributionCell& cell = result.cells[c];
+    *log << "  " << cell.app << " / " << AttackName(cell.attack);
+    if (is_kstest(c)) {
+      *log << " [kstest]: prime=" << cell.prime_suspect
+           << " kstest_culprit=" << cell.kstest_culprit
+           << (cell.kstest_agrees ? " (agrees)" : " (disagrees)") << "\n";
+    } else {
+      *log << (cell.attack2 != AttackKind::kNone ? " + colluder" : "")
            << ": prime=" << cell.prime_suspect
            << " rank_of_true=" << cell.rank_of_true << "\n";
     }
-    result.cells.push_back(cell);
-  }
-
-  if (config.kstest_cell) {
-    AttributionCell cell;
-    cell.app = "bayes";
-    cell.attack = AttackKind::kBusLock;
-    RunKstestCell(config, cell, seed++);
-    if (log != nullptr) {
-      *log << "  " << cell.app << " / " << AttackName(cell.attack)
-           << " [kstest]: prime=" << cell.prime_suspect << " kstest_culprit="
-           << cell.kstest_culprit
-           << (cell.kstest_agrees ? " (agrees)" : " (disagrees)") << "\n";
-    }
-    result.cells.push_back(cell);
   }
 
   int single_cells = 0;

@@ -37,8 +37,6 @@ struct AttributionSweepConfig {
   // Run the KStest baseline cell (bayes vs bus locking, full identification
   // sweep). Dominates the sweep's runtime; off in unit tests.
   bool kstest_cell = true;
-  // Tick budget for the KStest cell before giving up on an alarm.
-  Tick kstest_run_cap = 12000;
 };
 
 struct AttributionCell {
@@ -83,6 +81,8 @@ struct AttributionSweepResult {
   std::uint64_t fingerprint = 0;
 };
 
+// Runs cell i at seed base_seed + i, all cells in parallel, then writes one
+// `log` line per cell in cell order; the thread count never changes a value.
 AttributionSweepResult RunAttributionSweep(const AttributionSweepConfig& config,
                                            std::ostream* log = nullptr);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <ostream>
+#include <span>
 #include <utility>
 
 #include "attacks/bus_lock_attacker.h"
@@ -13,6 +14,7 @@
 #include "common/check.h"
 #include "detect/profile.h"
 #include "detect/sds_detector.h"
+#include "eval/aggregate.h"
 #include "eval/experiment.h"
 #include "workloads/catalog.h"
 
@@ -210,74 +212,45 @@ HostChaosRunResult RunHostChaosRun(const HostChaosRunConfig& config,
 
 namespace {
 
-// Folds one run into a cell side.
-void Accumulate(HostChaosCellSide& side, const HostChaosRunResult& run,
-                std::uint64_t& blind_sum, std::uint64_t& migration_sum,
-                std::uint64_t& missed_sum, std::uint64_t& attacked_sum) {
-  ++side.runs;
-  side.migrations += run.migrations;
-  side.warm_handoffs += static_cast<int>(run.handoffs.warm);
-  side.cold_handoffs += static_cast<int>(run.handoffs.attempts -
-                                         run.handoffs.warm);
-  side.max_blind_ticks = std::max(side.max_blind_ticks, run.max_blind_ticks);
-  blind_sum += run.blind_ticks;
-  migration_sum += static_cast<std::uint64_t>(run.migrations);
-  missed_sum += run.missed_ticks;
-  attacked_sum += run.attacked_serving_ticks;
-  side.evac_started += run.evacuation.started;
-  side.evac_migrated += run.evacuation.migrated;
-  side.evac_throttled += run.evacuation.throttled_in_place;
-  side.evac_abandoned += run.evacuation.abandoned;
-  side.down_ticks += run.host_faults.down_ticks;
-}
-
-// One cell = the SAME (run seed, fault seed) pairs executed warm and cold;
-// the only difference between the sides is whether the detector state
-// travels, so the metric gap is the handoff win.
-HostChaosCell RunCellPair(const HostChaosSweepConfig& config,
-                          const HostChaosRunConfig& cell_run,
-                          std::uint64_t cell_tag) {
-  HostChaosCell cell;
-  cell.chaos = cell_run.host_plan.enabled();
-  cell.migrate_every = cell_run.migrate_every;
-  for (const bool warm : {true, false}) {
-    HostChaosCellSide& side = warm ? cell.warm : cell.cold;
-    std::uint64_t blind_sum = 0;
-    std::uint64_t migration_sum = 0;
-    std::uint64_t missed_sum = 0;
-    std::uint64_t attacked_sum = 0;
-    std::uint64_t evac_tick_sum = 0;
-    for (int r = 0; r < config.runs_per_cell; ++r) {
-      HostChaosRunConfig run = cell_run;
-      run.warm_handoff = warm;
-      // Fault schedules are a pure function of (fault_seed, cell, run
-      // index) — and deliberately NOT of the handoff mode, so warm and
-      // cold replay identical worlds.
-      run.host_plan.seed =
-          config.fault_seed +
-          std::uint64_t{0x9e3779b97f4a7c15} *
-              static_cast<std::uint64_t>(r + 1) +
-          std::uint64_t{0x85ebca6b} * (cell_tag + 1);
-      const HostChaosRunResult res = RunHostChaosRun(
-          run, config.base_seed + static_cast<std::uint64_t>(r));
-      Accumulate(side, res, blind_sum, migration_sum, missed_sum,
-                 attacked_sum);
-      evac_tick_sum += res.evacuation.evacuation_ticks;
-    }
-    if (migration_sum > 0) {
-      side.mean_blind_ticks = static_cast<double>(blind_sum) /
-                              static_cast<double>(migration_sum);
-    }
-    if (attacked_sum > 0) {
-      side.missed_alarm_rate = static_cast<double>(missed_sum) /
-                               static_cast<double>(attacked_sum);
-    }
-    if (side.evac_migrated > 0) {
-      side.mean_evacuation_ticks = static_cast<double>(evac_tick_sum) /
-                                   static_cast<double>(side.evac_migrated);
-    }
+// Folds one cell side's runs, in run order.
+HostChaosCellSide FoldSide(std::span<const HostChaosRunResult> runs) {
+  HostChaosCellSide side;
+  std::uint64_t blind_sum = 0;
+  std::uint64_t migration_sum = 0;
+  std::uint64_t missed_sum = 0;
+  std::uint64_t attacked_sum = 0;
+  std::uint64_t evac_tick_sum = 0;
+  for (const HostChaosRunResult& run : runs) {
+    ++side.runs;
+    side.migrations += run.migrations;
+    side.warm_handoffs += static_cast<int>(run.handoffs.warm);
+    side.cold_handoffs += static_cast<int>(run.handoffs.attempts -
+                                           run.handoffs.warm);
+    side.max_blind_ticks = std::max(side.max_blind_ticks, run.max_blind_ticks);
+    blind_sum += run.blind_ticks;
+    migration_sum += static_cast<std::uint64_t>(run.migrations);
+    missed_sum += run.missed_ticks;
+    attacked_sum += run.attacked_serving_ticks;
+    side.evac_started += run.evacuation.started;
+    side.evac_migrated += run.evacuation.migrated;
+    side.evac_throttled += run.evacuation.throttled_in_place;
+    side.evac_abandoned += run.evacuation.abandoned;
+    side.down_ticks += run.host_faults.down_ticks;
+    evac_tick_sum += run.evacuation.evacuation_ticks;
   }
-  return cell;
+  if (migration_sum > 0) {
+    side.mean_blind_ticks = static_cast<double>(blind_sum) /
+                            static_cast<double>(migration_sum);
+  }
+  if (attacked_sum > 0) {
+    side.missed_alarm_rate = static_cast<double>(missed_sum) /
+                             static_cast<double>(attacked_sum);
+  }
+  if (side.evac_migrated > 0) {
+    side.mean_evacuation_ticks = static_cast<double>(evac_tick_sum) /
+                                 static_cast<double>(side.evac_migrated);
+  }
+  return side;
 }
 
 bool WarmBeatsCold(const HostChaosCell& cell) {
@@ -312,44 +285,78 @@ void WriteCellJson(std::ostream& os, const HostChaosCell& cell) {
 
 }  // namespace
 
+HostChaosRunConfig ChaosCellRun(const HostChaosSweepConfig& config,
+                                double crash_rate) {
+  SDS_CHECK(crash_rate >= 0.0 && crash_rate <= 1.0,
+            "crash rates must be probabilities");
+  HostChaosRunConfig run = config.run;
+  run.migrate_every = 0;
+  run.host_plan = fault::HostFaultPlan{};
+  run.host_plan.set_rate(fault::HostFaultKind::kCrash, crash_rate);
+  // Guarantee at least one victim evacuation per run regardless of how the
+  // random crashes land.
+  fault::ScheduledHostFault crash;
+  crash.tick = config.run.attack_start + config.scheduled_crash_after;
+  crash.host = 0;
+  crash.kind = fault::HostFaultKind::kCrash;
+  crash.duration = config.scheduled_crash_down;
+  run.host_plan.scheduled.push_back(crash);
+  return run;
+}
+
 HostChaosSweepResult RunHostChaosSweep(const HostChaosSweepConfig& config) {
-  SDS_CHECK(config.runs_per_cell >= 1, "need at least one run per cell");
   SDS_CHECK(!config.migration_periods.empty() || !config.crash_rates.empty(),
             "empty sweep grid");
-  HostChaosSweepResult result;
-
-  std::uint64_t tag = 0;
+  // The migration cells, then the chaos cells.
+  std::vector<HostChaosRunConfig> cells;
   for (const Tick period : config.migration_periods) {
     SDS_CHECK(period > 0, "migration periods must be positive");
     HostChaosRunConfig run = config.run;
     run.migrate_every = period;
     run.host_plan = fault::HostFaultPlan{};  // pure evasion cell: no faults
-    HostChaosCell cell = RunCellPair(config, run, ++tag);
-    result.warm_strictly_better =
-        result.warm_strictly_better && WarmBeatsCold(cell);
-    result.migration_cells.push_back(std::move(cell));
+    cells.push_back(std::move(run));
+  }
+  for (const double rate : config.crash_rates) {
+    cells.push_back(ChaosCellRun(config, rate));
   }
 
-  for (const double rate : config.crash_rates) {
-    SDS_CHECK(rate >= 0.0 && rate <= 1.0,
-              "crash rates must be probabilities");
-    HostChaosRunConfig run = config.run;
-    run.migrate_every = 0;
-    run.host_plan = fault::HostFaultPlan{};
-    run.host_plan.set_rate(fault::HostFaultKind::kCrash, rate);
-    // Guarantee at least one victim evacuation per run regardless of how
-    // the random crashes land.
-    fault::ScheduledHostFault crash;
-    crash.tick = config.run.attack_start + config.scheduled_crash_after;
-    crash.host = 0;
-    crash.kind = fault::HostFaultKind::kCrash;
-    crash.duration = config.scheduled_crash_down;
-    run.host_plan.scheduled.push_back(crash);
-    HostChaosCell cell = RunCellPair(config, run, ++tag);
-    cell.crash_rate = rate;
+  // Grid cell 2c is cell c warm, 2c + 1 the same cell cold: the SAME (run
+  // seed, fault seed) pairs executed both ways, so the only difference
+  // between the sides is whether the detector state travels and the metric
+  // gap is the handoff win.
+  const std::vector<HostChaosRunResult> runs = RunGrid(
+      2 * cells.size(), config.runs_per_cell, DefaultThreads(),
+      [&](std::size_t g, std::size_t r) {
+        HostChaosRunConfig run = cells[g / 2];
+        run.warm_handoff = g % 2 == 0;
+        // Fault schedules are a pure function of (fault_seed, cell, run
+        // index) — and deliberately NOT of the handoff mode, so warm and
+        // cold replay identical worlds. Cell tags count from 1.
+        const std::uint64_t cell_tag = g / 2 + 1;
+        run.host_plan.seed = config.fault_seed +
+                             std::uint64_t{0x9e3779b97f4a7c15} * (r + 1) +
+                             std::uint64_t{0x85ebca6b} * (cell_tag + 1);
+        return RunHostChaosRun(run, config.base_seed + r);
+      });
+
+  const auto per_side = static_cast<std::size_t>(config.runs_per_cell);
+  const std::span<const HostChaosRunResult> all(runs);
+  HostChaosSweepResult result;
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    HostChaosCell cell;
+    cell.chaos = cells[c].host_plan.enabled();
+    cell.migrate_every = cells[c].migrate_every;
+    cell.warm = FoldSide(all.subspan(2 * c * per_side, per_side));
+    cell.cold = FoldSide(all.subspan((2 * c + 1) * per_side, per_side));
     result.warm_strictly_better =
         result.warm_strictly_better && WarmBeatsCold(cell);
-    result.chaos_cells.push_back(std::move(cell));
+    if (c < config.migration_periods.size()) {
+      result.migration_cells.push_back(std::move(cell));
+    } else {
+      cell.crash_rate =
+          config.crash_rates[c - config.migration_periods.size()];
+      result.chaos_cells.push_back(std::move(cell));
+    }
   }
   return result;
 }

@@ -159,6 +159,13 @@ struct HostChaosSweepResult {
   bool warm_strictly_better = true;
 };
 
+// The chaos cell at `crash_rate`: config.run with random host crashes plus
+// the scheduled crash of the victim's host; the plan keeps its default seed.
+HostChaosRunConfig ChaosCellRun(const HostChaosSweepConfig& config,
+                                double crash_rate);
+
+// Runs cells x {warm, cold} x runs in parallel; the thread count never
+// changes a value.
 HostChaosSweepResult RunHostChaosSweep(const HostChaosSweepConfig& config);
 
 // Writes the whole sweep as one JSON object (the BENCH_hostchaos schema).

@@ -1,8 +1,9 @@
 #include "eval/robustness.h"
 
 #include <ostream>
+#include <span>
 
-#include "common/check.h"
+#include "eval/aggregate.h"
 
 namespace sds::eval {
 
@@ -29,27 +30,24 @@ void RobustnessCounters::Accumulate(const RobustnessCounters& other) {
 
 namespace {
 
-// Runs runs_per_cell seeded runs of one grid cell and aggregates them.
-RobustnessCell RunCell(const RobustnessSweepConfig& config,
-                       const fault::FaultPlan& plan, fault::FaultKind kind,
-                       double rate) {
+// Seed of every fault plan in the sweep, varied per run below so fault
+// schedules differ across repeat runs of a cell.
+constexpr std::uint64_t kFaultSeed = 0xf5eedull;
+
+struct FaultedRun {
+  DetectionRunResult result;
+  RobustnessCounters counters;
+};
+
+// Folds one grid cell's runs, in run order.
+RobustnessCell FoldCell(const FaultCell<fault::FaultKind>& grid_cell,
+                        std::span<const FaultedRun> runs) {
   RobustnessCell cell;
-  cell.kind = kind;
-  cell.rate = rate;
+  cell.kind = grid_cell.kind;
+  cell.rate = grid_cell.rate;
   double delay_sum = 0.0;
-  for (int r = 0; r < config.runs_per_cell; ++r) {
-    RobustnessRunConfig robust;
-    robust.plan = plan;
-    // Vary the fault schedule with the run while keeping it a pure function
-    // of (fault_seed, kind, rate, run index).
-    robust.plan.seed =
-        config.fault_seed +
-        std::uint64_t{0x9e3779b97f4a7c15} * static_cast<std::uint64_t>(r + 1);
-    robust.degrade = config.degrade;
-    RobustnessCounters counters;
-    const DetectionRunResult res = RunDetectionRunFaulted(
-        config.run, config.base_seed + static_cast<std::uint64_t>(r), robust,
-        &counters);
+  for (const FaultedRun& run : runs) {
+    const DetectionRunResult& res = run.result;
     ++cell.runs;
     if (res.detected) {
       ++cell.detected_runs;
@@ -57,7 +55,7 @@ RobustnessCell RunCell(const RobustnessSweepConfig& config,
     }
     cell.true_negative_intervals += res.true_negative_intervals;
     cell.false_positive_intervals += res.false_positive_intervals;
-    cell.counters.Accumulate(counters);
+    cell.counters.Accumulate(run.counters);
   }
   if (cell.detected_runs > 0) {
     cell.mean_delay_ticks = delay_sum / cell.detected_runs;
@@ -87,27 +85,34 @@ void WriteCellJson(std::ostream& os, const RobustnessCell& cell,
 }  // namespace
 
 RobustnessSweepResult RunRobustnessSweep(const RobustnessSweepConfig& config) {
-  SDS_CHECK(config.runs_per_cell >= 1, "need at least one run per cell");
-  SDS_CHECK(!config.kinds.empty() && !config.rates.empty(),
-            "empty sweep grid");
+  // The baseline cell keeps the full injector + gate machinery in the path
+  // with a zero-rate plan. Bit-transparent by the golden invariant, so it
+  // equals the plain RunDetectionRun numbers while exercising the same code
+  // path the faulted cells use.
+  const auto grid = FaultGrid(config.kinds, config.rates);
+  const std::vector<FaultedRun> runs = RunGrid(
+      grid.size(), config.runs_per_cell, DefaultThreads(),
+      [&](std::size_t c, std::size_t r) {
+        RobustnessRunConfig robust;
+        // Vary the fault schedule with the run while keeping it a pure
+        // function of the run index.
+        robust.plan = fault::FaultPlan::Single(
+            grid[c].kind, grid[c].rate,
+            kFaultSeed + std::uint64_t{0x9e3779b97f4a7c15} * (r + 1));
+        robust.degrade = config.degrade;
+        FaultedRun run;
+        run.result = RunDetectionRunFaulted(config.run, config.base_seed + r,
+                                            robust, &run.counters);
+        return run;
+      });
+
+  const auto per_cell = static_cast<std::size_t>(config.runs_per_cell);
+  const std::span<const FaultedRun> all(runs);
   RobustnessSweepResult result;
-
-  // Baseline: the full injector + gate machinery in the path, but a
-  // zero-rate plan. Bit-transparent by the golden invariant, so this equals
-  // the plain RunDetectionRun numbers while exercising the same code path
-  // the faulted cells use.
-  fault::FaultPlan baseline_plan;
-  result.baseline =
-      RunCell(config, baseline_plan, fault::FaultKind::kDropSample, 0.0);
-
-  for (const fault::FaultKind kind : config.kinds) {
-    for (const double rate : config.rates) {
-      SDS_CHECK(rate > 0.0 && rate <= 1.0,
-                "sweep rates must be probabilities > 0");
-      result.cells.push_back(
-          RunCell(config, fault::FaultPlan::Single(kind, rate, 0), kind,
-                  rate));
-    }
+  result.baseline = FoldCell(grid[0], all.first(per_cell));
+  for (std::size_t c = 1; c < grid.size(); ++c) {
+    result.cells.push_back(
+        FoldCell(grid[c], all.subspan(c * per_cell, per_cell)));
   }
   return result;
 }

@@ -65,9 +65,6 @@ struct RobustnessSweepConfig {
   detect::DegradeConfig degrade;
   int runs_per_cell = 3;
   std::uint64_t base_seed = 9000;
-  // Seed of the fault plans; varied per run so fault schedules differ
-  // across repeat runs of a cell.
-  std::uint64_t fault_seed = 0xf5eedull;
 };
 
 // One (kind, rate) grid cell, aggregated over runs_per_cell seeded runs.
@@ -100,6 +97,7 @@ struct RobustnessSweepResult {
   std::vector<RobustnessCell> cells;  // kinds x rates, kind-major
 };
 
+// Runs the grid in parallel; the thread count never changes a value.
 RobustnessSweepResult RunRobustnessSweep(const RobustnessSweepConfig& config);
 
 // Writes the whole sweep as one JSON object (the BENCH_robustness schema):

@@ -10,11 +10,8 @@
 // chosen destination — which is why the MitigationEngine needs retry,
 // escalation and verification machinery at all.
 //
-// The plan is plain data interpreted by cluster::Actuator. All stochastic
-// decisions come from the plan's private seeded RNG stream (never the
-// simulation's), so an actuation sweep perturbs the control plane without
-// changing the workload or attack trajectory under it. A default-constructed
-// plan is inert (enabled() == false): every command then lands instantly and
+// The plan (shared shape: plan.h) is interpreted by cluster::Actuator. A
+// default-constructed plan is inert: every command then lands instantly and
 // infallibly, and the actuator is bit-transparent.
 #pragma once
 
@@ -22,6 +19,7 @@
 #include <cstdint>
 
 #include "common/types.h"
+#include "fault/plan.h"
 
 namespace sds::fault {
 
@@ -47,16 +45,12 @@ enum class ActuationFaultKind : std::uint8_t {
 inline constexpr std::size_t kActuationFaultKindCount =
     static_cast<std::size_t>(ActuationFaultKind::kKindCount);
 
-const char* ActuationFaultKindName(ActuationFaultKind kind);
-
-struct ActuationFaultPlan {
-  // Seed of the actuator's private RNG stream.
-  std::uint64_t seed = 0xac70a7e5eedull;
-
-  // Per-command injection probability per kind, indexed by
-  // ActuationFaultKind. Kinds that do not apply to a command type (e.g.
-  // kStopRejected for a migration) are skipped without consuming a draw.
-  std::array<double, kActuationFaultKindCount> rates{};
+template <>
+struct PlanFields<ActuationFaultKind> {
+  static constexpr std::uint64_t kDefaultSeed = 0xac70a7e5eedull;
+  static constexpr std::array<const char*, kActuationFaultKindCount> kNames =
+      {"command-lost", "migration-abort", "spare-host-down",
+       "spare-at-capacity", "stop-rejected"};
 
   // Actuation latency in ticks, drawn uniformly per command (inclusive
   // range). The default 0..0 completes commands synchronously at submit,
@@ -69,27 +63,21 @@ struct ActuationFaultPlan {
   Tick host_down_min_ticks = 20;
   Tick host_down_max_ticks = 120;
 
-  double rate(ActuationFaultKind kind) const {
-    return rates[static_cast<std::size_t>(kind)];
-  }
-  void set_rate(ActuationFaultKind kind, double r) {
-    rates[static_cast<std::size_t>(kind)] = r;
-  }
-
-  // True when the plan can perturb anything at all (any nonzero rate or
-  // nonzero latency).
-  bool enabled() const;
-
-  // Convenience: a plan injecting exactly one kind at `rate` per command,
-  // with the given command latency range.
-  static ActuationFaultPlan Single(ActuationFaultKind kind, double rate,
-                                   std::uint64_t seed, Tick latency_min = 0,
-                                   Tick latency_max = 0);
+  // A nonzero latency perturbs timing even with every rate at zero.
+  bool extra_enabled() const { return latency_max_ticks > 0; }
 };
 
+// Rates are per-command probabilities. Kinds that do not apply to a command
+// type (e.g. kStopRejected for a migration) are skipped without consuming a
+// draw.
+using ActuationFaultPlan = Plan<ActuationFaultKind>;
+
+inline const char* ActuationFaultKindName(ActuationFaultKind kind) {
+  return KindName(kind);
+}
+
 // Per-kind and aggregate actuation accounting, kept by the actuator.
-struct ActuationFaultStats {
-  std::array<std::uint64_t, kActuationFaultKindCount> injected{};
+struct ActuationFaultStats : InjectedCounts<ActuationFaultKind> {
   std::uint64_t commands = 0;   // submissions accepted (conflicts excluded)
   std::uint64_t conflicts = 0;  // submissions rejected: target already busy
   std::uint64_t completed = 0;  // commands that executed successfully
@@ -98,12 +86,6 @@ struct ActuationFaultStats {
   std::uint64_t cancelled = 0;  // commands abandoned by the caller
   // Total submit->completion latency over completed + failed commands.
   std::uint64_t latency_ticks = 0;
-
-  std::uint64_t injected_total() const {
-    std::uint64_t sum = 0;
-    for (const auto v : injected) sum += v;
-    return sum;
-  }
 };
 
 }  // namespace sds::fault

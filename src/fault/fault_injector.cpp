@@ -27,9 +27,7 @@ FaultInjector::FaultInjector(vm::Hypervisor& hypervisor, OwnerId target,
   SDS_CHECK(plan_.saturation_min_ticks > 0 &&
                 plan_.saturation_max_ticks >= plan_.saturation_min_ticks,
             "bad saturation duration range");
-  for (const double r : plan_.rates) {
-    SDS_CHECK(r >= 0.0 && r <= 1.0, "fault rate must be a probability");
-  }
+  plan_.CheckRates();
   if (tel::Telemetry* t = hypervisor_.telemetry()) {
     for (std::size_t k = 0; k < kFaultKindCount; ++k) {
       t_injected_[k] = t->metrics().GetCounter(

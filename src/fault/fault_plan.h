@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "fault/plan.h"
 
 namespace sds::fault {
 
@@ -52,8 +53,6 @@ enum class FaultKind : std::uint8_t {
 inline constexpr std::size_t kFaultKindCount =
     static_cast<std::size_t>(FaultKind::kKindCount);
 
-const char* FaultKindName(FaultKind kind);
-
 struct ScheduledFault {
   Tick tick = 0;
   FaultKind kind = FaultKind::kDropSample;
@@ -62,12 +61,12 @@ struct ScheduledFault {
   Tick duration = 0;
 };
 
-struct FaultPlan {
-  // Seed of the injector's private RNG stream.
-  std::uint64_t seed = 0x5eedfa0175ull;
-
-  // Per-tick injection probability per kind, indexed by FaultKind.
-  std::array<double, kFaultKindCount> rates{};
+template <>
+struct PlanFields<FaultKind> {
+  static constexpr std::uint64_t kDefaultSeed = 0x5eedfa0175ull;
+  static constexpr std::array<const char*, kFaultKindCount> kNames = {
+      "drop_sample",   "coalesce",   "outage",    "sampler_death",
+      "counter_reset", "saturation", "corruption"};
 
   // Duration ranges (inclusive) for the windowed kinds when drawn
   // stochastically.
@@ -85,23 +84,16 @@ struct FaultPlan {
   // one tick follows vector order.
   std::vector<ScheduledFault> scheduled;
 
-  double rate(FaultKind kind) const {
-    return rates[static_cast<std::size_t>(kind)];
-  }
-  void set_rate(FaultKind kind, double r) {
-    rates[static_cast<std::size_t>(kind)] = r;
-  }
-
-  // True when the plan can inject anything at all.
-  bool enabled() const;
-
-  // Convenience: a plan injecting exactly one kind at `rate` per tick.
-  static FaultPlan Single(FaultKind kind, double rate, std::uint64_t seed);
+  bool extra_enabled() const { return !scheduled.empty(); }
 };
 
+// Rates are per-tick probabilities.
+using FaultPlan = Plan<FaultKind>;
+
+inline const char* FaultKindName(FaultKind kind) { return KindName(kind); }
+
 // Per-kind and aggregate injection counts, kept by the injector.
-struct FaultStats {
-  std::array<std::uint64_t, kFaultKindCount> injected{};
+struct FaultStats : InjectedCounts<FaultKind> {
   // Ticks on which the consumer received nothing (drops, coalesce holes,
   // outage and death ticks combined).
   std::uint64_t missing_ticks = 0;
@@ -110,12 +102,6 @@ struct FaultStats {
   std::uint64_t restart_attempts = 0;
   std::uint64_t restarts_denied = 0;
   std::uint64_t restarts = 0;
-
-  std::uint64_t injected_total() const {
-    std::uint64_t sum = 0;
-    for (const auto v : injected) sum += v;
-    return sum;
-  }
 };
 
 }  // namespace sds::fault

@@ -11,13 +11,10 @@
 // these costs — which is why the cluster needs a host state machine, VM
 // evacuation, and warm detector-state handoff at all (DESIGN.md §17).
 //
-// The plan is plain data interpreted by cluster::HostLifecycle. All
-// stochastic decisions come from the plan's private seeded RNG stream
-// (never the simulation's), so a host-chaos sweep perturbs the
-// infrastructure without changing the workload or attack trajectory under
-// it. A default-constructed plan is inert (enabled() == false): every host
-// then serves every tick forever, and the lifecycle layer is
-// bit-transparent (pinned by tests/integration/hostchaos_transparency_test).
+// The plan (shared shape: plan.h) is interpreted by cluster::HostLifecycle.
+// A default-constructed plan is inert: every host then serves every tick
+// forever, and the lifecycle layer is bit-transparent (pinned by
+// tests/integration/hostchaos_transparency_test).
 #pragma once
 
 #include <array>
@@ -25,6 +22,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "fault/plan.h"
 
 namespace sds::fault {
 
@@ -48,8 +46,6 @@ enum class HostFaultKind : std::uint8_t {
 inline constexpr std::size_t kHostFaultKindCount =
     static_cast<std::size_t>(HostFaultKind::kKindCount);
 
-const char* HostFaultKindName(HostFaultKind kind);
-
 // A fault pinned to an exact (tick, host) — deterministic chaos scheduling
 // for tests and for sweep cells that must contain at least one event
 // regardless of the Bernoulli rates. kFlakyRecovery cannot be scheduled
@@ -63,14 +59,11 @@ struct ScheduledHostFault {
   Tick duration = 0;
 };
 
-struct HostFaultPlan {
-  // Seed of the lifecycle's private RNG stream.
-  std::uint64_t seed = 0x405fa17c4a05ull;
-
-  // Injection probability per kind, indexed by HostFaultKind. kCrash,
-  // kDegrade and kPermanentDeath are per host-tick (drawn for every UP host
-  // every tick); kFlakyRecovery is per recovery attempt.
-  std::array<double, kHostFaultKindCount> rates{};
+template <>
+struct PlanFields<HostFaultKind> {
+  static constexpr std::uint64_t kDefaultSeed = 0x405fa17c4a05ull;
+  static constexpr std::array<const char*, kHostFaultKindCount> kNames = {
+      "host-crash", "host-degrade", "flaky-recovery", "permanent-death"};
 
   // Crash outage window (inclusive range, drawn per crash).
   Tick down_min_ticks = 200;
@@ -93,25 +86,19 @@ struct HostFaultPlan {
   // draws at their exact tick.
   std::vector<ScheduledHostFault> scheduled;
 
-  double rate(HostFaultKind kind) const {
-    return rates[static_cast<std::size_t>(kind)];
-  }
-  void set_rate(HostFaultKind kind, double r) {
-    rates[static_cast<std::size_t>(kind)] = r;
-  }
-
-  // True when the plan can perturb anything at all (any nonzero rate or any
-  // scheduled fault).
-  bool enabled() const;
-
-  // Convenience: a plan injecting exactly one kind at `rate` per host-tick.
-  static HostFaultPlan Single(HostFaultKind kind, double rate,
-                              std::uint64_t seed);
+  bool extra_enabled() const { return !scheduled.empty(); }
 };
 
+// kCrash, kDegrade and kPermanentDeath rates are per host-tick (drawn for
+// every UP host every tick); kFlakyRecovery is per recovery attempt.
+using HostFaultPlan = Plan<HostFaultKind>;
+
+inline const char* HostFaultKindName(HostFaultKind kind) {
+  return KindName(kind);
+}
+
 // Per-kind and aggregate host-plane accounting, kept by the lifecycle.
-struct HostFaultStats {
-  std::array<std::uint64_t, kHostFaultKindCount> injected{};
+struct HostFaultStats : InjectedCounts<HostFaultKind> {
   std::uint64_t crashes = 0;            // down windows entered (incl. flaky)
   std::uint64_t degraded_windows = 0;   // degrade windows entered
   std::uint64_t degraded_skipped = 0;   // ticks a degraded host did not serve
@@ -119,12 +106,6 @@ struct HostFaultStats {
   std::uint64_t recovery_attempts = 0;  // down windows that expired
   std::uint64_t recovery_failures = 0;  // attempts that went straight back down
   std::uint64_t permanent_deaths = 0;
-
-  std::uint64_t injected_total() const {
-    std::uint64_t sum = 0;
-    for (const auto v : injected) sum += v;
-    return sum;
-  }
 };
 
 }  // namespace sds::fault

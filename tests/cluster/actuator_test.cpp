@@ -223,10 +223,11 @@ TEST(ActuatorTest, MigrateToFullHostFailsNoCapacity) {
 TEST(ActuatorTest, FaultScheduleIsDeterministicPerSeed) {
   const auto run = [](std::uint64_t plan_seed) {
     Rig rig;
-    Actuator actuator(rig.cluster,
-                      fault::ActuationFaultPlan::Single(
-                          fault::ActuationFaultKind::kMigrationAbort, 0.5,
-                          plan_seed, 1, 6));
+    auto plan = fault::ActuationFaultPlan::Single(
+        fault::ActuationFaultKind::kMigrationAbort, 0.5, plan_seed);
+    plan.latency_min_ticks = 1;
+    plan.latency_max_ticks = 6;
+    Actuator actuator(rig.cluster, plan);
     std::vector<std::pair<CommandStatus, Tick>> out;
     VmRef vm = rig.victim;
     for (int i = 0; i < 6; ++i) {

@@ -1,5 +1,10 @@
 #include "common/flags.h"
 
+#include <cstdint>
+#include <optional>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace sds {
@@ -130,6 +135,46 @@ TEST(FlagsTest, HelpDoesNotConsumeFollowingToken) {
   Flags f;
   EXPECT_FALSE(f.Parse(static_cast<int>(argv.size()), argv.data(), {"runs"}));
   EXPECT_TRUE(f.help_requested());
+}
+
+// Parses `--list=<value>` (or nothing when value is null) and returns the
+// GetList<T> result with `fallback` as the default.
+template <typename T>
+std::optional<std::vector<T>> ParseList(const char* value,
+                                        const std::string& fallback = "") {
+  std::vector<std::string> args = {"prog"};
+  if (value != nullptr) args.push_back(std::string("--list=") + value);
+  auto argv = MakeArgv(args);
+  Flags f;
+  EXPECT_TRUE(f.Parse(static_cast<int>(argv.size()), argv.data(), {"list"}));
+  return f.GetList<T>("list", fallback);
+}
+
+TEST(FlagsTest, ListParsesNumbersAndSkipsEmptyElements) {
+  EXPECT_EQ(ParseList<double>("0.01,0.05,,0.2"),
+            (std::vector<double>{0.01, 0.05, 0.2}));
+  EXPECT_EQ(ParseList<std::int64_t>("800,1600,3200"),
+            (std::vector<std::int64_t>{800, 1600, 3200}));
+  EXPECT_EQ(ParseList<double>(""), std::vector<double>{});
+  EXPECT_EQ(ParseList<double>(nullptr, "0.1,0.25"),
+            (std::vector<double>{0.1, 0.25}));
+}
+
+TEST(FlagsTest, ListRejectsMalformedElements) {
+  for (const char* bad : {"abc", "0.5x", "0.1,,x", "1e400", "nan", "inf",
+                          " 0.5", "+0.5"}) {
+    SCOPED_TRACE(bad);
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(ParseList<double>(bad), std::nullopt);
+    EXPECT_NE(testing::internal::GetCapturedStderr().find("--list"),
+              std::string::npos);
+  }
+  for (const char* bad : {"1.5", "800x", "99999999999999999999"}) {
+    SCOPED_TRACE(bad);
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(ParseList<std::int64_t>(bad), std::nullopt);
+    testing::internal::GetCapturedStderr();
+  }
 }
 
 }  // namespace

@@ -34,7 +34,9 @@ TEST(ActuationEvalTest, BaselineSettlesAtTheAlarmTick) {
 TEST(ActuationEvalTest, RunIsDeterministicPerSeed) {
   ActuationRunConfig run = SmallRun();
   run.plan = fault::ActuationFaultPlan::Single(
-      fault::ActuationFaultKind::kMigrationAbort, 0.5, 99, 2, 8);
+      fault::ActuationFaultKind::kMigrationAbort, 0.5, 99);
+  run.plan.latency_min_ticks = 2;
+  run.plan.latency_max_ticks = 8;
   const ActuationRunResult a = RunActuationRun(run, 7100);
   const ActuationRunResult b = RunActuationRun(run, 7100);
   EXPECT_EQ(a.settled, b.settled);

@@ -6,15 +6,22 @@
 // smoke that worker count never changes results.
 #include "eval/aggregate.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <set>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "eval/actuation.h"
+#include "eval/attribution_sweep.h"
+#include "eval/hostchaos.h"
 #include "eval/report.h"
+#include "eval/robustness.h"
 
 namespace sds::eval {
 namespace {
@@ -180,6 +187,130 @@ TEST(AggregateStressTest, OverheadGridIsThreadCountInvariant) {
   EXPECT_EQ(none[0].normalized_time.p10, 1.0);
   EXPECT_EQ(none[0].normalized_time.median, 1.0);
   EXPECT_EQ(none[0].normalized_time.p90, 1.0);
+}
+
+ActuationRunConfig ShortActuationRun() {
+  ActuationRunConfig run;
+  run.clean_window = 200;
+  run.attack_lead = 150;
+  run.settle_cap = 2000;
+  run.post_window = 200;
+  return run;
+}
+
+void ExpectSameActuation(const ActuationRunResult& a,
+                         const ActuationRunResult& b) {
+  EXPECT_EQ(a.settled, b.settled);
+  EXPECT_EQ(a.failed, b.failed);
+  EXPECT_EQ(a.applied, b.applied);
+  EXPECT_EQ(a.alarm_tick, b.alarm_tick);
+  EXPECT_EQ(a.time_to_settled, b.time_to_settled);
+  EXPECT_EQ(a.rate_clean, b.rate_clean);
+  EXPECT_EQ(a.rate_attacked, b.rate_attacked);
+  EXPECT_EQ(a.rate_post, b.rate_post);
+  EXPECT_EQ(a.mitigation.dispatches, b.mitigation.dispatches);
+  EXPECT_EQ(a.mitigation.retries, b.mitigation.retries);
+  EXPECT_EQ(a.mitigation.escalations, b.mitigation.escalations);
+  EXPECT_EQ(a.actuation.injected, b.actuation.injected);
+  EXPECT_EQ(a.actuation.latency_ticks, b.actuation.latency_ticks);
+}
+
+// RunGrid over a real job (the actuation chaos run) at 1, 4 and 8 workers:
+// every result sits at cell * runs + run and is bit-equal to a serial call
+// of the job for that (cell, run). The cells differ in fault kind and rate,
+// so a cell or seed mix-up changes a value.
+TEST(RunGridStressTest, ActuationGridIsCellMajorAtAnyThreadCount) {
+  std::vector<ActuationRunConfig> cells(3, ShortActuationRun());
+  cells[1].plan = fault::ActuationFaultPlan::Single(
+      fault::ActuationFaultKind::kMigrationAbort, 0.5, 11);
+  cells[2].plan = fault::ActuationFaultPlan::Single(
+      fault::ActuationFaultKind::kCommandLost, 0.5, 12);
+  for (auto& cell : {&cells[1], &cells[2]}) {
+    cell->plan.latency_min_ticks = 2;
+    cell->plan.latency_max_ticks = 8;
+  }
+  constexpr int kRuns = 2;
+  const auto job = [&](std::size_t c, std::size_t r) {
+    return RunActuationRun(cells[c], 7100 + r);
+  };
+  std::vector<ActuationRunResult> expected;
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    for (std::size_t r = 0; r < kRuns; ++r) expected.push_back(job(c, r));
+  }
+  for (int threads : {1, 4, kStressWorkers}) {
+    SCOPED_TRACE(threads);
+    const auto got = RunGrid(cells.size(), kRuns, threads, job);
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      SCOPED_TRACE(i);
+      ExpectSameActuation(got[i], expected[i]);
+    }
+  }
+}
+
+// The four seeded sweeps run their grids on DefaultThreads() workers. Tiny
+// grids here give the TSan job real interleavings of every sweep's job; the
+// payload values are pinned by the `sweeps` ctest label.
+TEST(RunGridStressTest, RobustnessSweepRunsInParallel) {
+  RobustnessSweepConfig config;
+  config.run.app = "bayes";
+  config.run.profile_ticks = 3000;
+  config.run.clean_ticks = 3000;
+  config.run.attack_ticks = 3000;
+  config.kinds = {fault::FaultKind::kDropSample};
+  config.rates = {0.1};
+  config.runs_per_cell = 2;
+  const RobustnessSweepResult result = RunRobustnessSweep(config);
+  EXPECT_EQ(result.baseline.runs, 2);
+  ASSERT_EQ(result.cells.size(), 1u);
+  EXPECT_EQ(result.cells[0].runs, 2);
+  EXPECT_GT(result.cells[0].counters.fault.injected_total(), 0u);
+}
+
+TEST(RunGridStressTest, ActuationSweepRunsInParallel) {
+  ActuationSweepConfig config;
+  config.run = ShortActuationRun();
+  config.kinds = {fault::ActuationFaultKind::kMigrationAbort};
+  config.rates = {0.5};
+  config.runs_per_cell = 2;
+  const ActuationSweepResult result = RunActuationSweep(config);
+  EXPECT_EQ(result.baseline.runs, 2);
+  ASSERT_EQ(result.cells.size(), 1u);
+  EXPECT_EQ(result.cells[0].runs, 2);
+}
+
+TEST(RunGridStressTest, HostChaosSweepRunsInParallel) {
+  HostChaosSweepConfig config;
+  config.run.attack_start = 500;
+  config.run.horizon = 2000;
+  config.run.params.window = 100;
+  config.run.params.step = 25;
+  config.run.params.h_c = 8;
+  config.migration_periods = {400};
+  config.crash_rates = {0.001};
+  config.scheduled_crash_after = 400;
+  config.scheduled_crash_down = 600;
+  config.runs_per_cell = 1;
+  const HostChaosSweepResult result = RunHostChaosSweep(config);
+  ASSERT_EQ(result.migration_cells.size(), 1u);
+  ASSERT_EQ(result.chaos_cells.size(), 1u);
+  EXPECT_EQ(result.chaos_cells[0].crash_rate, 0.001);
+  EXPECT_EQ(result.chaos_cells[0].warm.runs, 1);
+  EXPECT_EQ(result.chaos_cells[0].cold.runs, 1);
+}
+
+TEST(RunGridStressTest, AttributionSweepRunsInParallel) {
+  AttributionSweepConfig config;
+  config.apps = {"kmeans"};
+  config.attack_ticks = 400;
+  config.kstest_cell = false;
+  std::ostringstream log;
+  const AttributionSweepResult result = RunAttributionSweep(config, &log);
+  ASSERT_EQ(result.cells.size(), 4u);
+  // One log line per cell, in cell order, written after the grid.
+  const std::string text = log.str();
+  EXPECT_EQ(text.rfind("  kmeans / none: ", 0), 0u);
+  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 4);
 }
 
 }  // namespace
