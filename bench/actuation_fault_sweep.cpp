@@ -57,11 +57,12 @@ int main(int argc, char** argv) {
   config.run.attribute = flags.GetBool("attribute", false);
   config.run.mitigation.verify_window =
       static_cast<Tick>(flags.GetInt("verify", 0));
-  config.runs_per_cell = static_cast<int>(flags.GetInt("runs", 3));
+  const long long runs = flags.GetInt("runs", 3);
+  config.runs_per_cell = static_cast<int>(runs);
   config.base_seed = static_cast<std::uint64_t>(flags.GetInt("seed", 7100));
 
   const auto rates = flags.GetList<double>("rates", "0.1,0.25,0.5");
-  if (!rates) return 1;
+  if (!rates || !bench::SweepFlagsValid(argv[0], runs, *rates)) return 1;
   config.rates = *rates;
 
   if (flags.GetBool("smoke", false)) {

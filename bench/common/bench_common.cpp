@@ -1,5 +1,7 @@
 #include "common/bench_common.h"
 
+#include <cstdio>
+#include <limits>
 #include <ostream>
 
 #include "eval/report.h"
@@ -13,6 +15,23 @@ void PrintBenchHeader(std::ostream& os, const std::string& title,
      << "reproduces: " << paper_reference << "\n"
      << "================================================================\n\n";
   eval::PrintParams(os, detect::DetectorParams{}, detect::KsTestParams{});
+}
+
+bool SweepFlagsValid(const std::string& program, long long runs,
+                     const std::vector<double>& rates) {
+  if (runs < 1 || runs > std::numeric_limits<int>::max()) {
+    std::fprintf(stderr, "%s: --runs=%lld: runs per cell must be a positive "
+                 "int\n", program.c_str(), runs);
+    return false;
+  }
+  for (const double rate : rates) {
+    if (!(rate > 0.0 && rate <= 1.0)) {
+      std::fprintf(stderr, "%s: --rates: %g is not a probability in (0, 1]\n",
+                   program.c_str(), rate);
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace sds::bench

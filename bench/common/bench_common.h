@@ -3,6 +3,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <vector>
 
 namespace sds::bench {
 
@@ -10,5 +11,11 @@ namespace sds::bench {
 // Table 1 parameters.
 void PrintBenchHeader(std::ostream& os, const std::string& title,
                       const std::string& paper_reference);
+
+// A seeded sweep's grid flags, checked right after parsing: --runs must be
+// a positive int and every --rates element a probability in (0, 1]. Prints
+// the first offending flag to stderr and returns false; callers then exit 1.
+bool SweepFlagsValid(const std::string& program, long long runs,
+                     const std::vector<double>& rates);
 
 }  // namespace sds::bench

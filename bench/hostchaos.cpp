@@ -57,12 +57,16 @@ int main(int argc, char** argv) {
 
   eval::HostChaosSweepConfig config;
   config.run.app = flags.GetString("app", "kmeans");
-  config.runs_per_cell = static_cast<int>(flags.GetInt("runs", 2));
+  const long long runs = flags.GetInt("runs", 2);
+  config.runs_per_cell = static_cast<int>(runs);
   config.base_seed = static_cast<std::uint64_t>(flags.GetInt("seed", 9100));
 
   const auto periods = flags.GetList<Tick>("periods", "800,1600,3200");
   const auto rates = flags.GetList<double>("rates", "0.0003,0.0006,0.0012");
-  if (!periods || !rates) return 1;
+  if (!periods || !rates ||
+      !bench::SweepFlagsValid(argv[0], runs, *rates)) {
+    return 1;
+  }
   config.migration_periods = *periods;
   config.crash_rates = *rates;
 

@@ -58,11 +58,12 @@ int main(int argc, char** argv) {
                                   ? detect::GapPolicy::kSkipFreeze
                               : policy == "rewarm" ? detect::GapPolicy::kRewarm
                                                    : detect::GapPolicy::kHoldLast;
-  config.runs_per_cell = static_cast<int>(flags.GetInt("runs", 3));
+  const long long runs = flags.GetInt("runs", 3);
+  config.runs_per_cell = static_cast<int>(runs);
   config.base_seed = static_cast<std::uint64_t>(flags.GetInt("seed", 9000));
 
   const auto rates = flags.GetList<double>("rates", "0.01,0.05,0.2");
-  if (!rates) return 1;
+  if (!rates || !bench::SweepFlagsValid(argv[0], runs, *rates)) return 1;
   config.rates = *rates;
 
   if (flags.GetBool("smoke", false)) {

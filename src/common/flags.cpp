@@ -9,6 +9,19 @@
 #include <system_error>
 
 namespace sds {
+namespace {
+
+// True when `token` is exactly one finite T: std::from_chars, so no leading
+// whitespace or '+', no trailing bytes, and no nan/inf or out-of-range value.
+template <typename T>
+bool ParseNumber(const std::string& token, T* out) {
+  const char* last = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), last, *out);
+  return ec == std::errc() && ptr == last &&
+         std::isfinite(static_cast<double>(*out));
+}
+
+}  // namespace
 
 void Flags::PrintUsage(std::FILE* out) const {
   std::fprintf(out, "usage: %s [--flag[=value]] [positional...]\n",
@@ -87,14 +100,25 @@ std::string Flags::GetString(const std::string& name,
   return it == values_.end() ? default_value : it->second;
 }
 
-long long Flags::GetInt(const std::string& name, long long default_value) const {
+template <typename T>
+T Flags::GetNumber(const std::string& name, T default_value) const {
   const auto it = values_.find(name);
-  return it == values_.end() ? default_value : std::atoll(it->second.c_str());
+  if (it == values_.end()) return default_value;
+  T value{};
+  if (!ParseNumber(it->second, &value)) {
+    std::fprintf(stderr, "%s: --%s: malformed value '%s'\n", program_.c_str(),
+                 name.c_str(), it->second.c_str());
+    std::exit(1);
+  }
+  return value;
+}
+
+long long Flags::GetInt(const std::string& name, long long default_value) const {
+  return GetNumber(name, default_value);
 }
 
 double Flags::GetDouble(const std::string& name, double default_value) const {
-  const auto it = values_.find(name);
-  return it == values_.end() ? default_value : std::atof(it->second.c_str());
+  return GetNumber(name, default_value);
 }
 
 bool Flags::GetBool(const std::string& name, bool default_value) const {
@@ -114,10 +138,7 @@ std::optional<std::vector<T>> Flags::GetList(
     begin = end + 1;
     if (token.empty()) continue;
     T value{};
-    const char* last = token.data() + token.size();
-    const auto [ptr, ec] = std::from_chars(token.data(), last, value);
-    if (ec != std::errc() || ptr != last ||
-        !std::isfinite(static_cast<double>(value))) {
+    if (!ParseNumber(token, &value)) {
       std::fprintf(stderr, "%s: --%s: malformed list element '%s'\n",
                    program_.c_str(), name.c_str(), token.c_str());
       return std::nullopt;

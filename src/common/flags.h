@@ -52,6 +52,9 @@ class Flags {
   bool Has(const std::string& name) const;
   std::string GetString(const std::string& name,
                         const std::string& default_value) const;
+  // A value that is not exactly one finite number (trailing bytes, nan,
+  // out of range) prints `<prog>: --<name>: malformed value '<v>'` to
+  // stderr and exits 1, so a typo never runs a different experiment.
   long long GetInt(const std::string& name, long long default_value) const;
   double GetDouble(const std::string& name, double default_value) const;
   bool GetBool(const std::string& name, bool default_value) const;
@@ -67,6 +70,8 @@ class Flags {
 
  private:
   void PrintUsage(std::FILE* out) const;
+  template <typename T>
+  T GetNumber(const std::string& name, T default_value) const;
 
   std::string program_ = "program";
   std::vector<FlagSpec> known_;

@@ -157,8 +157,7 @@ std::vector<double> SnapshotReader::VecF64() {
   return out;
 }
 
-std::uint64_t Fnv1a(std::string_view bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
+std::uint64_t Fnv1a(std::string_view bytes, std::uint64_t h) {
   for (char c : bytes) {
     h ^= static_cast<unsigned char>(c);
     h *= 0x100000001b3ull;

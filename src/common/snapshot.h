@@ -72,7 +72,10 @@ class SnapshotReader {
 };
 
 // FNV-1a over a byte string; the checksum obs/snapshot.h seals envelopes
-// with. Exposed here so both sides share one definition.
-std::uint64_t Fnv1a(std::string_view bytes);
+// with. Exposed here so every hasher in src/ shares one definition. `h` is
+// the starting state: the standard offset basis by default, or a previous
+// call's result to continue hashing a longer stream piece by piece.
+std::uint64_t Fnv1a(std::string_view bytes,
+                    std::uint64_t h = 0xcbf29ce484222325ull);
 
 }  // namespace sds

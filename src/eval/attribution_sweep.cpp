@@ -2,8 +2,10 @@
 
 #include <cstring>
 #include <ostream>
+#include <string_view>
 
 #include "common/check.h"
+#include "common/snapshot.h"
 #include "detect/kstest_detector.h"
 #include "eval/aggregate.h"
 
@@ -13,15 +15,13 @@ namespace {
 // Tick budget for the KStest cell before giving up on an alarm.
 constexpr Tick kKstestRunCap = 12000;
 
-// FNV-1a, doubles hashed by bit pattern (any numeric drift changes it).
+// FNV-1a, doubles hashed by bit pattern (any numeric drift changes it). The
+// starting state is not the standard offset basis; it is kept so every
+// recorded fingerprint stays comparable.
 class Fingerprinter {
  public:
   void Bytes(const void* data, std::size_t n) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-      hash_ ^= p[i];
-      hash_ *= 1099511628211ull;
-    }
+    hash_ = Fnv1a(std::string_view(static_cast<const char*>(data), n), hash_);
   }
   void U64(std::uint64_t v) { Bytes(&v, sizeof v); }
   void F64(double v) {

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <ostream>
+#include <string_view>
 
 #include "common/check.h"
+#include "common/snapshot.h"
 #include "telemetry/tracer.h"
 
 namespace sds::obs {
@@ -22,19 +24,15 @@ void WindowStats::Add(double v) {
 }
 
 std::uint32_t ShardOf(const SeriesKey& key, std::uint32_t shard_count) {
-  // FNV-1a over the three key fields; any deterministic hash works, the
-  // only requirement is that every sample of one key agrees.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&h](std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      h ^= (v >> (8 * i)) & 0xffU;
-      h *= 0x100000001b3ULL;
-    }
-  };
-  mix(key.host);
-  mix(key.tenant);
-  mix(key.metric);
-  return static_cast<std::uint32_t>(h % shard_count);
+  // FNV-1a over the three key fields, each little-endian; any deterministic
+  // hash works, the only requirement is that every sample of one key agrees.
+  const std::uint32_t fields[] = {key.host, key.tenant, key.metric};
+  char bytes[sizeof fields];
+  for (std::size_t i = 0; i < sizeof bytes; ++i) {
+    bytes[i] = static_cast<char>((fields[i / 4] >> (8 * (i % 4))) & 0xffU);
+  }
+  return static_cast<std::uint32_t>(
+      Fnv1a(std::string_view(bytes, sizeof bytes)) % shard_count);
 }
 
 ShardWriter::ShardWriter(const RollupConfig& config, std::uint32_t shard_index)

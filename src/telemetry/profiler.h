@@ -20,8 +20,6 @@
 // detached profiler is one pointer test and nothing else, which keeps the
 // per-tick instrumentation in sim/vm/pcm/detect effectively free (verified by
 // BM_CacheAccess staying within noise of the uninstrumented baseline).
-// Defining SDS_PROFILING_DISABLED (cmake -DSDS_PROFILING=OFF) compiles the
-// SDS_PROFILE_SPAN macro away entirely.
 //
 // Besides the aggregated tree, the profiler can retain individual span
 // intervals ("slices") in a bounded drop-oldest ring; these are what the
@@ -178,16 +176,11 @@ class ProfileSpan {
   SpanProfiler* profiler_;
 };
 
-// Compile-time kill switch: with SDS_PROFILING_DISABLED defined the span
-// object (and its branch) vanishes from every instrumentation site.
-#if defined(SDS_PROFILING_DISABLED)
-#define SDS_PROFILE_SPAN(profiler, id) ((void)0)
-#else
+// One ProfileSpan per instrumentation site, named uniquely per line.
 #define SDS_PROFILE_CONCAT_INNER(a, b) a##b
 #define SDS_PROFILE_CONCAT(a, b) SDS_PROFILE_CONCAT_INNER(a, b)
 #define SDS_PROFILE_SPAN(profiler, id)                 \
   ::sds::telemetry::ProfileSpan SDS_PROFILE_CONCAT(    \
       sds_profile_span_, __LINE__)((profiler), (id))
-#endif
 
 }  // namespace sds::telemetry

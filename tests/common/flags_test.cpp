@@ -137,6 +137,21 @@ TEST(FlagsTest, HelpDoesNotConsumeFollowingToken) {
   EXPECT_TRUE(f.help_requested());
 }
 
+TEST(FlagsTest, MalformedNumberExitsWithMessage) {
+  for (const char* bad : {"7100x", "abc", "1e400", "nan"}) {
+    SCOPED_TRACE(bad);
+    std::vector<std::string> args = {"prog", std::string("--seed=") + bad};
+    auto argv = MakeArgv(args);
+    Flags f;
+    ASSERT_TRUE(f.Parse(static_cast<int>(argv.size()), argv.data(), {"seed"}));
+    const std::string message =
+        std::string("prog: --seed: malformed value '") + bad + "'";
+    EXPECT_EXIT(f.GetInt("seed", 0), testing::ExitedWithCode(1), message);
+    EXPECT_EXIT(f.GetDouble("seed", 0.0), testing::ExitedWithCode(1),
+                message);
+  }
+}
+
 // Parses `--list=<value>` (or nothing when value is null) and returns the
 // GetList<T> result with `fallback` as the default.
 template <typename T>

@@ -1,12 +1,11 @@
 // Tests for the multi-pass analyzer: cross-TU call graph linkage,
-// interprocedural determinism taint, the concurrency rule family, the
-// summary cache, the baseline filter, SARIF/stats output, and --fix.
+// interprocedural determinism taint, the concurrency rule family, and
+// SARIF/stats output.
 //
 // The seeded tree lives in tests/lint/fixtures2 (data, never compiled).
 // Scan sets are chosen per test so each pass is exercised in isolation; the
 // full-tree pin at the end freezes the exact (file, line, rule) set.
 #include <filesystem>
-#include <fstream>
 #include <set>
 #include <string>
 #include <tuple>
@@ -14,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include "sdslint/baseline.h"
 #include "sdslint/lint.h"
 
 namespace sdslint {
@@ -42,16 +40,6 @@ std::set<Triple> Triples(const Result& r, const std::string& root) {
     out.insert({fs::relative(d.file, root).generic_string(), d.line, d.rule});
   }
   return out;
-}
-
-// Copies the fixture subtree into a fresh temp dir (for tests that mutate
-// files: cache invalidation, --fix).
-std::string CopyTree(const std::string& from, const std::string& tag) {
-  const fs::path to = fs::path(::testing::TempDir()) / ("sdslint_" + tag);
-  fs::remove_all(to);
-  fs::create_directories(to);
-  fs::copy(from, to, fs::copy_options::recursive);
-  return to.generic_string();
 }
 
 // ---------------------------------------------------------------------------
@@ -178,149 +166,6 @@ TEST(SdslintV2Fixtures, SarifOutputIsWellFormed) {
     ++at;
   }
   EXPECT_EQ(results, r.diagnostics.size());
-}
-
-// ---------------------------------------------------------------------------
-// Summary cache
-// ---------------------------------------------------------------------------
-
-TEST(SdslintCache, WarmRunParsesNothingAndAgreesExactly) {
-  const fs::path cache = fs::path(::testing::TempDir()) / "sdslint_cache_warm";
-  fs::remove_all(cache);
-  Options options;
-  options.paths = {Fix2("src")};
-  options.include_root = Fix2("");
-  options.cache_dir = cache.generic_string();
-
-  const Result cold = ::sdslint::Run(options);
-  EXPECT_EQ(cold.stats.cache_hits, 0);
-  EXPECT_GT(cold.stats.parsed, 0);
-
-  const Result warm = ::sdslint::Run(options);
-  EXPECT_EQ(warm.stats.parsed, 0);
-  EXPECT_EQ(warm.stats.cache_hits, cold.stats.parsed);
-
-  // The cached summaries must reproduce every diagnostic bit-for-bit.
-  ASSERT_EQ(warm.diagnostics.size(), cold.diagnostics.size());
-  for (std::size_t i = 0; i < cold.diagnostics.size(); ++i) {
-    EXPECT_EQ(warm.diagnostics[i].file, cold.diagnostics[i].file);
-    EXPECT_EQ(warm.diagnostics[i].line, cold.diagnostics[i].line);
-    EXPECT_EQ(warm.diagnostics[i].rule, cold.diagnostics[i].rule);
-    EXPECT_EQ(warm.diagnostics[i].message, cold.diagnostics[i].message);
-  }
-  EXPECT_EQ(warm.stats.call_edges, cold.stats.call_edges);
-  EXPECT_EQ(warm.stats.tainted_functions, cold.stats.tainted_functions);
-}
-
-TEST(SdslintCache, ContentChangeInvalidatesOnlyThatFile) {
-  const std::string tree = CopyTree(Fix2(""), "cache_inval");
-  const fs::path cache = fs::path(::testing::TempDir()) / "sdslint_cache_inv";
-  fs::remove_all(cache);
-  Options options;
-  options.paths = {tree + "/src"};
-  options.include_root = tree;
-  options.cache_dir = cache.generic_string();
-
-  const Result cold = ::sdslint::Run(options);
-  const int total = cold.stats.parsed;
-  ASSERT_GT(total, 1);
-
-  // Append a comment: content hash changes, diagnostics don't.
-  {
-    std::ofstream out(tree + "/src/vm/ticker.cpp", std::ios::app);
-    out << "// trailing comment\n";
-  }
-  const Result touched = ::sdslint::Run(options);
-  EXPECT_EQ(touched.stats.parsed, 1);
-  EXPECT_EQ(touched.stats.cache_hits, total - 1);
-  EXPECT_EQ(touched.diagnostics.size(), cold.diagnostics.size());
-}
-
-// ---------------------------------------------------------------------------
-// Baseline
-// ---------------------------------------------------------------------------
-
-TEST(SdslintBaseline, SuppressesAcceptedFindingsAndFlagsStaleEntries) {
-  const fs::path file = fs::path(::testing::TempDir()) / "sdslint_baseline";
-  const Result live = RunOn({Fix2("src")}, Fix2(""));
-  ASSERT_EQ(live.diagnostics.size(), 8u);
-  ASSERT_TRUE(WriteBaseline(file.generic_string(), live, Fix2("")));
-
-  Options options;
-  options.paths = {Fix2("src")};
-  options.include_root = Fix2("");
-  options.baseline_path = file.generic_string();
-  const Result filtered = ::sdslint::Run(options);
-  EXPECT_TRUE(filtered.diagnostics.empty());
-  EXPECT_EQ(filtered.baselined.size(), 8u);
-  EXPECT_TRUE(filtered.stale_baseline_entries.empty());
-
-  // An entry whose finding no longer fires is reported as stale.
-  {
-    std::ofstream out(file, std::ios::app);
-    out << "00000000deadbeef det-rand src/gone.cpp:1 fixed long ago\n";
-  }
-  const Result with_stale = ::sdslint::Run(options);
-  EXPECT_EQ(with_stale.baselined.size(), 8u);
-  ASSERT_EQ(with_stale.stale_baseline_entries.size(), 1u);
-  EXPECT_NE(with_stale.stale_baseline_entries[0].find("gone.cpp"),
-            std::string::npos);
-}
-
-TEST(SdslintBaseline, FingerprintIsStableAcrossLineDrift) {
-  Diagnostic a{Fix2("src/stats/noise_floor.h"), 11, "det-rand",
-               "random_device in deterministic layer stats: why"};
-  Diagnostic b = a;
-  b.line = 42;  // unrelated edit pushed the finding down the file
-  b.message = "random_device in deterministic layer stats: why";
-  EXPECT_EQ(BaselineFingerprint(a, Fix2("")), BaselineFingerprint(b, Fix2("")));
-  Diagnostic c = a;
-  c.rule = "det-clock";
-  EXPECT_NE(BaselineFingerprint(a, Fix2("")), BaselineFingerprint(c, Fix2("")));
-}
-
-// ---------------------------------------------------------------------------
-// --fix
-// ---------------------------------------------------------------------------
-
-TEST(SdslintFix, InsertsPragmaAndIncludesThenConverges) {
-  const std::string tree = CopyTree(Fix2("fix"), "fixpass");
-  Options options;
-  options.paths = {tree + "/src"};
-  options.include_root = tree;
-
-  const Result before = ::sdslint::Run(options);
-  std::set<std::string> rules;
-  for (const Diagnostic& d : before.diagnostics) rules.insert(d.rule);
-  EXPECT_TRUE(rules.count(kRuleHdrPragmaOnce));
-  EXPECT_TRUE(rules.count(kRuleHdrSelfContained));
-
-  std::vector<std::string> fixed_files;
-  EXPECT_EQ(ApplyFixes(options, &fixed_files), 1);
-  ASSERT_EQ(fixed_files.size(), 1u);
-  EXPECT_EQ(fs::path(fixed_files[0]).filename(), "broken.h");
-
-  // The fixed header lints clean and the fixer has nothing left to do.
-  const Result after = ::sdslint::Run(options);
-  EXPECT_TRUE(after.diagnostics.empty())
-      << FormatText(after.diagnostics.front());
-  EXPECT_EQ(ApplyFixes(options, nullptr), 0);
-
-  // Structure: #pragma once above the (sorted, deduped) include block.
-  std::ifstream in(fixed_files[0]);
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  const std::size_t pragma_at = text.find("#pragma once");
-  ASSERT_NE(pragma_at, std::string::npos);
-  const std::size_t cstdint_at = text.find("#include <cstdint>");
-  const std::size_t string_at = text.find("#include <string>");
-  const std::size_t vector_at = text.find("#include <vector>");
-  ASSERT_NE(cstdint_at, std::string::npos);
-  ASSERT_NE(string_at, std::string::npos);
-  ASSERT_NE(vector_at, std::string::npos);
-  EXPECT_LT(pragma_at, cstdint_at);
-  EXPECT_LT(cstdint_at, string_at);
-  EXPECT_LT(string_at, vector_at);
 }
 
 }  // namespace

@@ -69,15 +69,14 @@ const std::set<std::string> kSignedFields = {
     "horizon", "kstest_culprit", "prime_suspect", "schema_version", "tick",
     "to_host", "vm", "window", "window_end", "window_start"};
 const std::set<std::string> kCountFields = {
-    "admitted", "alarms", "attempts", "audit_records", "baselined",
-    "bus_delay", "cache_hits", "call_edges", "capacity", "checkpoints",
-    "coalesced", "count", "decisions", "deduped", "depth", "diagnostics",
-    "dropped", "dropped_late", "dropped_samples", "dropped_series", "emitted",
-    "events", "events_dropped", "events_emitted", "evictions",
-    "files_scanned", "functions", "host", "hosts", "ingested", "live_series",
-    "occupancy", "op_index", "parsed", "quarantines", "replayed", "retained",
-    "rows", "shards", "shed", "slices_dropped", "slices_retained",
-    "stale_baseline_entries", "suppressions", "taint_seeds",
+    "admitted", "alarms", "attempts", "audit_records", "bus_delay",
+    "call_edges", "capacity", "checkpoints", "coalesced", "count", "decisions",
+    "deduped", "depth", "diagnostics", "dropped", "dropped_late",
+    "dropped_samples", "dropped_series", "emitted", "events", "events_dropped",
+    "events_emitted", "evictions", "files_scanned", "functions", "host",
+    "hosts", "ingested", "live_series", "occupancy", "op_index", "parsed",
+    "quarantines", "replayed", "retained", "rows", "shards", "shed",
+    "slices_dropped", "slices_retained", "suppressions", "taint_seeds",
     "tainted_functions", "tenant", "violating", "wal_appends", "window_ticks",
     "windows"};
 
@@ -924,24 +923,19 @@ void PrintHostChaos(const std::vector<HostChaosRun>& runs,
 // --- lint ------------------------------------------------------------------
 
 void PrintLint(const JsonObject& s, const Options& opt) {
-  // Static-analysis run summary (sdslint --stats --stats-out). cache_hits
-  // vs parsed shows whether the warm incremental cache actually held; any
-  // stale baseline entry means .sdslint-baseline needs --update-baseline.
+  // Static-analysis run summary (sdslint --stats --stats-out). parsed counts
+  // the scan set plus every header pulled in through include resolution;
+  // keys an older writer added beside these are ignored.
   std::printf("\nlint analysis (schema_version=%lld)\n",
               Int(s, "schema_version", 0));
-  std::printf("  scanned=%llu files (cache_hits=%llu parsed=%llu)  "
+  std::printf("  scanned=%llu files (parsed=%llu)  "
               "functions=%llu call_edges=%llu\n",
-              Count(s, "files_scanned"), Count(s, "cache_hits"),
-              Count(s, "parsed"), Count(s, "functions"),
-              Count(s, "call_edges"));
+              Count(s, "files_scanned"), Count(s, "parsed"),
+              Count(s, "functions"), Count(s, "call_edges"));
   std::printf("  taint: seeds=%llu tainted_functions=%llu\n",
               Count(s, "taint_seeds"), Count(s, "tainted_functions"));
-  const unsigned long long stale = Count(s, "stale_baseline_entries");
-  std::printf("  findings: diagnostics=%llu baselined=%llu "
-              "stale_baseline_entries=%llu suppressions=%llu%s\n",
-              Count(s, "diagnostics"), Count(s, "baselined"), stale,
-              Count(s, "suppressions"),
-              stale != 0 ? "  ** STALE BASELINE **" : "");
+  std::printf("  findings: diagnostics=%llu suppressions=%llu\n",
+              Count(s, "diagnostics"), Count(s, "suppressions"));
   if (!opt.lint) return;
   JsonObject hits;
   if (ParseJsonLine(StrOr(s, "rule_hits", "{}"), hits) && !hits.empty()) {

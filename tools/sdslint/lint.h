@@ -26,10 +26,9 @@
 // determinism contract, header hygiene, and the seam rules
 // (det-actuation-idempotent, det-attrib-ledger, det-snapshot/wal-versioned).
 //
-// Ships with an incremental on-disk cache keyed by content hash (cache.cpp),
-// a checked-in baseline file with --update-baseline (baseline.cpp), SARIF
-// 2.1.0 output for CI code-scanning annotations (output.cpp) and --fix
-// auto-remediation for the mechanical header rules (fix.cpp).
+// Every run parses the whole scan set; the one suppression mechanism is the
+// allow(...) comment. output.cpp adds SARIF 2.1.0 for CI code-scanning
+// annotations and the --stats payload.
 //
 // The analyzer is a library so the fixture tests can drive it directly; the
 // CLI in main.cpp is a thin wrapper. Diagnostics print as
@@ -93,19 +92,11 @@ struct Options {
   // The CLI seeds this with "build/" and "tests/lint/fixtures" (seeded
   // violations testing sdslint itself must not fail the real tree).
   std::vector<std::string> ignores;
-  // Directory for the incremental analysis cache; "" disables caching.
-  // Unchanged files (by content hash) reuse their pass-1 summary; passes
-  // 2-4 always re-link from summaries, so cross-TU facts stay fresh.
-  std::string cache_dir;
-  // Baseline file of accepted findings; "" disables. Matching diagnostics
-  // are moved to Result::baselined instead of Result::diagnostics.
-  std::string baseline_path;
 };
 
 // Run statistics, also the payload of the CLI's --stats JSON.
 struct Stats {
   int files_scanned = 0;
-  int cache_hits = 0;
   int parsed = 0;
   int functions = 0;
   int call_edges = 0;
@@ -118,10 +109,6 @@ struct Result {
   std::vector<Diagnostic> diagnostics;   // sorted by file, then line
   std::vector<Suppression> suppressions; // every allow() comment seen
   int files_scanned = 0;
-  // v2: diagnostics silenced by the baseline file, baseline entries that no
-  // longer match anything (stale — candidates for removal), and run stats.
-  std::vector<Diagnostic> baselined;
-  std::vector<std::string> stale_baseline_entries;
   Stats stats;
 };
 
@@ -142,19 +129,7 @@ std::string ToSarif(const Result& result, const std::string& root);
 // via bench/common/reporter.h so the envelope matches every BENCH_* line).
 std::string StatsJson(const Result& result);
 
-// Writes Result::diagnostics (and any still-live baselined set when
-// `result` was produced without a baseline) as a baseline file. Returns
-// false when the file cannot be written.
-bool WriteBaseline(const std::string& path, const Result& result,
-                   const std::string& include_root);
-
-// --fix: auto-remediates the mechanical header rules (hdr-pragma-once,
-// hdr-self-contained missing-include insertion) in place. Runs the analyzer
-// internally (ignoring any baseline), applies edits, and returns the number
-// of files rewritten. A second invocation on the same tree is a no-op.
-int ApplyFixes(const Options& options, std::vector<std::string>* fixed_files);
-
-// Layer metadata, exposed for tests and for the --explain output.
+// Layer metadata, exposed for tests.
 // Rank comparisons define the DAG: an include from layer A to layer B is
 // legal iff rank(B) < rank(A), or A == B. telemetry (any layer may include
 // it) and fault (only cluster/eval and the non-layer trees may include it)

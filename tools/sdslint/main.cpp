@@ -7,20 +7,16 @@
 //   sdslint --json src                       machine-readable diagnostics
 //   sdslint --list-suppressions src          audit every allow() escape hatch
 //   sdslint --root=DIR a b                   resolve includes against DIR/src
-//   sdslint --cache=DIR ...                  reuse per-file summaries on disk
+//   sdslint --ignore=a,b ...                 skip paths containing a or b
 //   sdslint --sarif=out.sarif ...            also write SARIF 2.1.0
-//   sdslint --update-baseline ...            accept current findings
-//   sdslint --fix ...                        auto-fix the header rules
-//   sdslint --stats ...                      BENCH_lint JSON run summary
+//   sdslint --stats [--stats-out=f] ...      BENCH_lint JSON run summary
 //
 // Exit codes: 0 clean, 1 diagnostics emitted, 2 usage error — so CI can
 // gate on it directly.
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <vector>
 
 #include "common/flags.h"
 #include "common/reporter.h"
@@ -47,29 +43,15 @@ int main(int argc, char** argv) {
             "list every allow(...) suppression comment (and whether it "
             "fired) instead of linting",
             true},
-           {"audit", "alias for --list-suppressions", true},
            {"root",
             "directory containing src/ for include resolution (default: .)"},
            {"ignore",
             "extra comma-separated path substrings to skip (always skips "
             "build/ and tests/lint/fixtures)"},
-           {"cache",
-            "directory for per-file summary cache keyed by content hash "
-            "(warm runs skip re-parsing unchanged files)"},
            {"sarif", "also write diagnostics as SARIF 2.1.0 to this file"},
-           {"baseline",
-            "baseline file of accepted findings (default: <root>/"
-            ".sdslint-baseline when it exists)"},
-           {"no-baseline", "ignore any baseline file", true},
-           {"update-baseline",
-            "rewrite the baseline to accept the current findings", true},
-           {"fix",
-            "auto-fix hdr-pragma-once and hdr-self-contained findings "
-            "in place",
-            true},
            {"stats",
             "print a BENCH_lint JSON run summary (rule hits, taint graph "
-            "size, cache effectiveness)",
+            "size)",
             true},
            {"stats-out", "also write the stats JSON payload to this file"}})) {
     return flags.help_requested() ? 0 : 2;
@@ -78,9 +60,8 @@ int main(int argc, char** argv) {
     std::fprintf(
         stderr,
         "usage: sdslint [--json] [--list-suppressions] [--root=DIR] "
-        "[--ignore=SUBSTR,...] [--cache=DIR] [--sarif=FILE] "
-        "[--baseline=FILE|--no-baseline] [--update-baseline] [--fix] "
-        "[--stats] <path>...\n");
+        "[--ignore=SUBSTR,...] [--sarif=FILE] [--stats] "
+        "[--stats-out=FILE] <path>...\n");
     return 2;
   }
 
@@ -97,46 +78,8 @@ int main(int argc, char** argv) {
     if (e > b) options.ignores.push_back(extra.substr(b, e - b));
     b = e + 1;
   }
-  options.cache_dir = flags.GetString("cache", "");
-
-  options.baseline_path = flags.GetString("baseline", "");
-  if (options.baseline_path.empty() && !flags.GetBool("no-baseline", false)) {
-    const std::filesystem::path candidate =
-        std::filesystem::path(options.include_root) / ".sdslint-baseline";
-    std::error_code ec;
-    if (std::filesystem::is_regular_file(candidate, ec)) {
-      options.baseline_path = candidate.generic_string();
-    }
-  }
-  if (flags.GetBool("no-baseline", false)) options.baseline_path.clear();
-
-  if (flags.GetBool("fix", false)) {
-    std::vector<std::string> fixed_files;
-    const int fixed = sdslint::ApplyFixes(options, &fixed_files);
-    for (const std::string& f : fixed_files) {
-      std::printf("fixed %s\n", f.c_str());
-    }
-    std::fprintf(stderr, "sdslint: fixed %d file(s)\n", fixed);
-    return 0;
-  }
 
   const sdslint::Result result = sdslint::Run(options);
-
-  if (flags.GetBool("update-baseline", false)) {
-    std::string path = options.baseline_path;
-    if (path.empty()) {
-      path = (std::filesystem::path(options.include_root) / ".sdslint-baseline")
-                 .generic_string();
-    }
-    if (!sdslint::WriteBaseline(path, result, options.include_root)) {
-      std::fprintf(stderr, "sdslint: cannot write baseline %s\n", path.c_str());
-      return 2;
-    }
-    std::fprintf(stderr, "sdslint: baseline %s updated with %zu finding(s)\n",
-                 path.c_str(),
-                 result.diagnostics.size() + result.baselined.size());
-    return 0;
-  }
 
   const std::string sarif_path = flags.GetString("sarif", "");
   if (!sarif_path.empty() &&
@@ -147,8 +90,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (flags.GetBool("list-suppressions", false) ||
-      flags.GetBool("audit", false)) {
+  if (flags.GetBool("list-suppressions", false)) {
     for (const sdslint::Suppression& s : result.suppressions) {
       std::printf("%s:%d: allow(%s) -> line %d [%s]\n", s.file.c_str(),
                   s.comment_line, s.rules.c_str(), s.line,
@@ -175,14 +117,6 @@ int main(int argc, char** argv) {
                    result.diagnostics.size(), result.files_scanned);
       exit_code = 1;
     }
-  }
-
-  if (!result.baselined.empty()) {
-    std::fprintf(stderr, "sdslint: %zu baselined finding(s) suppressed\n",
-                 result.baselined.size());
-  }
-  for (const std::string& stale : result.stale_baseline_entries) {
-    std::fprintf(stderr, "sdslint: stale baseline entry: %s\n", stale.c_str());
   }
 
   if (flags.GetBool("stats", false)) {

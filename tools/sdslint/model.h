@@ -2,21 +2,15 @@
 //
 // Pass 1 (symbols.cpp) distills every translation unit into a FileSummary:
 // everything the later passes and every rule need, with the raw text gone.
-// The summary is what the on-disk analysis cache stores (cache.cpp) — a warm
-// run deserializes summaries for unchanged files and never re-reads their
-// text — and what passes 2–4 (call-graph linkage, interprocedural taint,
-// concurrency discipline) consume. Rules therefore never touch raw lines;
-// if a rule needs a fact, pass 1 records it here.
+// Passes 2–4 (call-graph linkage, interprocedural taint, concurrency
+// discipline) consume it. Rules therefore never touch raw lines; if a rule
+// needs a fact, pass 1 records it here.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
 namespace sdslint {
-
-// Bump to invalidate every on-disk cache entry (format or extraction change).
-inline constexpr int kSummaryFormatVersion = 2;
 
 struct IncludeDirective {
   int line = 0;
@@ -24,8 +18,7 @@ struct IncludeDirective {
   bool angle = false;
 };
 
-// One allow(...) suppression comment. `used` is recomputed every run at
-// emission time, never cached.
+// One allow(...) suppression comment. `used` flips at emission time.
 struct AllowComment {
   int target_line = 0;   // the line this suppression silences
   int comment_line = 0;  // line the comment itself is on
@@ -116,7 +109,6 @@ struct FileSummary {
   std::string path;   // generic, lexically normal, as discovered
   std::string layer;  // "" when outside any known layer
   bool is_header = false;
-  std::uint64_t content_hash = 0;  // fnv1a64 of raw bytes
 
   std::vector<IncludeDirective> includes;
   std::vector<AllowComment> allows;
@@ -133,21 +125,6 @@ struct FileSummary {
   VersionPinUse snapshot;
   VersionPinUse wal;
 };
-
-// FNV-1a 64-bit, the hash used for cache keys and baseline fingerprints.
-inline std::uint64_t Fnv1a64(const char* data, std::size_t n,
-                             std::uint64_t seed = 1469598103934665603ull) {
-  std::uint64_t h = seed;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-inline std::uint64_t Fnv1a64(const std::string& s,
-                             std::uint64_t seed = 1469598103934665603ull) {
-  return Fnv1a64(s.data(), s.size(), seed);
-}
 
 // Providers for the self-containment rule: returns the comma-separated
 // <header> list satisfying std::`ident`, or nullptr when the identifier is

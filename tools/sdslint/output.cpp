@@ -64,7 +64,6 @@ std::string ToSarif(const Result& result, const std::string& root) {
 std::string StatsJson(const Result& result) {
   const Stats& s = result.stats;
   std::string out = "{\"files_scanned\":" + std::to_string(s.files_scanned) +
-                    ",\"cache_hits\":" + std::to_string(s.cache_hits) +
                     ",\"parsed\":" + std::to_string(s.parsed) +
                     ",\"functions\":" + std::to_string(s.functions) +
                     ",\"call_edges\":" + std::to_string(s.call_edges) +
@@ -73,9 +72,6 @@ std::string StatsJson(const Result& result) {
                     std::to_string(s.tainted_functions) +
                     ",\"diagnostics\":" +
                     std::to_string(result.diagnostics.size()) +
-                    ",\"baselined\":" + std::to_string(result.baselined.size()) +
-                    ",\"stale_baseline_entries\":" +
-                    std::to_string(result.stale_baseline_entries.size()) +
                     ",\"suppressions\":" +
                     std::to_string(result.suppressions.size()) +
                     ",\"rule_hits\":{";

@@ -22,20 +22,6 @@ struct SourceText {
 // Reads `path`; returns false when the file cannot be opened. CRLF-tolerant.
 bool LoadSource(const std::string& path, SourceText* out);
 
-// Reads `path` as raw bytes (the cache-key form: no line splitting). Returns
-// false when the file cannot be opened.
-bool LoadFileBytes(const std::string& path, std::string* out);
-
-// Builds a SourceText from already-loaded bytes (CRLF-tolerant line split +
-// comment/string stripping). The cache-aware driver reads bytes once, hashes
-// them, and only pays for this on a cache miss.
-void BuildSourceText(const std::string& path, const std::string& bytes,
-                     SourceText* out);
-
-// Splits the raw rule list of an allow(...) comment on commas/whitespace —
-// the exact tokenization ParseAllows applies (shared with the cache codec).
-std::vector<std::string> SplitAllowRules(const std::string& raw);
-
 std::string Trimmed(const std::string& s);
 
 // Finds `token` in `line` with word boundaries on its alphanumeric ends;

@@ -910,8 +910,6 @@ FileSummary BuildSummary(const SourceText& text, const std::string& layer,
   out.path = text.path;
   out.layer = layer;
   out.is_header = is_header;
-  // content_hash is owned by the driver (it hashes the raw bytes before
-  // deciding between cache hit and a fresh parse).
   ParseIncludes(text, &out.includes);
   ParseAllows(text, &out.allows);
   ScanSinks(text, &out);
