@@ -97,7 +97,7 @@ PulseResult RunPulse(Tick on, Tick off, std::uint64_t seed) {
 
 int main(int argc, char** argv) {
   Flags flags;
-  if (!flags.Parse(argc, argv, {"seed"})) {
+  if (!flags.Parse(argc, argv, {{"seed", "simulation seed (default 91)"}})) {
     return flags.help_requested() ? 0 : 1;
   }
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 91));

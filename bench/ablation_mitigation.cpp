@@ -112,7 +112,7 @@ PipelineResult RunPipeline(cluster::MitigationPolicy policy,
 
 int main(int argc, char** argv) {
   Flags flags;
-  if (!flags.Parse(argc, argv, {"seed"})) {
+  if (!flags.Parse(argc, argv, {{"seed", "simulation seed (default 101)"}})) {
     return flags.help_requested() ? 0 : 1;
   }
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 101));

@@ -58,7 +58,8 @@ std::optional<double> AcfOnly(const std::vector<double>& x) {
 
 int main(int argc, char** argv) {
   Flags flags;
-  if (!flags.Parse(argc, argv, {"trials"})) {
+  if (!flags.Parse(argc, argv,
+                   {{"trials", "synthetic series per method (default 200)"}})) {
     return flags.help_requested() ? 0 : 1;
   }
   const int trials = static_cast<int>(flags.GetInt("trials", 200));

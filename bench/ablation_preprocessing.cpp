@@ -13,17 +13,21 @@
 #include "common/flags.h"
 #include "eval/aggregate.h"
 #include "eval/report.h"
+#include "eval/scenario.h"
 #include "stats/chebyshev.h"
 
 int main(int argc, char** argv) {
   using namespace sds;
   Flags flags;
-  if (!flags.Parse(argc, argv, {"runs", "seed", "app"})) {
+  if (!flags.Parse(argc, argv,
+                   {{"runs", "seeded runs per pipeline variant (default 3)"},
+                    {"seed", "base simulation seed (default 81)"},
+                    {"app", "application to protect (default kmeans)"}})) {
     return flags.help_requested() ? 0 : 1;
   }
   const int runs = static_cast<int>(flags.GetInt("runs", 3));
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 81));
-  const std::string app = flags.GetString("app", "kmeans");
+  const std::string app = flags.GetChoice("app", "kmeans", eval::AppNames());
 
   bench::PrintBenchHeader(
       std::cout, "bench_ablation_preprocessing",

@@ -25,6 +25,7 @@
 #include "common/flags.h"
 #include "common/reporter.h"
 #include "eval/actuation.h"
+#include "eval/scenario.h"
 
 int main(int argc, char** argv) {
   using namespace sds;
@@ -46,8 +47,10 @@ int main(int argc, char** argv) {
   }
 
   eval::ActuationSweepConfig config;
-  config.run.app = flags.GetString("app", "kmeans");
-  const std::string policy = flags.GetString("policy", "migrate-victim");
+  config.run.app = flags.GetChoice("app", "kmeans", eval::AppNames());
+  const std::string policy = flags.GetChoice(
+      "policy", "migrate-victim",
+      {"migrate-victim", "quarantine-attacker", "throttle-fallback"});
   config.run.mitigation.policy =
       policy == "quarantine-attacker"
           ? cluster::MitigationPolicy::kQuarantineAttacker

@@ -15,7 +15,9 @@
 int main(int argc, char** argv) {
   using namespace sds;
   Flags flags;
-  if (!flags.Parse(argc, argv, {"intervals", "seed"})) {
+  if (!flags.Parse(argc, argv,
+                   {{"intervals", "KS test intervals to plot (default 12)"},
+                    {"seed", "simulation seed (default 21)"}})) {
     return flags.help_requested() ? 0 : 1;
   }
   const int intervals = static_cast<int>(flags.GetInt("intervals", 12));

@@ -54,7 +54,9 @@ std::string PeriodString(const std::vector<double>& series, std::size_t from,
 
 int main(int argc, char** argv) {
   Flags flags;
-  if (!flags.Parse(argc, argv, {"seconds", "seed"})) {
+  if (!flags.Parse(argc, argv,
+                   {{"seconds", "virtual seconds per run (default 120)"},
+                    {"seed", "simulation seed (default 33)"}})) {
     return flags.help_requested() ? 0 : 1;
   }
   const double seconds = flags.GetDouble("seconds", 120.0);

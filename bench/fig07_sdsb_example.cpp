@@ -12,14 +12,18 @@
 #include "detect/boundary.h"
 #include "detect/profile.h"
 #include "eval/experiment.h"
+#include "eval/scenario.h"
 
 int main(int argc, char** argv) {
   using namespace sds;
   Flags flags;
-  if (!flags.Parse(argc, argv, {"app", "seed", "csv"})) {
+  if (!flags.Parse(argc, argv,
+                   {{"app", "application to protect (default kmeans)"},
+                    {"seed", "simulation seed (default 11)"},
+                    {"csv", "also print the series as CSV"}})) {
     return flags.help_requested() ? 0 : 1;
   }
-  const std::string app = flags.GetString("app", "kmeans");
+  const std::string app = flags.GetChoice("app", "kmeans", eval::AppNames());
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 11));
 
   bench::PrintBenchHeader(

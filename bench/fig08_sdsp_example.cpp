@@ -13,19 +13,26 @@
 #include "detect/period.h"
 #include "detect/profile.h"
 #include "eval/experiment.h"
+#include "eval/scenario.h"
 #include "signal/moving_average.h"
 
 int main(int argc, char** argv) {
   using namespace sds;
   Flags flags;
-  if (!flags.Parse(argc, argv, {"app", "attack", "seed"})) {
+  if (!flags.Parse(
+          argc, argv,
+          {{"app", "application to protect (default facenet)"},
+           {"attack", "bus-lock | llc-cleansing (default bus-lock)"},
+           {"seed", "simulation seed (default 13)"}})) {
     return flags.help_requested() ? 0 : 1;
   }
-  const std::string app = flags.GetString("app", "facenet");
+  const std::string app = flags.GetChoice("app", "facenet", eval::AppNames());
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 13));
-  const auto attack = flags.GetString("attack", "bus-lock") == "llc-cleansing"
-                          ? eval::AttackKind::kLlcCleansing
-                          : eval::AttackKind::kBusLock;
+  const auto attack =
+      flags.GetChoice("attack", "bus-lock", {"bus-lock", "llc-cleansing"}) ==
+              "llc-cleansing"
+          ? eval::AttackKind::kLlcCleansing
+          : eval::AttackKind::kBusLock;
 
   bench::PrintBenchHeader(
       std::cout, "bench_fig08_sdsp_example",

@@ -19,7 +19,11 @@
 int main(int argc, char** argv) {
   using namespace sds;
   Flags flags;
-  if (!flags.Parse(argc, argv, {"runs", "work-units", "seed"})) {
+  if (!flags.Parse(
+          argc, argv,
+          {{"runs", "seeded runs per app x scheme (default 5)"},
+           {"work-units", "victim work units to complete (default 2000)"},
+           {"seed", "base simulation seed (default 51)"}})) {
     return flags.help_requested() ? 0 : 1;
   }
   const int runs = static_cast<int>(flags.GetInt("runs", 5));

@@ -49,7 +49,9 @@ void PrintFigure(const Figure& figure, const std::vector<double>& values,
 
 int main(int argc, char** argv) {
   Flags flags;
-  if (!flags.Parse(argc, argv, {"runs", "seed"})) {
+  if (!flags.Parse(argc, argv,
+                   {{"runs", "seeded runs per parameter value (default 2)"},
+                    {"seed", "base simulation seed (default 61)"}})) {
     return flags.help_requested() ? 0 : 1;
   }
   const int runs = static_cast<int>(flags.GetInt("runs", 2));

@@ -31,6 +31,7 @@
 #include "common/flags.h"
 #include "common/reporter.h"
 #include "eval/hostchaos.h"
+#include "eval/scenario.h"
 
 int main(int argc, char** argv) {
   using namespace sds;
@@ -56,7 +57,7 @@ int main(int argc, char** argv) {
   }
 
   eval::HostChaosSweepConfig config;
-  config.run.app = flags.GetString("app", "kmeans");
+  config.run.app = flags.GetChoice("app", "kmeans", eval::AppNames());
   const long long runs = flags.GetInt("runs", 2);
   config.runs_per_cell = static_cast<int>(runs);
   config.base_seed = static_cast<std::uint64_t>(flags.GetInt("seed", 9100));
@@ -134,7 +135,7 @@ int main(int argc, char** argv) {
     // modes side by side.
     eval::HostChaosRunConfig run = eval::ChaosCellRun(
         config, config.crash_rates.empty() ? 0.0 : config.crash_rates.front());
-    run.host_plan.seed = config.fault_seed;
+    run.host_plan.seed = eval::kHostChaosFaultSeed;
     std::ofstream trace(trace_out);
     if (!trace) {
       std::cerr << "cannot write trace file: " << trace_out << "\n";

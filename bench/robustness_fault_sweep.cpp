@@ -23,6 +23,7 @@
 #include "common/flags.h"
 #include "common/reporter.h"
 #include "eval/robustness.h"
+#include "eval/scenario.h"
 
 int main(int argc, char** argv) {
   using namespace sds;
@@ -44,16 +45,19 @@ int main(int argc, char** argv) {
   }
 
   eval::RobustnessSweepConfig config;
-  config.run.app = flags.GetString("app", "kmeans");
-  const std::string attack = flags.GetString("attack", "bus-lock");
+  config.run.app = flags.GetChoice("app", "kmeans", eval::AppNames());
+  const std::string attack =
+      flags.GetChoice("attack", "bus-lock", {"bus-lock", "llc-cleansing"});
   config.run.attack = attack == "llc-cleansing"
                           ? eval::AttackKind::kLlcCleansing
                           : eval::AttackKind::kBusLock;
-  const std::string scheme = flags.GetString("scheme", "SDS");
+  const std::string scheme =
+      flags.GetChoice("scheme", "SDS", {"SDS", "SDS/B", "KStest"});
   config.run.scheme = scheme == "KStest" ? eval::Scheme::kKsTest
                       : scheme == "SDS/B" ? eval::Scheme::kSdsB
                                           : eval::Scheme::kSds;
-  const std::string policy = flags.GetString("policy", "hold-last");
+  const std::string policy = flags.GetChoice(
+      "policy", "hold-last", {"hold-last", "skip-freeze", "rewarm"});
   config.degrade.gap_policy = policy == "skip-freeze"
                                   ? detect::GapPolicy::kSkipFreeze
                               : policy == "rewarm" ? detect::GapPolicy::kRewarm

@@ -17,7 +17,7 @@
 int main(int argc, char** argv) {
   using namespace sds;
   Flags flags;
-  if (!flags.Parse(argc, argv, {"seed"})) {
+  if (!flags.Parse(argc, argv, {{"seed", "simulation seed (default 71)"}})) {
     return flags.help_requested() ? 0 : 1;
   }
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 71));

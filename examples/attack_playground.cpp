@@ -18,17 +18,13 @@
 #include "eval/experiment.h"
 #include "eval/scenario.h"
 #include "stats/descriptive.h"
-#include "workloads/catalog.h"
 
 namespace {
 
 sds::eval::AttackKind ParseAttack(const std::string& s) {
   if (s == "bus-lock") return sds::eval::AttackKind::kBusLock;
   if (s == "llc-cleansing") return sds::eval::AttackKind::kLlcCleansing;
-  if (s == "none") return sds::eval::AttackKind::kNone;
-  std::fprintf(stderr, "unknown attack '%s' (bus-lock | llc-cleansing | none)\n",
-               s.c_str());
-  std::exit(1);
+  return sds::eval::AttackKind::kNone;
 }
 
 void PrintStageSummary(const char* stage,
@@ -43,20 +39,20 @@ void PrintStageSummary(const char* stage,
 
 int main(int argc, char** argv) {
   sds::Flags flags;
-  if (!flags.Parse(argc, argv,
-                   {"app", "attack", "seconds", "attack-at", "seed", "csv"})) {
-    return 1;
+  if (!flags.Parse(
+          argc, argv,
+          {{"app", "application on the victim VM (default kmeans)"},
+           {"attack", "bus-lock | llc-cleansing | none (default bus-lock)"},
+           {"seconds", "virtual seconds to simulate (default 120)"},
+           {"attack-at", "virtual second the attack starts (default half)"},
+           {"seed", "simulation seed (default 1)"},
+           {"csv", "print the raw per-tick series as CSV"}})) {
+    return flags.help_requested() ? 0 : 1;
   }
-  const std::string app = flags.GetString("app", "kmeans");
-  if (!sds::workloads::IsKnownApp(app)) {
-    std::fprintf(stderr, "unknown app '%s'; known apps:", app.c_str());
-    for (const auto& info : sds::workloads::AppCatalog()) {
-      std::fprintf(stderr, " %s", info.name.c_str());
-    }
-    std::fprintf(stderr, "\n");
-    return 1;
-  }
-  const auto attack = ParseAttack(flags.GetString("attack", "bus-lock"));
+  const std::string app =
+      flags.GetChoice("app", "kmeans", sds::eval::AppNames());
+  const auto attack = ParseAttack(flags.GetChoice(
+      "attack", "bus-lock", {"bus-lock", "llc-cleansing", "none"}));
   const double seconds = flags.GetDouble("seconds", 120.0);
   const double attack_at = flags.GetDouble("attack-at", seconds / 2.0);
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 1));

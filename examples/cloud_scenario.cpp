@@ -32,11 +32,20 @@ struct TimelineEntry {
 
 int main(int argc, char** argv) {
   Flags flags;
-  if (!flags.Parse(argc, argv, {"app", "attack", "seconds", "seed"})) return 1;
-  const std::string app = flags.GetString("app", "terasort");
-  const auto attack = flags.GetString("attack", "bus-lock") == "llc-cleansing"
-                          ? eval::AttackKind::kLlcCleansing
-                          : eval::AttackKind::kBusLock;
+  if (!flags.Parse(
+          argc, argv,
+          {{"app", "application to protect (default terasort)"},
+           {"attack", "bus-lock | llc-cleansing (default bus-lock)"},
+           {"seconds", "virtual seconds to simulate (default 240)"},
+           {"seed", "simulation seed (default 5)"}})) {
+    return flags.help_requested() ? 0 : 1;
+  }
+  const std::string app = flags.GetChoice("app", "terasort", eval::AppNames());
+  const auto attack =
+      flags.GetChoice("attack", "bus-lock", {"bus-lock", "llc-cleansing"}) ==
+              "llc-cleansing"
+          ? eval::AttackKind::kLlcCleansing
+          : eval::AttackKind::kBusLock;
   const double seconds = flags.GetDouble("seconds", 240.0);
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 5));
 

@@ -13,13 +13,23 @@
 #include "detect/period.h"
 #include "detect/profile.h"
 #include "eval/experiment.h"
+#include "eval/scenario.h"
 
 int main(int argc, char** argv) {
   using namespace sds;
   Flags flags;
-  if (!flags.Parse(argc, argv, {"app", "attack", "seconds", "seed"})) return 1;
-  const std::string app = flags.GetString("app", "facenet");
-  const auto attack = flags.GetString("attack", "llc-cleansing") == "bus-lock"
+  if (!flags.Parse(
+          argc, argv,
+          {{"app", "application to protect (default facenet)"},
+           {"attack", "bus-lock | llc-cleansing (default llc-cleansing)"},
+           {"seconds", "virtual seconds to simulate (default 180)"},
+           {"seed", "simulation seed (default 9)"}})) {
+    return flags.help_requested() ? 0 : 1;
+  }
+  const std::string app = flags.GetChoice("app", "facenet", eval::AppNames());
+  const auto attack = flags.GetChoice("attack", "llc-cleansing",
+                                      {"bus-lock", "llc-cleansing"}) ==
+                              "bus-lock"
                           ? eval::AttackKind::kBusLock
                           : eval::AttackKind::kLlcCleansing;
   const double seconds = flags.GetDouble("seconds", 180.0);

@@ -15,8 +15,6 @@ const char* ActuationOpName(ActuationOp op) {
       return "migrate";
     case ActuationOp::kStop:
       return "stop";
-    case ActuationOp::kResume:
-      return "resume";
   }
   return "?";
 }
@@ -70,7 +68,7 @@ bool Applies(fault::ActuationFaultKind kind, ActuationOp op) {
     case K::kSpareAtCapacity:
       return op == ActuationOp::kMigrate;
     case K::kStopRejected:
-      return op != ActuationOp::kMigrate;
+      return op == ActuationOp::kStop;
     case K::kKindCount:
       break;
   }
@@ -112,10 +110,6 @@ CommandId Actuator::SubmitMigrate(const VmRef& vm, int destination_host) {
 
 CommandId Actuator::SubmitStop(const VmRef& vm) {
   return Submit(ActuationOp::kStop, vm, -1);
-}
-
-CommandId Actuator::SubmitResume(const VmRef& vm) {
-  return Submit(ActuationOp::kResume, vm, -1);
 }
 
 CommandId Actuator::Submit(ActuationOp op, const VmRef& vm,
@@ -267,8 +261,8 @@ void Actuator::Execute(Command& command) {
         return;
       }
       if (!cluster_.host_placeable(dest)) {
-        // The host lifecycle took the destination down (or started draining
-        // it) while this command was in flight — the mid-actuation host
+        // The host lifecycle took the destination down while this command
+        // was in flight — the mid-actuation host
         // death case. Same error as an injected down window: callers retry
         // against a fresh placement decision.
         Finish(command, CommandStatus::kFailed, ActuationError::kHostDown);
@@ -285,14 +279,6 @@ void Actuator::Execute(Command& command) {
     case ActuationOp::kStop:
       // Stopping a stopped VM is a no-op: stop is naturally idempotent.
       cluster_.StopVm(target);
-      Finish(command, CommandStatus::kSucceeded, ActuationError::kNone);
-      return;
-    case ActuationOp::kResume:
-      if (!cluster_.IsRunnable(target) && !cluster_.HasCapacity(target.host)) {
-        Finish(command, CommandStatus::kFailed, ActuationError::kNoCapacity);
-        return;
-      }
-      cluster_.ResumeVm(target);
       Finish(command, CommandStatus::kSucceeded, ActuationError::kNone);
       return;
   }

@@ -2,7 +2,7 @@
 // the Cluster primitives (the actuation-plane counterpart of the
 // pcm::SampleSource seam from the monitoring-plane robustness work).
 //
-// Callers never invoke Cluster::Migrate / StopVm / ResumeVm directly (the
+// Callers never invoke Cluster::Migrate / StopVm directly (the
 // `det-actuation-idempotent` lint rule enforces this inside src/cluster);
 // they SUBMIT commands and poll the command's state while the cluster ticks:
 //
@@ -37,7 +37,7 @@ class Telemetry;
 
 namespace sds::cluster {
 
-enum class ActuationOp : std::uint8_t { kMigrate, kStop, kResume };
+enum class ActuationOp : std::uint8_t { kMigrate, kStop };
 const char* ActuationOpName(ActuationOp op);
 
 enum class CommandStatus : std::uint8_t {
@@ -56,7 +56,7 @@ enum class ActuationError : std::uint8_t {
   kAborted,      // migration aborted mid-flight
   kHostDown,     // destination host inside a down window
   kNoCapacity,   // destination rejected the placement
-  kRejected,     // stop/resume bounced off the hypervisor
+  kRejected,     // stop bounced off the hypervisor
   kConflict,     // another command for this VM is still outstanding
   kSourceGone,   // source VM no longer runnable at execution time
 };
@@ -71,7 +71,7 @@ struct CommandResult {
   ActuationError error = ActuationError::kNone;
   VmRef target;          // the VM the command was submitted against
   int destination = -1;  // migrations only
-  // New placement after a successful migration (== target for stop/resume).
+  // New placement after a successful migration (== target for a stop).
   VmRef placement;
   Tick submitted = 0;
   Tick completed = kInvalidTick;  // ack tick; kInvalidTick while in flight
@@ -89,7 +89,6 @@ class Actuator {
   // command id; query `result(id)` for progress.
   CommandId SubmitMigrate(const VmRef& vm, int destination_host);
   CommandId SubmitStop(const VmRef& vm);
-  CommandId SubmitResume(const VmRef& vm);
 
   // Completes every command whose latency has elapsed. Call once per
   // cluster tick (extra calls within one tick are harmless).

@@ -97,15 +97,6 @@ void Cluster::StopVm(const VmRef& ref) {
       .set_state(vm::VmState::kStopped);
 }
 
-void Cluster::ResumeVm(const VmRef& ref) {
-  RecordFor(ref);  // validates
-  vm::VirtualMachine& machine_vm =
-      hosts_[static_cast<std::size_t>(ref.host)].hypervisor->vm(ref.id);
-  if (machine_vm.state() == vm::VmState::kRunning) return;
-  SDS_CHECK(HasCapacity(ref.host), "host at capacity; cannot resume");
-  machine_vm.set_state(vm::VmState::kRunning);
-}
-
 bool Cluster::HasCapacity(int host) const {
   SDS_CHECK(host >= 0 && host < host_count(), "no such host");
   const int capacity = hosts_[static_cast<std::size_t>(host)].vm_capacity;

@@ -90,10 +90,6 @@ class Cluster {
   // Stops a VM in place (the provider quarantining a suspected attacker).
   void StopVm(const VmRef& ref);
 
-  // Restarts a stopped VM in place (rollback of a quarantine). The host
-  // must have capacity for it to become runnable again.
-  void ResumeVm(const VmRef& ref);
-
   // True when `host` can admit one more runnable VM.
   bool HasCapacity(int host) const;
   // True when the referenced VM is in the running state.

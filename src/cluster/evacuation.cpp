@@ -43,8 +43,6 @@ bool EvacuationEngine::NeedsEvacuation(int host) const {
     case HostState::kDown:
     case HostState::kDead:
       return true;
-    case HostState::kDraining:
-      return config_.evacuate_draining;
     case HostState::kUp:
     case HostState::kDegraded:
     case HostState::kRecovering:

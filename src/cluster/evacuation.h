@@ -1,7 +1,7 @@
-// Automatic VM evacuation of dead and draining hosts (DESIGN.md §17).
+// Automatic VM evacuation of down and dead hosts (DESIGN.md §17).
 //
-// The engine watches the HostLifecycle every tick; when a host is down,
-// dead or draining, each of its runnable VMs gets an evacuation task that
+// The engine watches the HostLifecycle every tick; when a host is down or
+// dead, each of its runnable VMs gets an evacuation task that
 // routes a migration through the shared Actuator (never Cluster::Migrate
 // directly — the det-actuation-idempotent contract), with capacity-aware
 // placement, retries with exponential backoff, and per-command timeouts.
@@ -43,9 +43,6 @@ struct EvacuationConfig {
   Tick backoff_cap = 64;
   // Throttle duration of the in-place fallback.
   Tick throttle_ticks = 4000;
-  // Also evacuate draining hosts (administrative drains), not just
-  // down/dead ones.
-  bool evacuate_draining = true;
 };
 
 enum class EvacuationOutcome : std::uint8_t {

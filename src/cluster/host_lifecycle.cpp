@@ -4,6 +4,13 @@
 
 namespace sds::cluster {
 
+namespace {
+// Degraded-mode window (inclusive range, drawn per degrade event; also the
+// length of a scheduled degrade that gives no duration).
+constexpr Tick kDegradeMinTicks = 100;
+constexpr Tick kDegradeMaxTicks = 600;
+}  // namespace
+
 const char* HostStateName(HostState state) {
   switch (state) {
     case HostState::kUp:
@@ -14,8 +21,6 @@ const char* HostStateName(HostState state) {
       return "down";
     case HostState::kRecovering:
       return "recovering";
-    case HostState::kDraining:
-      return "draining";
     case HostState::kDead:
       return "dead";
   }
@@ -28,9 +33,6 @@ HostLifecycle::HostLifecycle(int hosts, const fault::HostFaultPlan& plan)
   SDS_CHECK(plan_.down_min_ticks > 0 &&
                 plan_.down_max_ticks >= plan_.down_min_ticks,
             "bad down-window range");
-  SDS_CHECK(plan_.degrade_min_ticks > 0 &&
-                plan_.degrade_max_ticks >= plan_.degrade_min_ticks,
-            "bad degrade-window range");
   SDS_CHECK(plan_.degrade_stride >= 2, "degrade stride must be >= 2");
   SDS_CHECK(plan_.recovery_min_ticks >= 0 &&
                 plan_.recovery_max_ticks >= plan_.recovery_min_ticks,
@@ -79,7 +81,7 @@ void HostLifecycle::BeginTick(Tick now) {
       case K::kDegrade:
         if (states_[h] == HostState::kUp) {
           until_[h] =
-              now + (f.duration > 0 ? f.duration : plan_.degrade_min_ticks);
+              now + (f.duration > 0 ? f.duration : kDegradeMinTicks);
           degrade_entered_[h] = now;
           ++stats_.degraded_windows;
           Transition(now, f.host, HostState::kDegraded);
@@ -152,8 +154,7 @@ void HostLifecycle::BeginTick(Tick now) {
           ++stats_.degraded_skipped;
         }
         break;
-      case HostState::kUp:
-      case HostState::kDraining: {
+      case HostState::kUp: {
         // Bernoulli draws in a fixed kind order; the first hit wins but
         // every applicable kind consumes its draw, so outcomes never shift
         // the stream (same discipline as the Actuator).
@@ -161,9 +162,6 @@ void HostLifecycle::BeginTick(Tick now) {
         for (std::size_t k = 0; k < fault::kHostFaultKindCount; ++k) {
           const auto kind = static_cast<K>(k);
           if (kind == K::kFlakyRecovery) continue;  // per-attempt, not here
-          if (kind == K::kDegrade && states_[h] == HostState::kDraining) {
-            continue;  // draining hosts only crash or die
-          }
           const double r = plan_.rate(kind);
           if (r <= 0.0 || !rng_.Bernoulli(r)) continue;
           if (hit) continue;
@@ -177,8 +175,8 @@ void HostLifecycle::BeginTick(Tick now) {
               ++stats_.down_ticks;
               break;
             case K::kDegrade:
-              until_[h] = now + rng_.UniformInt(plan_.degrade_min_ticks,
-                                                plan_.degrade_max_ticks);
+              until_[h] =
+                  now + rng_.UniformInt(kDegradeMinTicks, kDegradeMaxTicks);
               degrade_entered_[h] = now;
               ++stats_.degraded_windows;
               Transition(now, host, HostState::kDegraded);
@@ -204,7 +202,6 @@ bool HostLifecycle::serving(int host) const {
   const auto h = static_cast<std::size_t>(host);
   switch (states_[h]) {
     case HostState::kUp:
-    case HostState::kDraining:
       return true;
     case HostState::kDegraded:
       return (now_ - degrade_entered_[h]) % plan_.degrade_stride == 0;
@@ -230,26 +227,9 @@ HostState HostLifecycle::state(int host) const {
 int HostLifecycle::up_hosts() const {
   int up = 0;
   for (const HostState s : states_) {
-    if (s == HostState::kUp || s == HostState::kDegraded ||
-        s == HostState::kDraining) {
-      ++up;
-    }
+    if (s == HostState::kUp || s == HostState::kDegraded) ++up;
   }
   return up;
-}
-
-void HostLifecycle::Drain(int host) {
-  SDS_CHECK(host >= 0 && host < host_count(), "no such host");
-  if (states_[static_cast<std::size_t>(host)] == HostState::kUp) {
-    Transition(now_, host, HostState::kDraining);
-  }
-}
-
-void HostLifecycle::Undrain(int host) {
-  SDS_CHECK(host >= 0 && host < host_count(), "no such host");
-  if (states_[static_cast<std::size_t>(host)] == HostState::kDraining) {
-    Transition(now_, host, HostState::kUp);
-  }
 }
 
 }  // namespace sds::cluster

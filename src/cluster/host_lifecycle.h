@@ -1,6 +1,5 @@
 // Host state machine (DESIGN.md §17): up → degraded → down → recovering →
-// up, with administrative draining and permanent death, driven by a
-// deterministic fault::HostFaultPlan.
+// up, plus permanent death, driven by a deterministic fault::HostFaultPlan.
 //
 // The lifecycle is attached to a Cluster (Cluster::AttachLifecycle); the
 // cluster calls BeginTick() once per tick BEFORE ticking hosts and then
@@ -32,7 +31,6 @@ enum class HostState : std::uint8_t {
   kDegraded,    // serving one tick in degrade_stride, for a window
   kDown,        // not serving; will enter recovery when the window expires
   kRecovering,  // not serving; scheduled recovery latency before kUp
-  kDraining,    // serving, but the evacuation engine is moving VMs off
   kDead,        // permanently down
 };
 
@@ -61,18 +59,12 @@ class HostLifecycle {
   // True when `host` executes the tick BeginTick was last called for.
   bool serving(int host) const;
   // True when a migration may land on `host` (kUp or kDegraded — never
-  // down, recovering, draining or dead).
+  // down, recovering or dead).
   bool placeable(int host) const;
 
   HostState state(int host) const;
   int host_count() const { return static_cast<int>(states_.size()); }
   int up_hosts() const;
-
-  // Administrative drain: the host keeps serving but stops accepting
-  // placements, and the evacuation engine moves its VMs off. Undrain
-  // returns a still-draining host to kUp.
-  void Drain(int host);
-  void Undrain(int host);
 
   const fault::HostFaultPlan& plan() const { return plan_; }
   const fault::HostFaultStats& stats() const { return stats_; }

@@ -14,6 +14,13 @@ namespace {
 // snapshot (~40-tick memory: long enough to ride out burst noise, short
 // enough that 300 attacked ticks dominate a clean history).
 constexpr double kRateAlpha = 0.05;
+// Escalations allowed before giving up (chain steps, not retries).
+constexpr int kMaxEscalationRounds = 2;
+// Verification recovery test: the mean access rate over the window must
+// reach this multiple of the attacked-rate snapshot, OR the mean miss rate
+// must drop below the attacked rate divided by it. (Covers both
+// throughput-crushing bus locks and miss-inflating LLC cleansing.)
+constexpr double kVerifyRecoveryRatio = 1.2;
 }  // namespace
 
 const char* MitigationPolicyName(MitigationPolicy policy) {
@@ -77,8 +84,6 @@ MitigationEngine::MitigationEngine(Cluster& cluster, const VmRef& victim,
                 config.backoff_cap >= config.backoff_base,
             "bad backoff range");
   SDS_CHECK(config.verify_window >= 0, "verify window must be non-negative");
-  SDS_CHECK(config.verify_recovery_ratio >= 1.0,
-            "recovery ratio below 1 would pass without any recovery");
   if (actuator) {
     actuator_ = actuator;
   } else {
@@ -106,7 +111,6 @@ void MitigationEngine::OnAlarm(OwnerId attributed_attacker) {
   alarm_tel_ = cluster_.machine(alarm_host_).telemetry();
   attacked_access_ = ewma_access_;
   attacked_miss_ = ewma_miss_;
-  rolled_back_ = false;
 
   // Quarantine needs a culprit that is a real co-tenant; anything else
   // falls back to migrating the victim (recorded as such, and audited — a
@@ -138,25 +142,6 @@ void MitigationEngine::OnAlarm(OwnerId attributed_attacker) {
   }
 
   Dispatch();
-}
-
-void MitigationEngine::OnAlarm(OwnerId attributed_attacker,
-                               OwnerId forensic_suspect) {
-  const bool primary_unusable =
-      attributed_attacker == 0 || attributed_attacker == victim_.id;
-  const bool suspect_usable =
-      forensic_suspect != 0 && forensic_suspect != victim_.id;
-  const bool substitute =
-      config_.prefer_forensic_suspect && primary_unusable && suspect_usable;
-  const bool will_act =
-      state_ == MitigationState::kIdle &&
-      config_.policy != MitigationPolicy::kNone;
-  OnAlarm(substitute ? forensic_suspect : attributed_attacker);
-  // Audited after the fact: alarm_tel_ is pinned inside OnAlarm.
-  if (substitute && will_act) {
-    AuditStep("forensic_substitution", static_cast<double>(forensic_suspect),
-              false);
-  }
 }
 
 void MitigationEngine::Dispatch() {
@@ -222,7 +207,7 @@ void MitigationEngine::OnAttemptFailed() {
 
 void MitigationEngine::Escalate() {
   if (chain_index_ + 1 >= chain_.size() ||
-      static_cast<int>(stats_.escalations) >= config_.max_escalation_rounds) {
+      static_cast<int>(stats_.escalations) >= kMaxEscalationRounds) {
     Fail();
     return;
   }
@@ -295,9 +280,9 @@ void MitigationEngine::EvaluateVerify() {
   const double window = static_cast<double>(config_.verify_window);
   const double mean_access = verify_access_ / window;
   const double mean_miss = verify_miss_ / window;
-  const double ratio = config_.verify_recovery_ratio;
-  const bool recovered = mean_access >= ratio * attacked_access_ ||
-                         mean_miss * ratio <= attacked_miss_;
+  const bool recovered =
+      mean_access >= kVerifyRecoveryRatio * attacked_access_ ||
+      mean_miss * kVerifyRecoveryRatio <= attacked_miss_;
   if (recovered) {
     AuditStep("verify-pass", mean_access, false);
     Settle();
@@ -308,79 +293,9 @@ void MitigationEngine::EvaluateVerify() {
   }
 }
 
-void MitigationEngine::OnRetraction() {
-  if (!config_.rollback_on_retraction || rolling_back_ || rolled_back_) return;
-  if (state_ == MitigationState::kIdle || state_ == MitigationState::kFailed) {
-    return;
-  }
-  if (cmd_ != 0) {
-    actuator_->Cancel(cmd_);
-    cmd_ = 0;
-  }
-  if (!mitigated_) {
-    // Nothing applied yet: abandon the response and re-arm.
-    ++stats_.rollbacks;
-    rolled_back_ = true;
-    AuditStep("rollback", 0.0, false);
-    state_ = MitigationState::kIdle;
-    return;
-  }
-  // The detector withdrew the alarm mid-verification: the response is
-  // complete as far as actuation goes.
-  if (state_ == MitigationState::kVerifying) Settle();
-  switch (applied_) {
-    case MitigationPolicy::kQuarantineAttacker: {
-      VmRef attacker;
-      attacker.host = alarm_host_;
-      attacker.id = attacker_;
-      cmd_ = actuator_->SubmitResume(attacker);
-      break;
-    }
-    case MitigationPolicy::kMigrateVictim:
-      cmd_ = actuator_->SubmitMigrate(victim_, alarm_host_);
-      break;
-    default:
-      // A throttle expires on its own; nothing to undo.
-      return;
-  }
-  rolling_back_ = true;
-  dispatch_tick_ = cluster_.now();
-  PumpRollback();
-}
-
-void MitigationEngine::PumpRollback() {
-  if (cmd_ == 0) return;
-  const CommandResult& result = actuator_->result(cmd_);
-  if (result.status == CommandStatus::kInFlight) {
-    if (cluster_.now() - dispatch_tick_ >= config_.command_timeout) {
-      actuator_->Cancel(cmd_);
-      cmd_ = 0;
-      rolling_back_ = false;
-      ++stats_.rollback_failures;
-      AuditStep("rollback-fail", 0.0, true);
-    }
-    return;
-  }
-  cmd_ = 0;
-  rolling_back_ = false;
-  if (result.status == CommandStatus::kSucceeded) {
-    if (result.op == ActuationOp::kMigrate) victim_ = result.placement;
-    ++stats_.rollbacks;
-    rolled_back_ = true;
-    AuditStep("rollback", static_cast<double>(result.target.id), false);
-  } else {
-    ++stats_.rollback_failures;
-    AuditStep("rollback-fail", static_cast<double>(result.error), true);
-  }
-}
-
 void MitigationEngine::OnTick() {
   actuator_->OnTick();
   TrackRates();
-  if (rolling_back_) {
-    PumpRollback();
-    return;
-  }
   switch (state_) {
     case MitigationState::kDispatched:
     case MitigationState::kInFlight:

@@ -28,8 +28,7 @@
 // with capped exponential backoff; exhausted attempts escalate along
 // quarantine -> migrate -> throttle. With verification enabled the engine
 // watches the victim's access/miss rates after an action applies and
-// escalates when contention persists; with rollback enabled a detector
-// retraction (false alarm) undoes the most recent applied action.
+// escalates when contention persists.
 //
 // Compatibility: constructed through the legacy (policy, spare_host)
 // signature — or with a default MitigationConfig and a fault-free actuator —
@@ -64,7 +63,7 @@ enum class MitigationPolicy : std::uint8_t {
 const char* MitigationPolicyName(MitigationPolicy policy);
 
 enum class MitigationState : std::uint8_t {
-  kIdle,        // no alarm yet (or alarm retracted before any action)
+  kIdle,        // no alarm yet
   kDispatched,  // command submitted this tick, result not yet seen
   kInFlight,    // command outstanding, or waiting out a retry backoff
   kVerifying,   // action applied; watching the victim's rates for efficacy
@@ -95,29 +94,11 @@ struct MitigationConfig {
   // makes chain exhaustion terminal (state kFailed) — useful for measuring
   // how often the fallible actions alone suffice.
   bool allow_throttle_fallback = true;
-  // Escalations allowed before giving up (chain steps, not retries).
-  int max_escalation_rounds = 2;
 
   // Efficacy verification: after an action applies, watch the victim's
   // access/miss rates for this many ticks and escalate if they have not
   // recovered. 0 (default) settles immediately on command success.
   Tick verify_window = 0;
-  // Recovery test: mean access rate over the window must reach ratio x the
-  // attacked-rate snapshot, OR the mean miss rate must drop below the
-  // attacked rate / ratio. (Covers both throughput-crushing bus locks and
-  // miss-inflating LLC cleansing.)
-  double verify_recovery_ratio = 1.2;
-
-  // Undo the most recent applied action when the detector retracts the
-  // alarm (OnRetraction): un-quarantine via resume, or migrate the victim
-  // back. Off by default.
-  bool rollback_on_retraction = false;
-
-  // Let the two-argument OnAlarm substitute the forensic prime suspect for
-  // an unusable primary attribution (unattributed, or the victim itself)
-  // before the quarantine chain is chosen. Off by default: an unattributed
-  // alarm then falls back to migrating the victim as before.
-  bool prefer_forensic_suspect = false;
 };
 
 struct MitigationStats {
@@ -126,8 +107,6 @@ struct MitigationStats {
   std::uint64_t timeouts = 0;          // attempts cancelled for no ack
   std::uint64_t escalations = 0;       // chain steps taken
   std::uint64_t verify_failures = 0;   // efficacy windows that failed
-  std::uint64_t rollbacks = 0;         // retractions acted on
-  std::uint64_t rollback_failures = 0; // rollback commands that never landed
 };
 
 class MitigationEngine {
@@ -146,23 +125,8 @@ class MitigationEngine {
   // Reports an alarm at the current cluster time. `attributed_attacker` is
   // the culprit VM if the detector identified one (0 = unattributed; only
   // meaningful on the victim's host). Acts only from kIdle: repeated alarms
-  // during an active response are absorbed, but a fresh alarm after a
-  // rollback re-arms the engine.
+  // during an active response are absorbed.
   void OnAlarm(OwnerId attributed_attacker);
-
-  // Alarm with a second opinion: `forensic_suspect` is the attribution
-  // ledger's prime suspect (detect::ForensicReport::prime_suspect; 0 when
-  // the report went unattributed). With prefer_forensic_suspect set it
-  // stands in for an unusable primary attribution, so a quarantine policy
-  // can act on hardware evidence when the KStest identification sweep came
-  // back empty. The substitution is audited (channel
-  // "forensic_substitution").
-  void OnAlarm(OwnerId attributed_attacker, OwnerId forensic_suspect);
-
-  // Reports that the detector withdrew the alarm (falling edge). With
-  // rollback_on_retraction: cancels an in-flight response outright, or
-  // undoes the most recent applied action. Otherwise a no-op.
-  void OnRetraction();
 
   // Advances the state machine one tick: pumps the actuator, tracks the
   // victim's rate EWMA, applies timeouts/backoff/escalation, and steps the
@@ -177,7 +141,6 @@ class MitigationEngine {
 
   MitigationState state() const { return state_; }
   Tick settled_tick() const { return settled_tick_; }
-  bool rolled_back() const { return rolled_back_; }
   const MitigationStats& stats() const { return stats_; }
   Actuator& actuator() { return *actuator_; }
 
@@ -186,7 +149,6 @@ class MitigationEngine {
 
   void Dispatch();
   void PumpCommand();
-  void PumpRollback();
   void OnAttemptFailed();
   void Escalate();
   void Fail();
@@ -238,9 +200,6 @@ class MitigationEngine {
   Tick mitigation_tick_ = kInvalidTick;
   Tick settled_tick_ = kInvalidTick;
   MitigationPolicy applied_ = MitigationPolicy::kNone;
-
-  bool rolling_back_ = false;
-  bool rolled_back_ = false;
 
   // Victim rate tracking (per-tick LLC access/miss deltas). The EWMA feeds
   // the attacked-rate snapshot at alarm time; the verification window uses

@@ -127,6 +127,22 @@ bool Flags::GetBool(const std::string& name, bool default_value) const {
   return it->second == "true" || it->second == "1" || it->second == "yes";
 }
 
+std::string Flags::GetChoice(const std::string& name,
+                             const std::string& default_value,
+                             const std::vector<std::string>& accepted) const {
+  const std::string value = GetString(name, default_value);
+  if (std::find(accepted.begin(), accepted.end(), value) != accepted.end()) {
+    return value;
+  }
+  std::fprintf(stderr, "%s: --%s: unknown value '%s' (accepted:",
+               program_.c_str(), name.c_str(), value.c_str());
+  for (std::size_t i = 0; i < accepted.size(); ++i) {
+    std::fprintf(stderr, "%s %s", i == 0 ? "" : ",", accepted[i].c_str());
+  }
+  std::fprintf(stderr, ")\n");
+  std::exit(1);
+}
+
 template <typename T>
 std::optional<std::vector<T>> Flags::GetList(
     const std::string& name, const std::string& default_value) const {

@@ -16,12 +16,8 @@
 
 namespace sds {
 
-// A registered flag. Implicitly constructible from a bare name so legacy
-// call sites (`flags.Parse(argc, argv, {"runs", "seed"})`) keep working;
-// prefer the {name, description} form so --help says something useful.
+// A registered flag: its name and the description --help prints for it.
 struct FlagSpec {
-  FlagSpec(const char* flag_name) : name(flag_name) {}  // NOLINT(runtime/explicit)
-  FlagSpec(std::string flag_name) : name(std::move(flag_name)) {}  // NOLINT
   FlagSpec(std::string flag_name, std::string flag_description)
       : name(std::move(flag_name)), description(std::move(flag_description)) {}
   FlagSpec(std::string flag_name, std::string flag_description,
@@ -58,6 +54,13 @@ class Flags {
   long long GetInt(const std::string& name, long long default_value) const;
   double GetDouble(const std::string& name, double default_value) const;
   bool GetBool(const std::string& name, bool default_value) const;
+  // The value of an enum-valued flag (default_value when absent). A value
+  // outside `accepted` prints `<prog>: --<name>: unknown value '<v>'` and
+  // the accepted names to stderr and exits 1, so a typo never silently runs
+  // the default configuration.
+  std::string GetChoice(const std::string& name,
+                        const std::string& default_value,
+                        const std::vector<std::string>& accepted) const;
   // A comma-separated list of numbers (empty elements are skipped). T is
   // double or std::int64_t. On an element that is not exactly one finite
   // number, prints a message naming the flag to stderr and returns nullopt;

@@ -9,6 +9,15 @@ namespace sds::detect {
 
 namespace tel = sds::telemetry;
 
+namespace {
+// Consecutive missing samples before the watchdog probes a healthy-but-lossy
+// source (an unhealthy source is probed at once).
+constexpr int kDeadAfterMisses = 5;
+// Bounded exponential backoff between restart attempts, in ticks.
+constexpr Tick kBackoffInitial = 1;
+constexpr Tick kBackoffMax = 64;
+}  // namespace
+
 const char* GapPolicyName(GapPolicy policy) {
   switch (policy) {
     case GapPolicy::kHoldLast:
@@ -26,10 +35,10 @@ bool SampleIsSane(const pcm::PcmSample& sample, const SanityParams& params,
   if (!params.enabled) return true;
   const auto span =
       static_cast<std::uint64_t>(std::max<Tick>(span_ticks, 1));
-  // max_delta_per_tick (1e6 default) * any plausible span stays far from
+  // kMaxSampleDeltaPerTick (1e6) * any plausible span stays far from
   // 64-bit overflow; a tampered span cannot reach here (spans come from the
   // sampler's own tick arithmetic).
-  const std::uint64_t ceiling = params.max_delta_per_tick * span;
+  const std::uint64_t ceiling = kMaxSampleDeltaPerTick * span;
   if (sample.access_num > ceiling || sample.miss_num > ceiling) return false;
   if (params.check_miss_le_access && sample.miss_num > sample.access_num) {
     return false;
@@ -40,12 +49,7 @@ bool SampleIsSane(const pcm::PcmSample& sample, const SanityParams& params,
 SamplerWatchdog::SamplerWatchdog(pcm::SampleSource& source,
                                  const WatchdogParams& params,
                                  vm::Hypervisor& hypervisor)
-    : source_(source), params_(params), hypervisor_(hypervisor) {
-  SDS_CHECK(params_.dead_after_misses > 0, "dead_after_misses must be >= 1");
-  SDS_CHECK(params_.backoff_initial > 0 &&
-                params_.backoff_max >= params_.backoff_initial,
-            "bad watchdog backoff range");
-}
+    : source_(source), params_(params), hypervisor_(hypervisor) {}
 
 bool SamplerWatchdog::OnMissing(Tick now) {
   if (!params_.enabled) return false;
@@ -53,11 +57,11 @@ bool SamplerWatchdog::OnMissing(Tick now) {
   // A healthy-but-lossy source is left alone until the streak says the
   // stream is effectively dead; an unhealthy source is probed immediately.
   const bool presumed_dead =
-      !source_.healthy() || miss_streak_ >= params_.dead_after_misses;
+      !source_.healthy() || miss_streak_ >= kDeadAfterMisses;
   if (!presumed_dead) return false;
   if (backoff_ == 0) {
     // First probe of this incident: no waiting.
-    backoff_ = params_.backoff_initial;
+    backoff_ = kBackoffInitial;
     next_attempt_ = now;
   }
   if (now < next_attempt_) return false;
@@ -79,7 +83,7 @@ bool SamplerWatchdog::OnMissing(Tick now) {
   // Otherwise a source that accepts restarts without resuming delivery
   // would be restarted (and the consumer re-warmed) every few ticks.
   next_attempt_ = now + backoff_;
-  backoff_ = std::min(backoff_ * 2, params_.backoff_max);
+  backoff_ = std::min(backoff_ * 2, kBackoffMax);
   if (restarted) {
     ++restarts_;
     miss_streak_ = 0;
@@ -172,7 +176,7 @@ DegradingSampleGate::Outcome DegradingSampleGate::OnTick() {
       EmitDegrade(now, "quarantine",
                   static_cast<double>(
                       std::max(raw->access_num, raw->miss_num)),
-                  static_cast<double>(config_.sanity.max_delta_per_tick) *
+                  static_cast<double>(kMaxSampleDeltaPerTick) *
                       static_cast<double>(span),
                   true);
     } else {

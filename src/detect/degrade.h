@@ -51,13 +51,14 @@ enum class GapPolicy : std::uint8_t {
 
 const char* GapPolicyName(GapPolicy policy);
 
+// Hard ceiling on a physically possible per-interval delta for either
+// channel. The simulated machine's bus serves well under 10k operations per
+// tick; this leaves two orders of magnitude of headroom so no legitimate
+// sample is ever quarantined.
+inline constexpr std::uint64_t kMaxSampleDeltaPerTick = 1'000'000;
+
 struct SanityParams {
   bool enabled = true;
-  // Hard ceiling on a physically possible per-interval delta for either
-  // channel. The simulated machine's bus serves well under 10k operations
-  // per tick; the default leaves two orders of magnitude of headroom so no
-  // legitimate sample is ever quarantined.
-  std::uint64_t max_delta_per_tick = 1'000'000;
   // LLC misses are a subset of LLC accesses; a sample violating that is
   // corrupt by construction.
   bool check_miss_le_access = true;
@@ -65,12 +66,6 @@ struct SanityParams {
 
 struct WatchdogParams {
   bool enabled = true;
-  // Consecutive missing samples before the watchdog probes an unhealthy
-  // source (a healthy-but-lossy source is left alone).
-  int dead_after_misses = 5;
-  // Bounded exponential backoff between restart attempts, in ticks.
-  Tick backoff_initial = 1;
-  Tick backoff_max = 64;
 };
 
 struct DegradeConfig {

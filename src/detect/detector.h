@@ -36,14 +36,6 @@ class Detector {
   // cause predates the attack.
   virtual Tick last_alarm_trigger_tick() const = 0;
 
-  // Retractions: falling edges of the decision (the detector withdrew an
-  // alarm it previously raised). The mitigation engine's rollback path keys
-  // off these — a retraction after a response means the alarm was (or has
-  // become) false and the action may be undone. Detectors without a notion
-  // of retraction keep the defaults.
-  virtual std::uint64_t retraction_events() const { return 0; }
-  virtual Tick last_retraction_tick() const { return kInvalidTick; }
-
   virtual std::string_view name() const = 0;
 };
 

@@ -10,6 +10,15 @@ namespace sds::detect {
 
 namespace tel = sds::telemetry;
 
+namespace {
+// Per-resource blend weights. Evictions and imposed stall delay are direct
+// harm to the target; raw occupancy is circumstantial (a loud neighbor is
+// not necessarily the attacker) and weighs half.
+constexpr double kEvictionWeight = 1.0;
+constexpr double kBusDelayWeight = 1.0;
+constexpr double kOccupancyWeight = 0.5;
+}  // namespace
+
 ForensicsEngine::ForensicsEngine(vm::Hypervisor& hypervisor, OwnerId target,
                                  const ForensicsConfig& config)
     : hypervisor_(hypervisor),
@@ -18,9 +27,6 @@ ForensicsEngine::ForensicsEngine(vm::Hypervisor& hypervisor, OwnerId target,
       sampler_(hypervisor, target),
       window_(config.window_spans) {
   SDS_CHECK(config.window_spans > 0, "forensics window must be non-empty");
-  SDS_CHECK(config.eviction_weight >= 0.0 && config.bus_delay_weight >= 0.0 &&
-                config.occupancy_weight >= 0.0,
-            "forensics weights must be non-negative");
 }
 
 void ForensicsEngine::OnTick() { window_.Push(sampler_.Sample()); }
@@ -65,9 +71,9 @@ const ForensicReport& ForensicsEngine::OnAlarm(Tick alarm_tick,
   // Blend shares over the resources that produced evidence at all; a silent
   // resource neither convicts nor dilutes.
   double weight_total = 0.0;
-  if (total_evictions > 0) weight_total += config_.eviction_weight;
-  if (total_bus_delay > 0) weight_total += config_.bus_delay_weight;
-  if (total_occupancy > 0) weight_total += config_.occupancy_weight;
+  if (total_evictions > 0) weight_total += kEvictionWeight;
+  if (total_bus_delay > 0) weight_total += kBusDelayWeight;
+  if (total_occupancy > 0) weight_total += kOccupancyWeight;
   for (OwnerId o = 1; o < max_owners; ++o) {
     if (o == target_) continue;
     SuspectEvidence& s = sums[o];
@@ -85,9 +91,9 @@ const ForensicReport& ForensicsEngine::OnAlarm(Tick alarm_tick,
                           static_cast<double>(total_occupancy);
     }
     if (weight_total > 0.0) {
-      s.score = (config_.eviction_weight * s.eviction_share +
-                 config_.bus_delay_weight * s.bus_delay_share +
-                 config_.occupancy_weight * s.occupancy_share) /
+      s.score = (kEvictionWeight * s.eviction_share +
+                 kBusDelayWeight * s.bus_delay_share +
+                 kOccupancyWeight * s.occupancy_share) /
                 weight_total;
     }
     report.suspects.push_back(s);
@@ -99,7 +105,7 @@ const ForensicReport& ForensicsEngine::OnAlarm(Tick alarm_tick,
             });
 
   if (!report.suspects.empty() &&
-      report.suspects.front().score >= config_.min_score) {
+      report.suspects.front().score >= kForensicMinScore) {
     report.attributed = true;
     report.prime_suspect = report.suspects.front().vm;
     // Walk the window oldest-first for the suspect's first direct harm.
@@ -129,9 +135,9 @@ const ForensicReport& ForensicsEngine::OnAlarm(Tick alarm_tick,
     r.check = "forensics";
     r.channel = "AttributionLedger";
     r.value = prime_score;
-    r.lower = config_.min_score;
+    r.lower = kForensicMinScore;
     r.upper = 1.0;
-    r.margin = prime_score - config_.min_score;
+    r.margin = prime_score - kForensicMinScore;
     r.violation = report.attributed;
     r.consecutive = static_cast<int>(report.suspects.size());
     r.alarm = report.attributed;

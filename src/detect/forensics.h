@@ -32,21 +32,16 @@
 
 namespace sds::detect {
 
+// A prime suspect must score at least this, else the report stays
+// unattributed (prime_suspect 0) and mitigation falls through to its
+// victim-side ladder. 0.35 sits between the skew benign co-tenants reach on
+// a quiet machine (<~0.31 across seeds) and the share a real attacker holds
+// even when splitting evidence with a colluder (>~0.45).
+inline constexpr double kForensicMinScore = 0.35;
+
 struct ForensicsConfig {
   // Attribution spans retained in the evidence window.
   std::size_t window_spans = 512;
-  // Per-resource blend weights. Evictions and imposed stall delay are direct
-  // harm to the target; raw occupancy is circumstantial (a loud neighbor is
-  // not necessarily the attacker) and weighs half by default.
-  double eviction_weight = 1.0;
-  double bus_delay_weight = 1.0;
-  double occupancy_weight = 0.5;
-  // A prime suspect must score at least this, else the report stays
-  // unattributed (prime_suspect 0) and mitigation falls through to its
-  // victim-side ladder. 0.35 sits between the skew benign co-tenants reach
-  // on a quiet machine (<~0.31 across seeds) and the share a real attacker
-  // holds even when splitting evidence with a colluder (>~0.45).
-  double min_score = 0.35;
 };
 
 // Window-summed evidence one candidate VM accumulated against the target.
@@ -72,7 +67,7 @@ struct ForensicReport {
   // smaller VM id). The target itself is never a candidate; owner 0 is the
   // hypervisor/unattributed sentinel and never a candidate either.
   std::vector<SuspectEvidence> suspects;
-  // prime_suspect is suspects[0].vm when its score clears min_score;
+  // prime_suspect is suspects[0].vm when its score clears kForensicMinScore;
   // otherwise 0 and attributed is false.
   bool attributed = false;
   OwnerId prime_suspect = 0;

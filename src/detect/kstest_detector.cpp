@@ -10,6 +10,12 @@ namespace sds::detect {
 
 namespace tel = sds::telemetry;
 
+namespace {
+// Ticks the machine settles after a candidate is throttled, before its
+// samples are collected (the candidate stays throttled for settle + window).
+constexpr Tick kIdentifySettleTicks = 100;
+}  // namespace
+
 void KsTestDetector::TraceDetect(const char* name, std::int64_t owner,
                                  const char* key, double value) {
   tel::Telemetry* t = hypervisor_.telemetry();
@@ -85,7 +91,7 @@ KsTestDetector::KsTestDetector(vm::Hypervisor& hypervisor, OwnerId target,
             "need at least one rejection");
   SDS_CHECK(params.initial_offset >= 0 && params.initial_offset < params.l_r,
             "grid offset must be within one L_R interval");
-  SDS_CHECK(!ident.enabled || (ident.settle >= 0 && ident.window > 0),
+  SDS_CHECK(!ident.enabled || ident.window > 0,
             "bad identification window");
   local_tick_ = params.initial_offset;
 }
@@ -201,18 +207,13 @@ void KsTestDetector::StartIdentification() {
 
 void KsTestDetector::StartNextCandidate() {
   const OwnerId candidate = candidates_[candidate_index_];
-  hypervisor_.ThrottleVm(candidate, ident_.settle + ident_.window);
-  settle_left_ = ident_.settle;
+  hypervisor_.ThrottleVm(candidate, kIdentifySettleTicks + ident_.window);
+  settle_left_ = kIdentifySettleTicks;
   staging_access_.clear();
   staging_miss_.clear();
   collected_ = 0;
   collect_elapsed_ = 0;
-  state_ = settle_left_ > 0 ? State::kIdentifySettling
-                            : State::kIdentifyCollecting;
-  if (state_ == State::kIdentifyCollecting) {
-    source_.Start();
-    gate_.OnSessionStart();
-  }
+  state_ = State::kIdentifySettling;
 }
 
 void KsTestDetector::FinishCandidate() {
@@ -375,163 +376,6 @@ void KsTestDetector::AbandonCollection() {
     default:
       break;
   }
-}
-
-std::uint64_t KsTestDetector::ConfigFingerprint() const {
-  SnapshotWriter w;
-  w.I64(params_.l_r);
-  w.I64(params_.w_r);
-  w.I64(params_.l_m);
-  w.I64(params_.w_m);
-  w.F64(params_.alpha);
-  w.I64(params_.consecutive_rejections);
-  w.I64(params_.initial_offset);
-  w.Bool(ident_.enabled);
-  w.I64(ident_.settle);
-  w.I64(ident_.window);
-  return Fnv1a(w.data());
-}
-
-void KsTestDetector::SaveState(SnapshotWriter& w) const {
-  gate_.SaveState(w);
-  w.U32(static_cast<std::uint32_t>(state_));
-  w.I64(local_tick_);
-  w.I64(collected_);
-  w.I64(collect_elapsed_);
-  w.I64(settle_left_);
-  w.U64(abandoned_references_);
-  w.U64(abandoned_monitored_);
-  w.U64(abandoned_candidates_);
-  w.VecF64(ref_access_);
-  w.VecF64(ref_miss_);
-  w.VecF64(staging_access_);
-  w.VecF64(staging_miss_);
-  w.Bool(reference_ready_);
-  w.I64(consecutive_access_);
-  w.I64(consecutive_miss_);
-  w.Bool(attack_active_);
-  w.Bool(identified_alarm_);
-  w.U64(candidates_.size());
-  for (OwnerId id : candidates_) w.U32(id);
-  w.U64(candidate_index_);
-  w.Bool(sweep_on_access_);
-  w.Bool(sweep_on_miss_);
-  w.U64(candidate_results_.size());
-  for (const CandidateResult& cr : candidate_results_) {
-    w.U32(cr.vm);
-    w.F64(cr.p_value);
-    w.F64(cr.statistic);
-  }
-  w.U32(identified_attacker_);
-  w.U64(sweeps_);
-  w.U64(alarm_events_);
-  w.I64(suspicion_tick_);
-  w.I64(last_trigger_);
-}
-
-bool KsTestDetector::RestoreState(SnapshotReader& r) {
-  if (!gate_.RestoreState(r)) return false;
-  const std::uint32_t state = r.U32();
-  if (!r.ok() ||
-      state > static_cast<std::uint32_t>(State::kIdentifyCollecting)) {
-    return false;
-  }
-  const Tick local_tick = r.I64();
-  const Tick collected = r.I64();
-  const Tick collect_elapsed = r.I64();
-  const Tick settle_left = r.I64();
-  const std::uint64_t abandoned_references = r.U64();
-  const std::uint64_t abandoned_monitored = r.U64();
-  const std::uint64_t abandoned_candidates = r.U64();
-  std::vector<double> ref_access = r.VecF64();
-  std::vector<double> ref_miss = r.VecF64();
-  std::vector<double> staging_access = r.VecF64();
-  std::vector<double> staging_miss = r.VecF64();
-  const bool reference_ready = r.Bool();
-  const std::int64_t consecutive_access = r.I64();
-  const std::int64_t consecutive_miss = r.I64();
-  const bool attack_active = r.Bool();
-  const bool identified_alarm = r.Bool();
-  const std::uint64_t n_candidates = r.U64();
-  if (!r.ok() || n_candidates > 1'000'000) return false;
-  std::vector<OwnerId> candidates;
-  candidates.reserve(n_candidates);
-  for (std::uint64_t i = 0; i < n_candidates; ++i) {
-    candidates.push_back(r.U32());
-  }
-  const std::uint64_t candidate_index = r.U64();
-  const bool sweep_on_access = r.Bool();
-  const bool sweep_on_miss = r.Bool();
-  const std::uint64_t n_results = r.U64();
-  if (!r.ok() || n_results > 1'000'000) return false;
-  std::vector<CandidateResult> candidate_results;
-  candidate_results.reserve(n_results);
-  for (std::uint64_t i = 0; i < n_results; ++i) {
-    CandidateResult cr;
-    cr.vm = r.U32();
-    cr.p_value = r.F64();
-    cr.statistic = r.F64();
-    candidate_results.push_back(cr);
-  }
-  const OwnerId identified_attacker = r.U32();
-  const std::uint64_t sweeps = r.U64();
-  const std::uint64_t alarm_events = r.U64();
-  const Tick suspicion_tick = r.I64();
-  const Tick last_trigger = r.I64();
-  if (!r.ok() || consecutive_access < 0 || consecutive_miss < 0 ||
-      collected < 0 || collect_elapsed < 0) {
-    return false;
-  }
-  // A collecting state must index a live candidate when sweeping.
-  const auto restored_state = static_cast<State>(state);
-  if ((restored_state == State::kIdentifySettling ||
-       restored_state == State::kIdentifyCollecting) &&
-      candidate_index >= candidates.size()) {
-    return false;
-  }
-
-  state_ = restored_state;
-  local_tick_ = local_tick;
-  collected_ = collected;
-  collect_elapsed_ = collect_elapsed;
-  settle_left_ = settle_left;
-  abandoned_references_ = abandoned_references;
-  abandoned_monitored_ = abandoned_monitored;
-  abandoned_candidates_ = abandoned_candidates;
-  ref_access_ = std::move(ref_access);
-  ref_miss_ = std::move(ref_miss);
-  staging_access_ = std::move(staging_access);
-  staging_miss_ = std::move(staging_miss);
-  reference_ready_ = reference_ready;
-  consecutive_access_ = static_cast<int>(consecutive_access);
-  consecutive_miss_ = static_cast<int>(consecutive_miss);
-  attack_active_ = attack_active;
-  identified_alarm_ = identified_alarm;
-  candidates_ = std::move(candidates);
-  candidate_index_ = candidate_index;
-  sweep_on_access_ = sweep_on_access;
-  sweep_on_miss_ = sweep_on_miss;
-  candidate_results_ = std::move(candidate_results);
-  identified_attacker_ = identified_attacker;
-  sweeps_ = sweeps;
-  alarm_events_ = alarm_events;
-  suspicion_tick_ = suspicion_tick;
-  last_trigger_ = last_trigger;
-
-  // Re-establish the source session the restored state expects. Start()
-  // re-baselines cumulative counters at this tick boundary, so the next
-  // delta equals what the pre-restart sampler would have read. The gate
-  // deliberately does NOT get OnSessionStart(): its restored state IS the
-  // in-progress session.
-  const bool need_started = state_ == State::kCollectingReference ||
-                            state_ == State::kCollectingMonitored ||
-                            state_ == State::kIdentifyCollecting;
-  if (need_started && !source_.started()) {
-    source_.Start();
-  } else if (!need_started && source_.started()) {
-    source_.Stop();
-  }
-  return true;
 }
 
 void KsTestDetector::OnTick() {

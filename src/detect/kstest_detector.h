@@ -56,11 +56,8 @@ struct KsIdentificationParams {
   // Run the identification sweep on suspicion (the full [49] pipeline).
   // Disabled, suspicion raises the alarm directly.
   bool enabled = true;
-  // Ticks to let the machine settle after throttling a candidate before
-  // sampling it.
-  Tick settle = 100;
   // Ticks of samples collected per candidate (the candidate stays throttled
-  // for settle + window).
+  // for a fixed settle period plus this window).
   Tick window = 100;
 };
 
@@ -114,21 +111,6 @@ class KsTestDetector final : public Detector {
   // A gapped collection may extend to this multiple of its window before it
   // is abandoned.
   static constexpr Tick kCollectSlackFactor = 2;
-
-  // Snapshot/restore at a tick boundary (DESIGN.md §13). Serialized: the
-  // full collection state machine (including mid-collection staging and the
-  // identification sweep), reference windows, consecutive counters, alarm
-  // state and the gate/watchdog. NOT serialized: the PCM sampler (restore
-  // Start()s the replacement source when the saved state needs one running,
-  // re-baselining its cumulative counters at the same tick boundary) and
-  // the decisions_ introspection log (a restored detector logs from empty
-  // but decides bit-identically). Restore must target the SAME still-running
-  // hypervisor world: throttles the old detector armed persist there and are
-  // deliberately not re-issued. ConfigFingerprint() refuses a snapshot from
-  // different params.
-  std::uint64_t ConfigFingerprint() const;
-  void SaveState(SnapshotWriter& w) const;
-  bool RestoreState(SnapshotReader& r);
 
  private:
   enum class State : std::uint8_t {

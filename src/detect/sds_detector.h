@@ -44,11 +44,11 @@ class SdsDetector final : public Detector {
   bool attack_active() const override { return analyzer_.active(); }
   std::uint64_t alarm_events() const override { return alarm_events_; }
   Tick last_alarm_trigger_tick() const override { return last_trigger_; }
-  std::uint64_t retraction_events() const override {
-    return retraction_events_;
-  }
-  Tick last_retraction_tick() const override { return last_retraction_; }
   std::string_view name() const override { return SdsModeName(mode()); }
+  // Retractions: falling edges of the decision (the detector withdrew an
+  // alarm it previously raised). Part of the snapshot state.
+  std::uint64_t retraction_events() const { return retraction_events_; }
+  Tick last_retraction_tick() const { return last_retraction_; }
 
   // Introspection for the example binaries and the Figure 7/8 benches.
   const PeriodAnalyzer* access_period() const {

@@ -13,6 +13,11 @@
 
 namespace sds::eval {
 
+namespace {
+// Ticks that settle the caches before measuring.
+constexpr Tick kWarmupTicks = 100;
+}  // namespace
+
 ActuationRunResult RunActuationRun(const ActuationRunConfig& config,
                                    std::uint64_t seed) {
   SDS_CHECK(config.clean_window > 0 && config.attack_lead > 0 &&
@@ -20,7 +25,7 @@ ActuationRunResult RunActuationRun(const ActuationRunConfig& config,
             "measurement windows must be positive");
   cluster::Cluster cl(2, cluster::HostConfig{}, seed);
 
-  const Tick attack_start = config.warmup_ticks + config.clean_window;
+  const Tick attack_start = kWarmupTicks + config.clean_window;
   const cluster::VmRef victim = cl.Deploy(
       0, "victim", [&config] { return workloads::MakeApp(config.app); });
   const cluster::VmRef attacker =
@@ -52,7 +57,7 @@ ActuationRunResult RunActuationRun(const ActuationRunConfig& config,
 
   ActuationRunResult result;
 
-  for (Tick t = 0; t < config.warmup_ticks; ++t) step();
+  for (Tick t = 0; t < kWarmupTicks; ++t) step();
   mark = cl.counters(victim).llc_accesses;
   for (Tick t = 0; t < config.clean_window; ++t) step();
   result.rate_clean = window_rate(victim, config.clean_window);

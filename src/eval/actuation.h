@@ -45,7 +45,6 @@ struct ActuationRunConfig {
 
   std::string app = "kmeans";
   int benign_vms = 2;
-  Tick warmup_ticks = 100;     // settle the caches before measuring
   Tick clean_window = 400;     // clean-rate measurement
   Tick attack_lead = 300;      // attacked ticks before the alarm fires
   Tick settle_cap = 3000;      // ticks the engine gets to reach a terminal state

@@ -12,6 +12,9 @@
 namespace sds::eval {
 namespace {
 
+// Quiet lead-in before the attack program activates.
+constexpr Tick kWarmupTicks = 200;
+
 // Tick budget for the KStest cell before giving up on an alarm.
 constexpr Tick kKstestRunCap = 12000;
 
@@ -55,14 +58,13 @@ void ScoreCell(AttributionCell& cell, const detect::ForensicReport& report) {
   }
 }
 
-ScenarioConfig CellScenario(const AttributionSweepConfig& config,
-                            const AttributionCell& cell, std::uint64_t seed) {
+ScenarioConfig CellScenario(const AttributionCell& cell, std::uint64_t seed) {
   ScenarioConfig sc;
   sc.app = cell.app;
   sc.attack = cell.attack;
-  sc.attack_start = config.warmup_ticks;
+  sc.attack_start = kWarmupTicks;
   sc.attack2 = cell.attack2;
-  sc.attack2_start = config.warmup_ticks;
+  sc.attack2_start = kWarmupTicks;
   sc.machine.attribution = true;
   sc.seed = seed;
   return sc;
@@ -72,11 +74,11 @@ ScenarioConfig CellScenario(const AttributionSweepConfig& config,
 // sweep scores WHO the evidence names, not when a detector would fire.
 void RunForcedAlarmCell(const AttributionSweepConfig& config,
                         AttributionCell& cell, std::uint64_t seed) {
-  Scenario s = BuildScenario(CellScenario(config, cell, seed));
+  Scenario s = BuildScenario(CellScenario(cell, seed));
   cell.true_attacker = s.attacker;
   cell.true_attacker2 = s.attacker2;
   detect::ForensicsEngine engine(*s.hypervisor, s.victim, config.forensics);
-  for (Tick t = 0; t < config.warmup_ticks + config.attack_ticks; ++t) {
+  for (Tick t = 0; t < kWarmupTicks + config.attack_ticks; ++t) {
     s.hypervisor->RunTick();
     engine.OnTick();
   }
@@ -89,7 +91,7 @@ void RunForcedAlarmCell(const AttributionSweepConfig& config,
 // cell scores agreement between perturbation- and ledger-based attribution.
 void RunKstestCell(const AttributionSweepConfig& config, AttributionCell& cell,
                    std::uint64_t seed) {
-  ScenarioConfig sc = CellScenario(config, cell, seed);
+  ScenarioConfig sc = CellScenario(cell, seed);
   // Right after the immediate reference collection (which throttles
   // everything except the target, so it stays clean regardless): the first
   // monitored windows then see the attack and the alarm is attack-driven
@@ -235,10 +237,10 @@ AttributionSweepResult RunAttributionSweep(const AttributionSweepConfig& config,
 void WriteAttributionJson(std::ostream& os,
                           const AttributionSweepConfig& config,
                           const AttributionSweepResult& result) {
-  os << "{\"bench\":\"attrib\",\"warmup_ticks\":" << config.warmup_ticks
+  os << "{\"bench\":\"attrib\",\"warmup_ticks\":" << kWarmupTicks
      << ",\"attack_ticks\":" << config.attack_ticks
      << ",\"base_seed\":" << config.base_seed
-     << ",\"min_score\":" << config.forensics.min_score
+     << ",\"min_score\":" << detect::kForensicMinScore
      << ",\"rank1_fraction\":" << result.rank1_fraction
      << ",\"precision\":" << result.precision
      << ",\"recall\":" << result.recall

@@ -27,8 +27,6 @@ namespace sds::eval {
 
 struct AttributionSweepConfig {
   std::vector<std::string> apps = {"kmeans", "terasort", "bayes", "pca"};
-  // Quiet lead-in before the attack program activates.
-  Tick warmup_ticks = 200;
   // Evidence-collection window under attack; the forced alarm fires at its
   // end (the sweep scores attribution, not detection delay).
   Tick attack_ticks = 600;

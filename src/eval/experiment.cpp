@@ -352,8 +352,8 @@ OverheadRunResult RunOverheadRun(const OverheadRunConfig& config,
     }
   }
 
-  // Deployment: protected VM (id 1), measured co-located VM (id 2), an idle
-  // attack VM, and the remaining benign tenants. No attack is launched.
+  // Deployment: protected VM (id 1), measured co-located VM (id 2) and six
+  // benign tenants (ids 3-8). No attack VM is created.
   sim::Machine machine(config.scenario.machine);
   Rng root(main_seed);
   vm::Hypervisor hypervisor(machine, config.scenario.hypervisor, root.Fork());

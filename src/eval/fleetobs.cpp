@@ -24,6 +24,9 @@ constexpr const char* kMetricNames[] = {
 };
 constexpr std::size_t kMetricCount = 4;
 
+// Detection-latency thresholds (ticks) swept for the precision/recall curve.
+constexpr double kCurveThresholds[] = {300, 400, 500, 600, 700, 800};
+
 double Noise01(std::uint64_t seed, std::uint32_t host, std::uint32_t tenant,
                std::size_t metric, Tick tick) {
   std::uint64_t h = seed;
@@ -216,7 +219,7 @@ FleetObsResult RunFleetObsSweep(const FleetObsConfig& config,
   // Alert precision/recall vs the ground truth, per (window, host, tenant)
   // cell: a cell is FLAGGED when its latency p95 breaches the threshold,
   // POSITIVE when the pair attacks for the majority of the window.
-  for (const double threshold : config.thresholds) {
+  for (const double threshold : kCurveThresholds) {
     ThresholdPoint point;
     point.threshold = threshold;
     for (const obs::RollupRow& row : rows) {

@@ -40,9 +40,6 @@ struct FleetObsConfig {
   // Fraction of (host, tenant) pairs under attack during the attack
   // interval [ticks/3, 2*ticks/3).
   double attacked_fraction = 0.25;
-  // Detection-latency thresholds (ticks) swept for the precision/recall
-  // curve.
-  std::vector<double> thresholds = {300, 400, 500, 600, 700, 800};
   // Skip the single-shard cross-check (it doubles the work).
   bool verify_single_shard = true;
 };

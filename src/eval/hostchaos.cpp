@@ -329,11 +329,11 @@ HostChaosSweepResult RunHostChaosSweep(const HostChaosSweepConfig& config) {
       [&](std::size_t g, std::size_t r) {
         HostChaosRunConfig run = cells[g / 2];
         run.warm_handoff = g % 2 == 0;
-        // Fault schedules are a pure function of (fault_seed, cell, run
+        // Fault schedules are a pure function of (fault seed, cell, run
         // index) — and deliberately NOT of the handoff mode, so warm and
         // cold replay identical worlds. Cell tags count from 1.
         const std::uint64_t cell_tag = g / 2 + 1;
-        run.host_plan.seed = config.fault_seed +
+        run.host_plan.seed = kHostChaosFaultSeed +
                              std::uint64_t{0x9e3779b97f4a7c15} * (r + 1) +
                              std::uint64_t{0x85ebca6b} * (cell_tag + 1);
         return RunHostChaosRun(run, config.base_seed + r);

@@ -109,6 +109,10 @@ struct HostChaosRunResult {
 HostChaosRunResult RunHostChaosRun(const HostChaosRunConfig& config,
                                    std::uint64_t seed);
 
+// Base seed of every host fault plan the sweep draws; each (cell, run) mixes
+// its own offset in.
+inline constexpr std::uint64_t kHostChaosFaultSeed = 0x405c4a05ull;
+
 struct HostChaosSweepConfig {
   HostChaosRunConfig run;
   // Evasion family: forced-migration periods (ticks).
@@ -122,7 +126,6 @@ struct HostChaosSweepConfig {
   Tick scheduled_crash_down = 2500;
   int runs_per_cell = 2;
   std::uint64_t base_seed = 9100;
-  std::uint64_t fault_seed = 0x405c4a05ull;
 };
 
 // Aggregate of one cell's runs for one handoff mode.

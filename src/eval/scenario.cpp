@@ -18,6 +18,14 @@ const char* AttackName(AttackKind kind) {
   return "?";
 }
 
+std::vector<std::string> AppNames() {
+  std::vector<std::string> names;
+  for (const workloads::AppInfo& info : workloads::AppCatalog()) {
+    names.push_back(info.name);
+  }
+  return names;
+}
+
 Scenario BuildScenario(const ScenarioConfig& config) {
   SDS_CHECK(workloads::IsKnownApp(config.app), "unknown application");
   SDS_CHECK(config.benign_vms >= 0, "benign VM count must be non-negative");
@@ -56,7 +64,7 @@ Scenario BuildScenario(const ScenarioConfig& config) {
     s.attacker2 = s.hypervisor->CreateVm(
         "attacker2", std::make_unique<attacks::ScheduledWorkload>(
                          make_program(config.attack2), config.attack2_start,
-                         config.attack2_stop));
+                         -1));
   }
 
   for (int i = 0; i < config.benign_vms; ++i) {

@@ -5,6 +5,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "attacks/bus_lock_attacker.h"
 #include "attacks/llc_cleansing_attacker.h"
@@ -18,6 +19,10 @@ enum class AttackKind : std::uint8_t { kNone, kBusLock, kLlcCleansing };
 
 const char* AttackName(AttackKind kind);
 
+// Names of the catalog applications, in catalog order: the values a
+// binary's --app flag accepts.
+std::vector<std::string> AppNames();
+
 struct ScenarioConfig {
   // Catalog application on the victim VM.
   std::string app = "kmeans";
@@ -26,10 +31,9 @@ struct ScenarioConfig {
   Tick attack_start = 0;
   Tick attack_stop = -1;
   // Optional second, colluding attack VM (the attribution sweep's two-
-  // attacker cell). Scheduled independently of the first.
+  // attacker cell). Starts independently of the first and never stops.
   AttackKind attack2 = AttackKind::kNone;
   Tick attack2_start = 0;
-  Tick attack2_stop = -1;
   // Number of benign co-tenant VMs (paper: 7).
   int benign_vms = 7;
   std::uint64_t seed = 1;

@@ -12,6 +12,18 @@ namespace sds::eval {
 
 namespace {
 
+// Poison-input rates, per clean-tenant sample (deterministic hash).
+constexpr double kMalformedRate = 0.01;
+constexpr double kDuplicateRate = 0.02;
+constexpr double kFutureRate = 0.004;
+// The poison tenant emits an insane sample every kInsaneEvery ticks.
+constexpr Tick kInsaneEvery = 7;
+// Ghost-tenant bursts: every kBurstEvery ticks, kBurstTenants extra tenants
+// emit for kBurstLen ticks (queue pressure + LRU pressure).
+constexpr Tick kBurstEvery = 300;
+constexpr Tick kBurstLen = 40;
+constexpr std::uint32_t kBurstTenants = 12;
+
 bool TenantAttacked(std::uint64_t seed, std::uint32_t tenant,
                     double fraction) {
   return Draw01(seed, tenant, 0, 0xa77ac) < fraction;
@@ -63,20 +75,20 @@ std::vector<FeedEvent> BuildChaosFeed(const ServiceChaosConfig& c) {
       std::uint64_t access = 0;
       std::uint64_t miss = 0;
       clean_values(u, t, &access, &miss);
-      if (Draw01(c.seed, u, t, 4) < c.malformed_rate) {
+      if (Draw01(c.seed, u, t, 4) < kMalformedRate) {
         // The line got garbled in transit: one malformed delivery instead
         // of the sample.
         emit(t, true, 0, 0, 0, 0);
       } else {
         emit(t, false, u, t, access, miss);
-        if (t > 0 && Draw01(c.seed, u, t, 5) < c.duplicate_rate) {
+        if (t > 0 && Draw01(c.seed, u, t, 5) < kDuplicateRate) {
           // The feed stutters: yesterday's reading again (stale rung).
           std::uint64_t pa = 0;
           std::uint64_t pm = 0;
           clean_values(u, t - 1, &pa, &pm);
           emit(t, false, u, t - 1, pa, pm);
         }
-        if (Draw01(c.seed, u, t, 6) < c.future_rate) {
+        if (Draw01(c.seed, u, t, 6) < kFutureRate) {
           // A clock-skewed duplicate from the future (future rung).
           emit(t, false, u, t + c.svc.admission.max_future_ticks + 10,
                access, miss);
@@ -85,17 +97,17 @@ std::vector<FeedEvent> BuildChaosFeed(const ServiceChaosConfig& c) {
     }
     // The poison tenant sprays physically impossible samples (miss >
     // access) on a fixed cadence: offense -> quarantine cycles.
-    if (c.insane_every > 0 && t % c.insane_every == 0) {
+    if (t % kInsaneEvery == 0) {
       emit(t, false, poison_tenant, t, 1000, 2000);
     }
     // Ghost-tenant bursts: table pressure (LRU evictions) + queue pressure
     // (coalesce / shed tiers).
-    if (c.burst_every > 0 && (t % c.burst_every) < c.burst_len) {
+    if (t % kBurstEvery < kBurstLen) {
       // Alternate between two ghost cohorts: cohort A's stale entries are
       // what cohort B evicts, and when A returns two bursts later its
       // re-creations count as readmissions.
-      const auto burst_index = static_cast<std::uint32_t>(t / c.burst_every);
-      for (std::uint32_t g = 0; g < c.burst_tenants; ++g) {
+      const auto burst_index = static_cast<std::uint32_t>(t / kBurstEvery);
+      for (std::uint32_t g = 0; g < kBurstTenants; ++g) {
         const std::uint32_t ghost = 1000 + (burst_index % 2) * 100 + g;
         emit(t, false, ghost, t,
              1500 + static_cast<std::uint64_t>(

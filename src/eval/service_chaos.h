@@ -50,17 +50,6 @@ struct ServiceChaosConfig {
   // [attack_start, ticks).
   Tick attack_start = 600;
   double attacked_fraction = 0.34;
-  // Poison-input rates, per clean-tenant sample (deterministic hash):
-  double malformed_rate = 0.01;
-  double duplicate_rate = 0.02;
-  double future_rate = 0.004;
-  // The poison tenant emits an insane sample every `insane_every` ticks.
-  Tick insane_every = 7;
-  // Ghost-tenant bursts: every `burst_every` ticks, `burst_tenants` extra
-  // tenants emit for `burst_len` ticks (queue pressure + LRU pressure).
-  Tick burst_every = 300;
-  Tick burst_len = 40;
-  std::uint32_t burst_tenants = 12;
   // Crash-point grid: each kind fires at these fractions of the reference
   // run's operation count, each torn kind at these surviving byte
   // fractions.

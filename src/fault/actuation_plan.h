@@ -37,7 +37,7 @@ enum class ActuationFaultKind : std::uint8_t {
   // The placement check at completion rejects the destination as full even
   // though the capacity bookkeeping said otherwise (stale admission data).
   kSpareAtCapacity,
-  // A stop/resume command bounces off the target hypervisor.
+  // A stop command bounces off the target hypervisor.
   kStopRejected,
   kKindCount,
 };

@@ -11,6 +11,17 @@ namespace sds::fault {
 
 namespace tel = sds::telemetry;
 
+namespace {
+// Duration ranges (inclusive) for the windowed kinds when drawn
+// stochastically.
+constexpr Tick kOutageMinTicks = 5;
+constexpr Tick kOutageMaxTicks = 50;
+constexpr Tick kDeathMinTicks = 50;
+constexpr Tick kDeathMaxTicks = 400;
+constexpr Tick kSaturationMinTicks = 10;
+constexpr Tick kSaturationMaxTicks = 100;
+}  // namespace
+
 FaultInjector::FaultInjector(vm::Hypervisor& hypervisor, OwnerId target,
                              const FaultPlan& plan)
     : hypervisor_(hypervisor),
@@ -18,15 +29,6 @@ FaultInjector::FaultInjector(vm::Hypervisor& hypervisor, OwnerId target,
       plan_(plan),
       rng_(plan.seed),
       inner_(hypervisor, target) {
-  SDS_CHECK(plan_.outage_min_ticks > 0 &&
-                plan_.outage_max_ticks >= plan_.outage_min_ticks,
-            "bad outage duration range");
-  SDS_CHECK(plan_.death_min_ticks > 0 &&
-                plan_.death_max_ticks >= plan_.death_min_ticks,
-            "bad death duration range");
-  SDS_CHECK(plan_.saturation_min_ticks > 0 &&
-                plan_.saturation_max_ticks >= plan_.saturation_min_ticks,
-            "bad saturation duration range");
   plan_.CheckRates();
   if (tel::Telemetry* t = hypervisor_.telemetry()) {
     for (std::size_t k = 0; k < kFaultKindCount; ++k) {
@@ -126,16 +128,13 @@ std::optional<FaultKind> FaultInjector::DecideFault(Tick now) {
     Tick duration = 0;
     switch (kind) {
       case FaultKind::kOutage:
-        duration = rng_.UniformInt(plan_.outage_min_ticks,
-                                   plan_.outage_max_ticks);
+        duration = rng_.UniformInt(kOutageMinTicks, kOutageMaxTicks);
         break;
       case FaultKind::kSamplerDeath:
-        duration = rng_.UniformInt(plan_.death_min_ticks,
-                                   plan_.death_max_ticks);
+        duration = rng_.UniformInt(kDeathMinTicks, kDeathMaxTicks);
         break;
       case FaultKind::kSaturation:
-        duration = rng_.UniformInt(plan_.saturation_min_ticks,
-                                   plan_.saturation_max_ticks);
+        duration = rng_.UniformInt(kSaturationMinTicks, kSaturationMaxTicks);
         break;
       default:
         break;

@@ -68,15 +68,6 @@ struct PlanFields<FaultKind> {
       "drop_sample",   "coalesce",   "outage",    "sampler_death",
       "counter_reset", "saturation", "corruption"};
 
-  // Duration ranges (inclusive) for the windowed kinds when drawn
-  // stochastically.
-  Tick outage_min_ticks = 5;
-  Tick outage_max_ticks = 50;
-  Tick death_min_ticks = 50;
-  Tick death_max_ticks = 400;
-  Tick saturation_min_ticks = 10;
-  Tick saturation_max_ticks = 100;
-
   // Ceiling a saturated counter delta clamps to.
   std::uint64_t saturation_cap = 64;
 

@@ -69,11 +69,8 @@ struct PlanFields<HostFaultKind> {
   Tick down_min_ticks = 200;
   Tick down_max_ticks = 1200;
 
-  // Degraded-mode window (inclusive range, drawn per degrade event) and the
-  // service stride while inside it: the host serves one tick in every
-  // `degrade_stride`.
-  Tick degrade_min_ticks = 100;
-  Tick degrade_max_ticks = 600;
+  // Service stride inside a degraded-mode window: the host serves one tick
+  // in every `degrade_stride`.
   int degrade_stride = 4;
 
   // Scheduled recovery latency: ticks spent in the recovering state after a

@@ -9,29 +9,26 @@ namespace sds::obs {
 // look at the handoff payload layout too.
 static_assert(kSnapshotVersion >= 1);
 
-namespace {
-
 // Outer envelope payload: u64 source tick, then the inner (itself sealed)
 // detector snapshot — so the config fingerprint is validated at both
 // layers and the inner blob remains a plain obs/snapshot.h snapshot. Both
 // envelopes carry kSnapshotVersion; a release skew rejects at the outer
 // layer already.
-template <typename Detector, typename PackFn>
-std::string Pack(std::string_view kind, const Detector& detector,
-                 Tick source_tick, PackFn pack_inner) {
+std::string PackSdsHandoff(const detect::SdsDetector& detector,
+                           Tick source_tick) {
   SnapshotWriter payload;
   payload.U64(static_cast<std::uint64_t>(source_tick));
-  payload.Str(pack_inner(detector));
-  return SealSnapshot(kind, detector.ConfigFingerprint(), payload.data());
+  payload.Str(SnapshotSdsDetector(detector));
+  return SealSnapshot(kSdsHandoffKind, detector.ConfigFingerprint(),
+                      payload.data());
 }
 
-template <typename Detector, typename RestoreFn>
-HandoffResult Apply(std::string_view kind, std::string_view blob,
-                    Detector* detector, RestoreFn restore_inner) {
+HandoffResult ApplySdsHandoff(std::string_view blob,
+                              detect::SdsDetector* detector) {
   HandoffResult result;
   std::string payload;
-  result.status =
-      OpenSnapshot(blob, kind, detector->ConfigFingerprint(), &payload);
+  result.status = OpenSnapshot(blob, kSdsHandoffKind,
+                               detector->ConfigFingerprint(), &payload);
   if (result.status != SnapshotStatus::kOk) return result;
   SnapshotReader reader(payload);
   const auto source_tick = static_cast<Tick>(reader.U64());
@@ -41,43 +38,9 @@ HandoffResult Apply(std::string_view kind, std::string_view blob,
     return result;
   }
   result.source_tick = source_tick;
-  result.status = restore_inner(inner, detector);
+  result.status = RestoreSdsDetector(inner, detector);
   result.warm = result.status == SnapshotStatus::kOk;
   return result;
-}
-
-}  // namespace
-
-std::string PackSdsHandoff(const detect::SdsDetector& detector,
-                           Tick source_tick) {
-  return Pack(kSdsHandoffKind, detector, source_tick,
-              [](const detect::SdsDetector& d) {
-                return SnapshotSdsDetector(d);
-              });
-}
-
-std::string PackKsHandoff(const detect::KsTestDetector& detector,
-                          Tick source_tick) {
-  return Pack(kKsHandoffKind, detector, source_tick,
-              [](const detect::KsTestDetector& d) {
-                return SnapshotKsTestDetector(d);
-              });
-}
-
-HandoffResult ApplySdsHandoff(std::string_view blob,
-                              detect::SdsDetector* detector) {
-  return Apply(kSdsHandoffKind, blob, detector,
-               [](std::string_view inner, detect::SdsDetector* d) {
-                 return RestoreSdsDetector(inner, d);
-               });
-}
-
-HandoffResult ApplyKsHandoff(std::string_view blob,
-                             detect::KsTestDetector* detector) {
-  return Apply(kKsHandoffKind, blob, detector,
-               [](std::string_view inner, detect::KsTestDetector* d) {
-                 return RestoreKsTestDetector(inner, d);
-               });
 }
 
 }  // namespace sds::obs

@@ -28,15 +28,13 @@
 #include <string_view>
 
 #include "common/types.h"
-#include "detect/kstest_detector.h"
 #include "detect/sds_detector.h"
 #include "obs/snapshot.h"
 
 namespace sds::obs {
 
-// Envelope kind strings of the outer handoff blob.
+// Envelope kind string of the outer handoff blob.
 inline constexpr char kSdsHandoffKind[] = "sds-handoff";
-inline constexpr char kKsHandoffKind[] = "kstest-handoff";
 
 struct HandoffResult {
   // True only when every envelope layer verified and the destination
@@ -74,15 +72,11 @@ struct HandoffStats {
 // `source_tick` (pass Cluster::now() at the tick boundary the VM moves).
 std::string PackSdsHandoff(const detect::SdsDetector& detector,
                            Tick source_tick);
-std::string PackKsHandoff(const detect::KsTestDetector& detector,
-                          Tick source_tick);
 
 // Applies a handoff blob to the freshly-constructed destination detector.
 // On any failure the detector is untouched (cold start) and the result
 // names the failing layer.
 HandoffResult ApplySdsHandoff(std::string_view blob,
                               detect::SdsDetector* detector);
-HandoffResult ApplyKsHandoff(std::string_view blob,
-                             detect::KsTestDetector* detector);
 
 }  // namespace sds::obs

@@ -6,7 +6,6 @@
 
 #include "common/check.h"
 #include "common/snapshot.h"
-#include "telemetry/tracer.h"
 
 namespace sds::obs {
 
@@ -218,21 +217,6 @@ void FleetRollup::WriteJsonl(std::ostream& os) const {
      << ",\"dropped_series\":" << dropped_series()
      << ",\"dropped_samples\":" << dropped_samples()
      << ",\"memory_bytes\":" << ApproxMemoryBytes() << "}\n";
-}
-
-void IngestTracerStats(const telemetry::EventTracer& tracer, Tick tick,
-                       std::uint32_t host, std::uint32_t tenant,
-                       FleetRollup* rollup) {
-  ObsSample s;
-  s.tick = tick;
-  s.key.host = host;
-  s.key.tenant = tenant;
-  s.key.metric = rollup->RegisterMetric("tracer.emitted");
-  s.value = static_cast<double>(tracer.emitted());
-  rollup->Ingest(s);
-  s.key.metric = rollup->RegisterMetric("tracer.dropped");
-  s.value = static_cast<double>(tracer.dropped());
-  rollup->Ingest(s);
 }
 
 }  // namespace sds::obs

@@ -34,10 +34,6 @@
 #include "common/types.h"
 #include "obs/quantile_sketch.h"
 
-namespace sds::telemetry {
-class EventTracer;
-}  // namespace sds::telemetry
-
 namespace sds::obs {
 
 // Interned metric name; assigned by FleetRollup::RegisterMetric.
@@ -198,13 +194,5 @@ class FleetRollup {
   std::map<std::string, MetricId> metric_index_;
   std::vector<RollupRow> completed_;
 };
-
-// Tracer-ingest adapter: feeds the telemetry ring's saturation accounting
-// (emitted / dropped totals) into the rollup as per-host samples, so ring
-// overflow shows up in fleet rollups and SLO rules, not only in
-// tools/inspect. Registers metrics "tracer.emitted" and "tracer.dropped".
-void IngestTracerStats(const telemetry::EventTracer& tracer, Tick tick,
-                       std::uint32_t host, std::uint32_t tenant,
-                       FleetRollup* rollup);
 
 }  // namespace sds::obs

@@ -1,6 +1,5 @@
 #include "obs/slo.h"
 
-#include <charconv>
 #include <ostream>
 
 #include "common/check.h"
@@ -8,30 +7,6 @@
 namespace sds::obs {
 
 namespace {
-
-std::vector<std::string_view> SplitTokens(std::string_view text) {
-  std::vector<std::string_view> tokens;
-  std::size_t i = 0;
-  while (i < text.size()) {
-    while (i < text.size() && (text[i] == ' ' || text[i] == '\t')) ++i;
-    std::size_t start = i;
-    while (i < text.size() && text[i] != ' ' && text[i] != '\t') ++i;
-    if (i > start) tokens.push_back(text.substr(start, i - start));
-  }
-  return tokens;
-}
-
-bool ParseDouble(std::string_view token, double* out) {
-  const auto res =
-      std::from_chars(token.data(), token.data() + token.size(), *out);
-  return res.ec == std::errc() && res.ptr == token.data() + token.size();
-}
-
-bool ParseInt(std::string_view token, std::int64_t* out) {
-  const auto res =
-      std::from_chars(token.data(), token.data() + token.size(), *out);
-  return res.ec == std::errc() && res.ptr == token.data() + token.size();
-}
 
 bool Compare(double value, SloOp op, double threshold) {
   switch (op) {
@@ -117,97 +92,6 @@ double SloAggregate(const RollupRow& row, SloAgg agg) {
       return row.sum;
   }
   return 0.0;
-}
-
-std::optional<SloRule> ParseSloRule(std::string_view text, std::string* error) {
-  const auto fail = [error](const char* msg) {
-    if (error) *error = msg;
-    return std::optional<SloRule>();
-  };
-  const std::vector<std::string_view> tokens = SplitTokens(text);
-  if (tokens.size() < 4) return fail("rule needs: name: agg(metric) op value");
-
-  SloRule rule;
-  std::string_view name = tokens[0];
-  if (name.empty() || name.back() != ':') return fail("name must end with ':'");
-  name.remove_suffix(1);
-  if (name.empty()) return fail("empty rule name");
-  rule.name = std::string(name);
-
-  std::string_view call = tokens[1];
-  const std::size_t open = call.find('(');
-  if (open == std::string_view::npos || call.back() != ')') {
-    return fail("expected agg(metric)");
-  }
-  const std::string_view agg = call.substr(0, open);
-  const std::string_view metric = call.substr(open + 1, call.size() - open - 2);
-  if (metric.empty()) return fail("empty metric name");
-  rule.metric = std::string(metric);
-  if (agg == "mean") {
-    rule.agg = SloAgg::kMean;
-  } else if (agg == "p50") {
-    rule.agg = SloAgg::kP50;
-  } else if (agg == "p95") {
-    rule.agg = SloAgg::kP95;
-  } else if (agg == "p99") {
-    rule.agg = SloAgg::kP99;
-  } else if (agg == "min") {
-    rule.agg = SloAgg::kMin;
-  } else if (agg == "max") {
-    rule.agg = SloAgg::kMax;
-  } else if (agg == "count") {
-    rule.agg = SloAgg::kCount;
-  } else if (agg == "sum") {
-    rule.agg = SloAgg::kSum;
-  } else {
-    return fail("unknown aggregation");
-  }
-
-  const std::string_view op = tokens[2];
-  if (op == "<") {
-    rule.op = SloOp::kLt;
-  } else if (op == "<=") {
-    rule.op = SloOp::kLe;
-  } else if (op == ">") {
-    rule.op = SloOp::kGt;
-  } else if (op == ">=") {
-    rule.op = SloOp::kGe;
-  } else {
-    return fail("unknown comparison operator");
-  }
-  if (!ParseDouble(tokens[3], &rule.threshold)) return fail("bad threshold");
-
-  std::size_t i = 4;
-  while (i < tokens.size()) {
-    if (i + 1 >= tokens.size()) return fail("clause missing its value");
-    const std::string_view clause = tokens[i];
-    const std::string_view value = tokens[i + 1];
-    if (clause == "budget") {
-      if (!ParseDouble(value, &rule.budget) || rule.budget <= 0.0 ||
-          rule.budget > 1.0) {
-        return fail("budget must be in (0, 1]");
-      }
-    } else if (clause == "window") {
-      if (!ParseInt(value, &rule.burn_window) || rule.burn_window < 1) {
-        return fail("window must be a positive integer");
-      }
-    } else if (clause == "warn") {
-      if (!ParseDouble(value, &rule.warn_burn) || rule.warn_burn <= 0.0) {
-        return fail("warn burn must be positive");
-      }
-    } else if (clause == "page") {
-      if (!ParseDouble(value, &rule.page_burn) || rule.page_burn <= 0.0) {
-        return fail("page burn must be positive");
-      }
-    } else {
-      return fail("unknown clause");
-    }
-    i += 2;
-  }
-  if (rule.page_burn < rule.warn_burn) {
-    return fail("page burn must be >= warn burn");
-  }
-  return rule;
 }
 
 SloEngine::SloEngine(std::vector<SloRule> rules, const FleetRollup* rollup)
@@ -319,30 +203,50 @@ void SloEngine::WriteJsonl(std::ostream& os) const {
 }
 
 std::vector<SloRule> DefaultFleetSloRules() {
-  const char* kRules[] = {
+  return {
       // Detection latency: alarms must trigger within 600 ticks (6 s of
       // virtual time) at the 95th percentile.
-      "detect-latency: p95(detect.latency_ticks) <= 600 budget 0.05 "
-      "window 12 warn 1 page 2",
+      {.name = "detect-latency",
+       .metric = "detect.latency_ticks",
+       .agg = SloAgg::kP95,
+       .op = SloOp::kLe,
+       .threshold = 600,
+       .budget = 0.05,
+       .burn_window = 12,
+       .warn_burn = 1,
+       .page_burn = 2},
       // False-alarm budget: any clean-window alarm consumes budget.
-      "false-alarm-budget: max(detect.false_alarm) <= 0 budget 0.02 "
-      "window 24 warn 1 page 3",
+      {.name = "false-alarm-budget",
+       .metric = "detect.false_alarm",
+       .agg = SloAgg::kMax,
+       .op = SloOp::kLe,
+       .threshold = 0,
+       .budget = 0.02,
+       .burn_window = 24,
+       .warn_burn = 1,
+       .page_burn = 3},
       // Mitigation convergence: throttle escalation settles within 400
       // ticks at the tail.
-      "mitigation-convergence: p99(mitigation.converge_ticks) <= 400 "
-      "budget 0.05 window 12 warn 1 page 2",
+      {.name = "mitigation-convergence",
+       .metric = "mitigation.converge_ticks",
+       .agg = SloAgg::kP99,
+       .op = SloOp::kLe,
+       .threshold = 400,
+       .budget = 0.05,
+       .burn_window = 12,
+       .warn_burn = 1,
+       .page_burn = 2},
       // Sampler health: at least 90% of ticks deliver a usable sample.
-      "sampler-health: mean(sampler.delivery_ratio) >= 0.9 budget 0.1 "
-      "window 12 warn 1 page 2",
+      {.name = "sampler-health",
+       .metric = "sampler.delivery_ratio",
+       .agg = SloAgg::kMean,
+       .op = SloOp::kGe,
+       .threshold = 0.9,
+       .budget = 0.1,
+       .burn_window = 12,
+       .warn_burn = 1,
+       .page_burn = 2},
   };
-  std::vector<SloRule> rules;
-  for (const char* text : kRules) {
-    std::string error;
-    const auto rule = ParseSloRule(text, &error);
-    SDS_CHECK(rule.has_value(), "default SLO rule failed to parse");
-    rules.push_back(*rule);
-  }
-  return rules;
 }
 
 }  // namespace sds::obs

@@ -1,22 +1,17 @@
 // SLO rule engine with error-budget burn-rate alerting (DESIGN.md §13).
 //
-// Rules are declared in a one-line grammar evaluated against each completed
-// rollup window:
+// A rule bounds one aggregate of one rollup metric, evaluated against each
+// completed rollup window:
 //
-//   rule      := name ':' agg '(' metric ')' op value [clause...]
-//   agg       := mean | p50 | p95 | p99 | min | max | count | sum
-//   op        := '<' | '<=' | '>' | '>='
-//   clause    := 'budget' FLOAT      allowed violating-window fraction
-//              | 'window' INT        trailing windows in the burn estimate
-//              | 'warn' FLOAT        burn-rate warning threshold
-//              | 'page' FLOAT        burn-rate paging threshold
+//   name: agg(metric) op threshold   with an error budget, a burn window
+//                                    and warn/page burn-rate thresholds
 //
-// e.g.  "detect-latency: p95(detect.latency_ticks) <= 600 budget 0.05
-//        window 12 warn 1 page 2"
+// e.g.  detect-latency: p95(detect.latency_ticks) <= 600, budget 0.05 over
+//       12 windows, warn at burn 1, page at burn 2.
 //
 // Semantics: a window VIOLATES a rule when any series of the rule's metric
 // breaches the threshold in that window (worst-case across the fleet). The
-// burn rate is the violating fraction of the trailing `window` windows
+// burn rate is the violating fraction of the trailing `burn_window` windows
 // divided by the budget — burn 1.0 means the budget is being consumed
 // exactly as fast as it accrues; sustained burn > 1 exhausts it. Level
 // transitions (ok -> warn -> page and back) are emitted as SloAlert events.
@@ -31,7 +26,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "obs/rollup.h"
@@ -67,9 +61,6 @@ struct SloRule {
   double warn_burn = 1.0;
   double page_burn = 2.0;
 };
-
-// Parses one rule line; returns nullopt and fills *error on bad syntax.
-std::optional<SloRule> ParseSloRule(std::string_view text, std::string* error);
 
 enum class SloLevel : std::uint8_t { kOk, kWarn, kPage };
 
@@ -136,7 +127,7 @@ class SloEngine {
 double SloAggregate(const RollupRow& row, SloAgg agg);
 
 // The default fleet SLO pack: detection latency, false-alarm budget,
-// mitigation convergence and sampler health, phrased in the rule grammar.
+// mitigation convergence and sampler health.
 // These names match the metrics eval::RunFleetObsSweep emits.
 std::vector<SloRule> DefaultFleetSloRules();
 

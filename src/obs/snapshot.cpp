@@ -1,8 +1,5 @@
 #include "obs/snapshot.h"
 
-#include <fstream>
-#include <sstream>
-
 #include "common/snapshot.h"
 
 namespace sds::obs {
@@ -11,28 +8,6 @@ namespace {
 
 constexpr std::string_view kMagic{"SDSSNAP\0", 8};
 constexpr std::string_view kKindSds = "sds_detector";
-constexpr std::string_view kKindKsTest = "kstest_detector";
-
-template <typename Detector>
-std::string SealDetector(std::string_view kind, const Detector& detector) {
-  SnapshotWriter payload;
-  detector.SaveState(payload);
-  return SealSnapshot(kind, detector.ConfigFingerprint(), payload.data());
-}
-
-template <typename Detector>
-SnapshotStatus RestoreDetector(std::string_view blob, std::string_view kind,
-                               Detector* detector) {
-  std::string payload;
-  const SnapshotStatus status =
-      OpenSnapshot(blob, kind, detector->ConfigFingerprint(), &payload);
-  if (status != SnapshotStatus::kOk) return status;
-  SnapshotReader reader(payload);
-  if (!detector->RestoreState(reader) || !reader.exhausted()) {
-    return SnapshotStatus::kCorrupt;
-  }
-  return SnapshotStatus::kOk;
-}
 
 }  // namespace
 
@@ -109,37 +84,22 @@ SnapshotStatus OpenSnapshot(std::string_view blob, std::string_view kind,
 }
 
 std::string SnapshotSdsDetector(const detect::SdsDetector& detector) {
-  return SealDetector(kKindSds, detector);
+  SnapshotWriter payload;
+  detector.SaveState(payload);
+  return SealSnapshot(kKindSds, detector.ConfigFingerprint(), payload.data());
 }
 
 SnapshotStatus RestoreSdsDetector(std::string_view blob,
                                   detect::SdsDetector* detector) {
-  return RestoreDetector(blob, kKindSds, detector);
-}
-
-std::string SnapshotKsTestDetector(const detect::KsTestDetector& detector) {
-  return SealDetector(kKindKsTest, detector);
-}
-
-SnapshotStatus RestoreKsTestDetector(std::string_view blob,
-                                     detect::KsTestDetector* detector) {
-  return RestoreDetector(blob, kKindKsTest, detector);
-}
-
-bool WriteSnapshotFile(const std::string& path, std::string_view blob) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return false;
-  out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-  return static_cast<bool>(out);
-}
-
-std::optional<std::string> ReadSnapshotFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (!in.good() && !in.eof()) return std::nullopt;
-  return buffer.str();
+  std::string payload;
+  const SnapshotStatus status =
+      OpenSnapshot(blob, kKindSds, detector->ConfigFingerprint(), &payload);
+  if (status != SnapshotStatus::kOk) return status;
+  SnapshotReader reader(payload);
+  if (!detector->RestoreState(reader) || !reader.exhausted()) {
+    return SnapshotStatus::kCorrupt;
+  }
+  return SnapshotStatus::kOk;
 }
 
 }  // namespace sds::obs

@@ -23,11 +23,9 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 
-#include "detect/kstest_detector.h"
 #include "detect/sds_detector.h"
 
 namespace sds::obs {
@@ -61,16 +59,11 @@ SnapshotStatus OpenSnapshot(std::string_view blob, std::string_view kind,
                             std::uint64_t config_fingerprint,
                             std::string* payload);
 
-// Detector wrappers.
+// SdsDetector wrappers: seal its SaveState under its ConfigFingerprint, and
+// restore only from a blob that opens and whose field stream the detector
+// consumes exactly.
 std::string SnapshotSdsDetector(const detect::SdsDetector& detector);
 SnapshotStatus RestoreSdsDetector(std::string_view blob,
                                   detect::SdsDetector* detector);
-std::string SnapshotKsTestDetector(const detect::KsTestDetector& detector);
-SnapshotStatus RestoreKsTestDetector(std::string_view blob,
-                                     detect::KsTestDetector* detector);
-
-// File round trip (binary, whole-blob).
-bool WriteSnapshotFile(const std::string& path, std::string_view blob);
-std::optional<std::string> ReadSnapshotFile(const std::string& path);
 
 }  // namespace sds::obs

@@ -10,6 +10,20 @@
 namespace sds {
 namespace {
 
+// Spectral peaks must exceed this multiple of the mean non-DC power.
+constexpr double kSpectrumThreshold = 3.0;
+// Consider at most this many spectral candidates.
+constexpr std::size_t kMaxCandidates = 8;
+// ACF hill search radius as a fraction of the candidate period.
+constexpr double kHillRadiusFraction = 0.35;
+// Minimum ACF strength for a candidate to be accepted.
+constexpr double kMinStrength = 0.2;
+// Apply a Hann window before the DFT stage.
+constexpr bool kHannWindow = true;
+// Two validated candidates whose strengths differ by less than this are
+// considered equal, in which case the smaller period wins (anti-multiple).
+constexpr double kStrengthTieMargin = 0.05;
+
 // Finds the ACF local maximum nearest to `lag` within +-radius; returns the
 // lag of that maximum, or 0 when the neighbourhood is monotone (no hill).
 std::size_t SnapToAcfPeak(std::span<const double> acf, std::size_t lag,
@@ -34,13 +48,12 @@ std::size_t SnapToAcfPeak(std::span<const double> acf, std::size_t lag,
 
 }  // namespace
 
-std::optional<PeriodEstimate> DetectPeriod(std::span<const double> x,
-                                           const PeriodDetectorOptions& opts) {
+std::optional<PeriodEstimate> DetectPeriod(std::span<const double> x) {
   if (x.size() < 8) return std::nullopt;
 
-  const auto power = Periodogram(x, opts.hann_window);
-  const auto candidates = FindSpectrumPeaks(
-      power, x.size(), opts.spectrum_threshold, opts.max_candidates);
+  const auto power = Periodogram(x, kHannWindow);
+  const auto candidates =
+      FindSpectrumPeaks(power, x.size(), kSpectrumThreshold, kMaxCandidates);
   if (candidates.empty()) return std::nullopt;
 
   const std::size_t max_lag = x.size() / 2;
@@ -51,7 +64,7 @@ std::optional<PeriodEstimate> DetectPeriod(std::span<const double> x,
     const auto lag = static_cast<std::size_t>(cand.period + 0.5);
     if (lag < 2 || lag > max_lag) continue;
     const auto radius = std::max<std::size_t>(
-        2, static_cast<std::size_t>(opts.hill_radius_fraction *
+        2, static_cast<std::size_t>(kHillRadiusFraction *
                                     static_cast<double>(lag)));
     if (!IsOnAcfHill(acf, SnapToAcfPeak(acf, lag, radius), radius) &&
         !IsOnAcfHill(acf, lag, radius)) {
@@ -60,7 +73,7 @@ std::optional<PeriodEstimate> DetectPeriod(std::span<const double> x,
     const std::size_t snapped = SnapToAcfPeak(acf, lag, radius);
     if (snapped == 0) continue;
     const double strength = acf[snapped];
-    if (strength < opts.min_strength) continue;
+    if (strength < kMinStrength) continue;
 
     PeriodEstimate est;
     est.period = static_cast<double>(snapped);
@@ -72,19 +85,15 @@ std::optional<PeriodEstimate> DetectPeriod(std::span<const double> x,
     }
     // Prefer clearly stronger candidates; on near-ties prefer the smaller
     // period so ACF multiples of the fundamental do not win.
-    if (est.strength > best->strength + opts.strength_tie_margin) {
+    if (est.strength > best->strength + kStrengthTieMargin) {
       best = est;
     } else if (std::abs(est.strength - best->strength) <=
-                   opts.strength_tie_margin &&
+                   kStrengthTieMargin &&
                est.period < best->period) {
       best = est;
     }
   }
   return best;
-}
-
-std::optional<PeriodEstimate> DetectPeriod(std::span<const double> x) {
-  return DetectPeriod(x, PeriodDetectorOptions{});
 }
 
 }  // namespace sds

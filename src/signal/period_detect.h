@@ -25,29 +25,10 @@ struct PeriodEstimate {
   double strength = 0.0;
 };
 
-struct PeriodDetectorOptions {
-  // Spectral peaks must exceed this multiple of the mean non-DC power.
-  double spectrum_threshold = 3.0;
-  // Consider at most this many spectral candidates.
-  std::size_t max_candidates = 8;
-  // ACF hill search radius as a fraction of the candidate period.
-  double hill_radius_fraction = 0.35;
-  // Minimum ACF strength for a candidate to be accepted.
-  double min_strength = 0.2;
-  // Apply a Hann window before the DFT stage.
-  bool hann_window = true;
-  // Two validated candidates whose strengths differ by less than this are
-  // considered equal, in which case the smaller period wins (anti-multiple).
-  double strength_tie_margin = 0.05;
-};
-
 // Returns the detected period of `x`, or nullopt when no candidate passes
 // both the spectral and the ACF validation (i.e. the series does not look
 // periodic). x.size() should be at least twice the longest period of
 // interest, mirroring the paper's W_P = 2p choice.
-std::optional<PeriodEstimate> DetectPeriod(std::span<const double> x,
-                                           const PeriodDetectorOptions& opts);
-
 std::optional<PeriodEstimate> DetectPeriod(std::span<const double> x);
 
 }  // namespace sds

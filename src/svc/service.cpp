@@ -32,7 +32,7 @@ std::uint64_t SvcConfig::Fingerprint() const {
   w.F64(pipeline.det.period_tolerance);
   w.U32(pipeline.profile_len);
   w.Bool(admission.sanity.enabled);
-  w.U64(admission.sanity.max_delta_per_tick);
+  w.U64(detect::kMaxSampleDeltaPerTick);
   w.Bool(admission.sanity.check_miss_le_access);
   w.I64(admission.max_future_ticks);
   w.U32(admission.quarantine_offense_threshold);

@@ -62,7 +62,7 @@ void WriteMetadata(std::ostream& os, bool& first, const char* name, int pid,
 
 void WritePerfettoTrace(const Telemetry& telemetry, std::ostream& os,
                         const PerfettoOptions& options) {
-  const double tick_us = options.tpcm_seconds * 1e6;
+  const double tick_us = kDefaultTpcmSeconds * 1e6;
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
   bool first = true;
 

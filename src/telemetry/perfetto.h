@@ -14,11 +14,11 @@
 //                         args carrying value/bounds/margin/verdict.
 //
 // Time bases. Tick-domain data (tracer events, audits) is mapped through
-// tpcm_seconds so one tick renders as its virtual duration; profiler slices
-// are emitted in their own clock domain (wall nanoseconds, or deterministic
-// units in tick-domain mode) on a separate process so the two axes never
-// visually mix. Both are valid trace-event streams either way — the format
-// only requires microsecond numbers, not a shared epoch.
+// kDefaultTpcmSeconds so one tick renders as its virtual duration; profiler
+// slices are emitted in their own clock domain (wall nanoseconds, or
+// deterministic units in tick-domain mode) on a separate process so the two
+// axes never visually mix. Both are valid trace-event streams either way —
+// the format only requires microsecond numbers, not a shared epoch.
 //
 // The export is read-only (unlike Telemetry::WriteJsonl it drains nothing),
 // so it can run mid-experiment or after WriteJsonl in any order.
@@ -34,8 +34,6 @@ namespace sds::telemetry {
 class Telemetry;
 
 struct PerfettoOptions {
-  // Virtual seconds per simulator tick (Table 1: T_PCM).
-  double tpcm_seconds = kDefaultTpcmSeconds;
   bool include_tracer_events = true;
   bool include_audit_records = true;
   bool include_profiler_slices = true;

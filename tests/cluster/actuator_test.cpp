@@ -47,7 +47,6 @@ fault::ActuationFaultPlan LatencyPlan(Tick lo, Tick hi) {
 TEST(ActuatorTest, EnumNamesAreStable) {
   EXPECT_STREQ(ActuationOpName(ActuationOp::kMigrate), "migrate");
   EXPECT_STREQ(ActuationOpName(ActuationOp::kStop), "stop");
-  EXPECT_STREQ(ActuationOpName(ActuationOp::kResume), "resume");
   EXPECT_STREQ(CommandStatusName(CommandStatus::kInFlight), "in-flight");
   EXPECT_STREQ(CommandStatusName(CommandStatus::kCancelled), "cancelled");
   EXPECT_STREQ(ActuationErrorName(ActuationError::kConflict), "conflict");
@@ -180,21 +179,12 @@ TEST(ActuatorTest, DuplicateSubmitIsRejectedAsConflict) {
   EXPECT_EQ(actuator.result(first).status, CommandStatus::kSucceeded);
   EXPECT_FALSE(rig.cluster.IsRunnable(rig.victim));
 
-  // With the slot free again, a new command for the same VM is accepted.
-  const CommandId third = actuator.SubmitResume(rig.victim);
+  // With the slot free again, a new command for the same VM is accepted
+  // (a repeated stop is idempotent).
+  const CommandId third = actuator.SubmitStop(rig.victim);
   rig.Tick(actuator, 10);
   EXPECT_EQ(actuator.result(third).status, CommandStatus::kSucceeded);
-  EXPECT_TRUE(rig.cluster.IsRunnable(rig.victim));
-}
-
-TEST(ActuatorTest, ResumeRestoresAStoppedVm) {
-  Rig rig;
-  Actuator actuator(rig.cluster);
-  actuator.SubmitStop(rig.attacker);
-  EXPECT_FALSE(rig.cluster.IsRunnable(rig.attacker));
-  const CommandId id = actuator.SubmitResume(rig.attacker);
-  EXPECT_EQ(actuator.result(id).status, CommandStatus::kSucceeded);
-  EXPECT_TRUE(rig.cluster.IsRunnable(rig.attacker));
+  EXPECT_FALSE(rig.cluster.IsRunnable(rig.victim));
 }
 
 TEST(ActuatorTest, MigrateOfStoppedSourceFailsSourceGone) {

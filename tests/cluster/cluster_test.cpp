@@ -137,29 +137,6 @@ TEST(ClusterTest, StoppedVmReleasesItsCapacitySlot) {
   EXPECT_TRUE(cluster.IsRunnable(next));
 }
 
-TEST(ClusterTest, ResumeAtFullHostAborts) {
-  std::vector<HostConfig> hosts(1);
-  hosts[0].vm_capacity = 1;
-  Cluster cluster(hosts, 13);
-  const VmRef vm = cluster.Deploy(0, "a", AppFactory("bayes"));
-  cluster.StopVm(vm);
-  cluster.Deploy(0, "b", AppFactory("scan"));  // takes the freed slot
-  EXPECT_DEATH(cluster.ResumeVm(vm), "cannot resume");
-}
-
-TEST(ClusterTest, ResumeRestoresProgress) {
-  Cluster cluster(1, DefaultHost(), 14);
-  const VmRef vm = cluster.Deploy(0, "a", AppFactory("bayes"));
-  for (int t = 0; t < 20; ++t) cluster.RunTick();
-  cluster.StopVm(vm);
-  const auto frozen = cluster.counters(vm).llc_accesses;
-  for (int t = 0; t < 20; ++t) cluster.RunTick();
-  EXPECT_EQ(cluster.counters(vm).llc_accesses, frozen);
-  cluster.ResumeVm(vm);
-  for (int t = 0; t < 20; ++t) cluster.RunTick();
-  EXPECT_GT(cluster.counters(vm).llc_accesses, frozen);
-}
-
 TEST(ClusterTest, HostsAreIsolatedMachines) {
   // VMs on different hosts never contend: a heavy tenant on host 0 leaves a
   // tenant on host 1 untouched.

@@ -91,17 +91,6 @@ TEST(EvacuationTest, CrashedHostIsEvacuatedToTheSpare) {
   (void)b;
 }
 
-TEST(EvacuationTest, DrainingHostIsEvacuatedWhileStillServing) {
-  Rig rig(2, /*capacity=*/4, HostFaultPlan{});
-  rig.DeployBenign(0);
-  rig.RunTicks(3);
-  rig.lifecycle.Drain(0);
-  rig.RunTicks(10);
-  EXPECT_EQ(rig.engine.stats().migrated, 1u);
-  EXPECT_EQ(rig.cluster.runnable_vms(0), 0);
-  EXPECT_EQ(rig.cluster.runnable_vms(1), 1);
-}
-
 TEST(EvacuationTest, NoUsableDestinationThrottlesInPlace) {
   // The only spare is at capacity, so every placement attempt fails and the
   // engine must fall back to throttling the stranded VM where it sits.

@@ -145,19 +145,6 @@ TEST(HostLifecycleTest, PermanentDeathNeverRecovers) {
   EXPECT_EQ(lifecycle.up_hosts(), 1);
 }
 
-TEST(HostLifecycleTest, DrainingServesButRefusesPlacements) {
-  HostLifecycle lifecycle(2);
-  lifecycle.BeginTick(0);
-  lifecycle.Drain(0);
-  EXPECT_EQ(lifecycle.state(0), HostState::kDraining);
-  EXPECT_TRUE(lifecycle.serving(0));
-  EXPECT_FALSE(lifecycle.placeable(0));
-  EXPECT_EQ(lifecycle.up_hosts(), 2);  // draining still counts as up
-  lifecycle.Undrain(0);
-  EXPECT_EQ(lifecycle.state(0), HostState::kUp);
-  EXPECT_TRUE(lifecycle.placeable(0));
-}
-
 TEST(HostLifecycleTest, SameSeedSameFaultScheduleDifferentSeedDiffers) {
   HostFaultPlan plan = HostFaultPlan::Single(HostFaultKind::kCrash, 0.01, 7);
   HostLifecycle a(4, plan);

@@ -1,6 +1,6 @@
 // State-machine behavior of the reworked MitigationEngine: retry/backoff,
-// timeouts, escalation, throttle fallback, efficacy verification, rollback
-// on retraction — plus the alarm-time telemetry pinning regression.
+// timeouts, escalation, throttle fallback, efficacy verification — plus
+// the alarm-time telemetry pinning regression.
 #include <string_view>
 
 #include <gtest/gtest.h>
@@ -221,91 +221,6 @@ TEST(MitigationActuationTest, VerificationFailureEscalatesWhenReliefIsFake) {
   // The victim did move; the throttle then cleared its new host.
   EXPECT_EQ(engine.victim().host, 1);
   EXPECT_TRUE(rig.cluster.hypervisor(1).throttling_active());
-}
-
-TEST(MitigationActuationTest, RollbackResumesQuarantinedAttacker) {
-  Rig rig;
-  MitigationConfig config = FastConfig(MitigationPolicy::kQuarantineAttacker);
-  config.rollback_on_retraction = true;
-  MitigationEngine engine(rig.cluster, rig.victim, config);
-  engine.OnAlarm(rig.attacker.id);
-  ASSERT_EQ(engine.state(), MitigationState::kSettled);
-  ASSERT_FALSE(rig.cluster.IsRunnable(rig.attacker));
-
-  engine.OnRetraction();
-  EXPECT_TRUE(engine.rolled_back());
-  EXPECT_TRUE(rig.cluster.IsRunnable(rig.attacker));
-  EXPECT_EQ(engine.stats().rollbacks, 1u);
-  // Still settled: the response happened, then was undone.
-  EXPECT_EQ(engine.state(), MitigationState::kSettled);
-}
-
-TEST(MitigationActuationTest, RollbackMigratesVictimBack) {
-  Rig rig;
-  MitigationConfig config = FastConfig(MitigationPolicy::kMigrateVictim);
-  config.rollback_on_retraction = true;
-  MitigationEngine engine(rig.cluster, rig.victim, config);
-  engine.OnAlarm(0);
-  ASSERT_EQ(engine.victim().host, 1);
-
-  engine.OnRetraction();
-  EXPECT_TRUE(engine.rolled_back());
-  EXPECT_EQ(engine.victim().host, 0);
-  EXPECT_TRUE(rig.cluster.IsRunnable(engine.victim()));
-}
-
-TEST(MitigationActuationTest, RetractionWithoutRollbackConfigIsIgnored) {
-  Rig rig;
-  MitigationEngine engine(rig.cluster, rig.victim,
-                          FastConfig(MitigationPolicy::kMigrateVictim));
-  engine.OnAlarm(0);
-  engine.OnRetraction();
-  EXPECT_FALSE(engine.rolled_back());
-  EXPECT_EQ(engine.victim().host, 1);
-}
-
-TEST(MitigationActuationTest, RollbackFailureIsCountedNotRetried) {
-  Rig rig;
-  MitigationConfig config = FastConfig(MitigationPolicy::kMigrateVictim);
-  config.rollback_on_retraction = true;
-  MitigationEngine engine(rig.cluster, rig.victim, config);
-  engine.OnAlarm(0);
-  ASSERT_EQ(engine.victim().host, 1);
-
-  // The migrated victim dies on the spare host (operator stop, crash, ...):
-  // the rollback migration has no runnable source and must fail cleanly.
-  rig.cluster.StopVm(engine.victim());
-  engine.OnRetraction();
-  EXPECT_FALSE(engine.rolled_back());
-  EXPECT_EQ(engine.stats().rollback_failures, 1u);
-  EXPECT_EQ(engine.stats().rollbacks, 0u);
-}
-
-TEST(MitigationActuationTest, RetractionBeforeApplyCancelsAndReArms) {
-  Rig rig;
-  fault::ActuationFaultPlan slow;
-  slow.latency_min_ticks = 20;
-  slow.latency_max_ticks = 20;
-  Actuator actuator(rig.cluster, slow);
-  MitigationConfig config = FastConfig(MitigationPolicy::kMigrateVictim);
-  config.command_timeout = 64;
-  config.rollback_on_retraction = true;
-  MitigationEngine engine(rig.cluster, rig.victim, config, &actuator);
-
-  engine.OnAlarm(0);
-  rig.Tick(engine, 5);
-  ASSERT_EQ(engine.state(), MitigationState::kInFlight);
-  engine.OnRetraction();
-  EXPECT_EQ(engine.state(), MitigationState::kIdle);
-  EXPECT_FALSE(engine.mitigated());
-  rig.Tick(engine, 30);
-  EXPECT_EQ(engine.victim().host, 0);  // the cancelled command never ran
-
-  // A fresh alarm re-arms the whole machine.
-  engine.OnAlarm(0);
-  rig.Tick(engine, 25);
-  EXPECT_EQ(engine.state(), MitigationState::kSettled);
-  EXPECT_EQ(engine.victim().host, 1);
 }
 
 // -- Alarm-time telemetry pinning (regression) -------------------------------

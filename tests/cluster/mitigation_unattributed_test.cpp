@@ -5,10 +5,7 @@
 // the victim. The KStest baseline's attribution default is exactly that
 // sentinel — identified_attacker() is 0 until an identification sweep
 // concludes, and an unmeasurable candidate is scored inconclusive-WORST, so
-// "no evidence" can never convict. The forensic-suspect preference
-// (MitigationConfig::prefer_forensic_suspect) is the only sanctioned way to
-// fill in a missing attribution, and only from a real co-tenant suspect.
-#include <string_view>
+// "no evidence" can never convict.
 
 #include <gtest/gtest.h>
 
@@ -55,13 +52,6 @@ struct Rig {
     config.spare_host = 1;
     return config;
   }
-
-  bool AuditHasChannel(std::string_view channel) const {
-    for (const auto& r : telemetry.audit().records()) {
-      if (std::string_view(r.channel) == channel) return true;
-    }
-    return false;
-  }
 };
 
 TEST(MitigationUnattributedTest, CulpritZeroNeverQuarantines) {
@@ -101,63 +91,6 @@ TEST(MitigationUnattributedTest, KstestDefaultAttributionIsUnattributed) {
   engine.OnAlarm(detector.identified_attacker());
   ASSERT_TRUE(engine.mitigated());
   EXPECT_EQ(engine.applied_policy(), MitigationPolicy::kMigrateVictim);
-}
-
-TEST(MitigationUnattributedTest, ForensicSuspectFillsInWhenPreferred) {
-  Rig rig;
-  MitigationConfig config = rig.QuarantineConfig();
-  config.prefer_forensic_suspect = true;
-  MitigationEngine engine(rig.cluster, rig.victim, config);
-  engine.OnAlarm(/*attributed_attacker=*/0,
-                 /*forensic_suspect=*/rig.attacker.id);
-  ASSERT_TRUE(engine.mitigated());
-  EXPECT_EQ(engine.applied_policy(), MitigationPolicy::kQuarantineAttacker);
-  EXPECT_EQ(engine.victim().host, 0);
-  EXPECT_FALSE(rig.cluster.hypervisor(0).vm(rig.attacker.id).runnable());
-  EXPECT_TRUE(rig.AuditHasChannel("forensic_substitution"));
-}
-
-TEST(MitigationUnattributedTest, ForensicSuspectIgnoredByDefault) {
-  // Without the opt-in, the two-argument overload behaves exactly like the
-  // one-argument path: unattributed alarms migrate.
-  Rig rig;
-  MitigationEngine engine(rig.cluster, rig.victim, rig.QuarantineConfig());
-  engine.OnAlarm(/*attributed_attacker=*/0,
-                 /*forensic_suspect=*/rig.attacker.id);
-  ASSERT_TRUE(engine.mitigated());
-  EXPECT_EQ(engine.applied_policy(), MitigationPolicy::kMigrateVictim);
-  EXPECT_TRUE(rig.cluster.hypervisor(0).vm(rig.attacker.id).runnable());
-  EXPECT_FALSE(rig.AuditHasChannel("forensic_substitution"));
-}
-
-TEST(MitigationUnattributedTest, PrimaryAttributionBeatsForensicSuspect) {
-  // When the KStest sweep DID name someone, the forensic suspect is only a
-  // second opinion — the perturbation-based culprit wins.
-  Rig rig;
-  const VmRef bystander = rig.cluster.Deploy(0, "bystander",
-                                             AppFactory("terasort"));
-  MitigationConfig config = rig.QuarantineConfig();
-  config.prefer_forensic_suspect = true;
-  MitigationEngine engine(rig.cluster, rig.victim, config);
-  engine.OnAlarm(rig.attacker.id, /*forensic_suspect=*/bystander.id);
-  ASSERT_TRUE(engine.mitigated());
-  EXPECT_EQ(engine.applied_policy(), MitigationPolicy::kQuarantineAttacker);
-  EXPECT_FALSE(rig.cluster.hypervisor(0).vm(rig.attacker.id).runnable());
-  EXPECT_TRUE(rig.cluster.hypervisor(0).vm(bystander.id).runnable());
-  EXPECT_FALSE(rig.AuditHasChannel("forensic_substitution"));
-}
-
-TEST(MitigationUnattributedTest, UselessForensicSuspectStillFallsBack) {
-  // A suspect of 0 (unattributed report) or the victim itself cannot stand
-  // in; the engine migrates as before.
-  Rig rig;
-  MitigationConfig config = rig.QuarantineConfig();
-  config.prefer_forensic_suspect = true;
-  MitigationEngine engine(rig.cluster, rig.victim, config);
-  engine.OnAlarm(/*attributed_attacker=*/0, /*forensic_suspect=*/0);
-  ASSERT_TRUE(engine.mitigated());
-  EXPECT_EQ(engine.applied_policy(), MitigationPolicy::kMigrateVictim);
-  EXPECT_FALSE(rig.AuditHasChannel("forensic_substitution"));
 }
 
 }  // namespace

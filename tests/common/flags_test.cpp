@@ -21,7 +21,8 @@ TEST(FlagsTest, ParsesEqualsForm) {
   auto argv = MakeArgv(args);
   Flags f;
   ASSERT_TRUE(f.Parse(static_cast<int>(argv.size()), argv.data(),
-                      {"runs", "app"}));
+                      {{"runs", "number of runs"},
+                       {"app", "catalog application"}}));
   EXPECT_EQ(f.GetInt("runs", 0), 5);
   EXPECT_EQ(f.GetString("app", ""), "kmeans");
 }
@@ -30,7 +31,8 @@ TEST(FlagsTest, ParsesSpaceForm) {
   std::vector<std::string> args = {"prog", "--runs", "7"};
   auto argv = MakeArgv(args);
   Flags f;
-  ASSERT_TRUE(f.Parse(static_cast<int>(argv.size()), argv.data(), {"runs"}));
+  ASSERT_TRUE(f.Parse(static_cast<int>(argv.size()), argv.data(),
+                      {{"runs", "number of runs"}}));
   EXPECT_EQ(f.GetInt("runs", 0), 7);
 }
 
@@ -38,7 +40,8 @@ TEST(FlagsTest, BareFlagIsBooleanTrue) {
   std::vector<std::string> args = {"prog", "--csv"};
   auto argv = MakeArgv(args);
   Flags f;
-  ASSERT_TRUE(f.Parse(static_cast<int>(argv.size()), argv.data(), {"csv"}));
+  ASSERT_TRUE(f.Parse(static_cast<int>(argv.size()), argv.data(),
+                      {{"csv", "print CSV"}}));
   EXPECT_TRUE(f.GetBool("csv", false));
 }
 
@@ -46,14 +49,16 @@ TEST(FlagsTest, UnknownFlagFails) {
   std::vector<std::string> args = {"prog", "--bogus=1"};
   auto argv = MakeArgv(args);
   Flags f;
-  EXPECT_FALSE(f.Parse(static_cast<int>(argv.size()), argv.data(), {"runs"}));
+  EXPECT_FALSE(f.Parse(static_cast<int>(argv.size()), argv.data(),
+                       {{"runs", "number of runs"}}));
 }
 
 TEST(FlagsTest, DefaultsWhenAbsent) {
   std::vector<std::string> args = {"prog"};
   auto argv = MakeArgv(args);
   Flags f;
-  ASSERT_TRUE(f.Parse(static_cast<int>(argv.size()), argv.data(), {"x"}));
+  ASSERT_TRUE(f.Parse(static_cast<int>(argv.size()), argv.data(),
+                      {{"x", "a flag"}}));
   EXPECT_EQ(f.GetInt("x", 42), 42);
   EXPECT_EQ(f.GetString("x", "d"), "d");
   EXPECT_DOUBLE_EQ(f.GetDouble("x", 1.5), 1.5);
@@ -65,7 +70,8 @@ TEST(FlagsTest, PositionalArgumentsCollected) {
   std::vector<std::string> args = {"prog", "pos1", "--runs=1", "pos2"};
   auto argv = MakeArgv(args);
   Flags f;
-  ASSERT_TRUE(f.Parse(static_cast<int>(argv.size()), argv.data(), {"runs"}));
+  ASSERT_TRUE(f.Parse(static_cast<int>(argv.size()), argv.data(),
+                      {{"runs", "number of runs"}}));
   ASSERT_EQ(f.positional().size(), 2u);
   EXPECT_EQ(f.positional()[0], "pos1");
   EXPECT_EQ(f.positional()[1], "pos2");
@@ -75,7 +81,8 @@ TEST(FlagsTest, DoubleParsing) {
   std::vector<std::string> args = {"prog", "--alpha=0.25"};
   auto argv = MakeArgv(args);
   Flags f;
-  ASSERT_TRUE(f.Parse(static_cast<int>(argv.size()), argv.data(), {"alpha"}));
+  ASSERT_TRUE(f.Parse(static_cast<int>(argv.size()), argv.data(),
+                      {{"alpha", "a double"}}));
   EXPECT_DOUBLE_EQ(f.GetDouble("alpha", 0.0), 0.25);
 }
 
@@ -92,7 +99,8 @@ TEST(FlagsTest, UnknownFlagIsNotHelp) {
   std::vector<std::string> args = {"prog", "--bogus"};
   auto argv = MakeArgv(args);
   Flags f;
-  EXPECT_FALSE(f.Parse(static_cast<int>(argv.size()), argv.data(), {"runs"}));
+  EXPECT_FALSE(f.Parse(static_cast<int>(argv.size()), argv.data(),
+                       {{"runs", "number of runs"}}));
   EXPECT_FALSE(f.help_requested());
 }
 
@@ -133,7 +141,8 @@ TEST(FlagsTest, HelpDoesNotConsumeFollowingToken) {
   std::vector<std::string> args = {"prog", "--help", "positional"};
   auto argv = MakeArgv(args);
   Flags f;
-  EXPECT_FALSE(f.Parse(static_cast<int>(argv.size()), argv.data(), {"runs"}));
+  EXPECT_FALSE(f.Parse(static_cast<int>(argv.size()), argv.data(),
+                       {{"runs", "number of runs"}}));
   EXPECT_TRUE(f.help_requested());
 }
 
@@ -143,7 +152,8 @@ TEST(FlagsTest, MalformedNumberExitsWithMessage) {
     std::vector<std::string> args = {"prog", std::string("--seed=") + bad};
     auto argv = MakeArgv(args);
     Flags f;
-    ASSERT_TRUE(f.Parse(static_cast<int>(argv.size()), argv.data(), {"seed"}));
+    ASSERT_TRUE(f.Parse(static_cast<int>(argv.size()), argv.data(),
+                        {{"seed", "a seed"}}));
     const std::string message =
         std::string("prog: --seed: malformed value '") + bad + "'";
     EXPECT_EXIT(f.GetInt("seed", 0), testing::ExitedWithCode(1), message);
@@ -161,7 +171,8 @@ std::optional<std::vector<T>> ParseList(const char* value,
   if (value != nullptr) args.push_back(std::string("--list=") + value);
   auto argv = MakeArgv(args);
   Flags f;
-  EXPECT_TRUE(f.Parse(static_cast<int>(argv.size()), argv.data(), {"list"}));
+  EXPECT_TRUE(f.Parse(static_cast<int>(argv.size()), argv.data(),
+                      {{"list", "a list"}}));
   return f.GetList<T>("list", fallback);
 }
 
@@ -190,6 +201,29 @@ TEST(FlagsTest, ListRejectsMalformedElements) {
     EXPECT_EQ(ParseList<std::int64_t>(bad), std::nullopt);
     testing::internal::GetCapturedStderr();
   }
+}
+
+TEST(FlagsTest, UnknownChoiceExitsWithAcceptedNames) {
+  std::vector<std::string> args = {"prog", "--attack=cleansing"};
+  auto argv = MakeArgv(args);
+  Flags f;
+  ASSERT_TRUE(f.Parse(static_cast<int>(argv.size()), argv.data(),
+                      {{"attack", "attack program"}}));
+  EXPECT_EXIT(f.GetChoice("attack", "bus-lock", {"bus-lock", "llc-cleansing"}),
+              testing::ExitedWithCode(1),
+              "prog: --attack: unknown value 'cleansing' \\(accepted: "
+              "bus-lock, llc-cleansing\\)");
+}
+
+TEST(FlagsTest, ChoiceReturnsTheValueOrTheDefault) {
+  std::vector<std::string> args = {"prog", "--policy=rewarm"};
+  auto argv = MakeArgv(args);
+  Flags f;
+  ASSERT_TRUE(f.Parse(static_cast<int>(argv.size()), argv.data(),
+                      {{"policy", "gap policy"}, {"scheme", "scheme"}}));
+  const std::vector<std::string> policies = {"hold-last", "rewarm"};
+  EXPECT_EQ(f.GetChoice("policy", "hold-last", policies), "rewarm");
+  EXPECT_EQ(f.GetChoice("scheme", "SDS", {"SDS", "KStest"}), "SDS");
 }
 
 }  // namespace

@@ -73,12 +73,12 @@ TEST(SampleIsSaneTest, AcceptsPlausibleSamples) {
   SanityParams p;
   EXPECT_TRUE(SampleIsSane(Sample(1, 500, 50), p, 1));
   EXPECT_TRUE(SampleIsSane(Sample(1, 0, 0), p, 1));
-  EXPECT_TRUE(SampleIsSane(Sample(1, p.max_delta_per_tick, 0), p, 1));
+  EXPECT_TRUE(SampleIsSane(Sample(1, kMaxSampleDeltaPerTick, 0), p, 1));
 }
 
 TEST(SampleIsSaneTest, RejectsImpossibleDeltas) {
   SanityParams p;
-  EXPECT_FALSE(SampleIsSane(Sample(1, p.max_delta_per_tick + 1, 0), p, 1));
+  EXPECT_FALSE(SampleIsSane(Sample(1, kMaxSampleDeltaPerTick + 1, 0), p, 1));
   EXPECT_FALSE(
       SampleIsSane(Sample(1, std::uint64_t{1} << 62, 0), p, 1));
 }
@@ -94,7 +94,7 @@ TEST(SampleIsSaneTest, CeilingScalesWithSpan) {
   SanityParams p;
   // A legitimate 5-interval coalesced delta exceeds the 1-interval ceiling
   // but not the span-scaled one.
-  const pcm::PcmSample wide = Sample(5, 3 * p.max_delta_per_tick, 0);
+  const pcm::PcmSample wide = Sample(5, 3 * kMaxSampleDeltaPerTick, 0);
   EXPECT_FALSE(SampleIsSane(wide, p, 1));
   EXPECT_TRUE(SampleIsSane(wide, p, 5));
 }

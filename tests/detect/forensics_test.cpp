@@ -39,7 +39,7 @@ TEST(ForensicsTest, CleansingAttackerIsPrimeSuspect) {
   EXPECT_EQ(r.prime_suspect, s.attacker);
   ASSERT_FALSE(r.suspects.empty());
   EXPECT_EQ(r.suspects.front().vm, s.attacker);
-  EXPECT_GE(r.suspects.front().score, engine.config().min_score);
+  EXPECT_GE(r.suspects.front().score, kForensicMinScore);
   EXPECT_GT(r.suspects.front().evictions, 0u);
 }
 

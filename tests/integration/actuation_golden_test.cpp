@@ -15,12 +15,14 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
 #include "attacks/bus_lock_attacker.h"
 #include "attacks/scheduled_workload.h"
 #include "cluster/mitigation.h"
+#include "common/snapshot.h"
 #include "detect/sds_detector.h"
 #include "eval/experiment.h"
 #include "telemetry/telemetry.h"
@@ -34,11 +36,7 @@ namespace {
 class AuditHasher {
  public:
   void Bytes(const void* data, std::size_t n) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-      hash_ ^= p[i];
-      hash_ *= 1099511628211ull;
-    }
+    hash_ = Fnv1a(std::string_view(static_cast<const char*>(data), n), hash_);
   }
   void U64(std::uint64_t v) { Bytes(&v, sizeof v); }
   void F64(double v) {
@@ -92,7 +90,7 @@ GoldenSummary RunGolden(cluster::MitigationPolicy policy, bool attribute,
 
   detect::SdsDetector detector(cl.hypervisor(0), victim.id, profile, params,
                                detect::SdsMode::kCombined);
-  // Legacy constructor: null fault plan, no verification, no rollback. Must
+  // Legacy constructor: null fault plan, no verification. Must
   // reproduce the one-shot engine bit-for-bit.
   cluster::MitigationEngine engine(cl, victim, policy, /*spare=*/1);
 

@@ -12,9 +12,11 @@
 //      never perturbs a single sample or alarm.
 #include <cstdint>
 #include <cstring>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
+#include "common/snapshot.h"
 #include "eval/experiment.h"
 #include "telemetry/telemetry.h"
 
@@ -26,11 +28,7 @@ namespace {
 std::uint64_t HashAudit(const telemetry::Telemetry& telemetry) {
   std::uint64_t hash = 1469598103934665603ull;
   auto bytes = [&hash](const void* data, std::size_t n) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-      hash ^= p[i];
-      hash *= 1099511628211ull;
-    }
+    hash = Fnv1a(std::string_view(static_cast<const char*>(data), n), hash);
   };
   auto u64 = [&bytes](std::uint64_t v) { bytes(&v, sizeof v); };
   auto f64 = [&u64](double v) {

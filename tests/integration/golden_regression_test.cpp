@@ -10,9 +10,11 @@
 // be justified, not re-golded casually.
 #include <cstdint>
 #include <cstring>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
+#include "common/snapshot.h"
 #include "eval/experiment.h"
 #include "telemetry/telemetry.h"
 
@@ -24,11 +26,7 @@ namespace {
 class AuditHasher {
  public:
   void Bytes(const void* data, std::size_t n) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-      hash_ ^= p[i];
-      hash_ *= 1099511628211ull;
-    }
+    hash_ = Fnv1a(std::string_view(static_cast<const char*>(data), n), hash_);
   }
   void U64(std::uint64_t v) { Bytes(&v, sizeof v); }
   void F64(double v) {

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include "cluster/evacuation.h"
 #include "cluster/host_lifecycle.h"
 #include "cluster/mitigation.h"
+#include "common/snapshot.h"
 #include "detect/sds_detector.h"
 #include "eval/experiment.h"
 #include "eval/hostchaos.h"
@@ -34,11 +36,7 @@ namespace {
 class AuditHasher {
  public:
   void Bytes(const void* data, std::size_t n) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-      hash_ ^= p[i];
-      hash_ *= 1099511628211ull;
-    }
+    hash_ = Fnv1a(std::string_view(static_cast<const char*>(data), n), hash_);
   }
   void U64(std::uint64_t v) { Bytes(&v, sizeof v); }
   void F64(double v) {

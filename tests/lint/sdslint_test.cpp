@@ -78,6 +78,10 @@ TEST(SdslintFixtures, ExactDiagnosticSet) {
       {"src/pcm/wallclock.cpp", 9, kRuleDetClock},
       {"src/pcm/wallclock.cpp", 13, kRuleDetPointerPrint},
       {"src/sim/includes_detect.cpp", 1, kRuleLayerDag},
+      // The marker only suppresses at the start of a `//` comment.
+      {"src/sim/unsuppressed_rand.cpp", 4, kRuleDetRand},
+      {"src/sim/unsuppressed_rand.cpp", 6, kRuleDetRand},
+      {"src/sim/unsuppressed_rand.cpp", 9, kRuleDetRand},
       {"src/sim/uses_rand.cpp", 5, kRuleDetRand},
       {"src/sim/uses_rand.cpp", 9, kRuleDetRand},
       {"src/sim/uses_rand.cpp", 13, kRuleDetRand},

@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "detect/kstest_detector.h"
 #include "detect/sds_detector.h"
 #include "eval/experiment.h"
 #include "eval/scenario.h"
@@ -19,8 +18,6 @@ namespace sds::obs {
 namespace {
 
 using detect::DetectorParams;
-using detect::KsTestDetector;
-using detect::KsTestParams;
 using detect::SdsDetector;
 using detect::SdsMode;
 using detect::SdsProfile;
@@ -154,34 +151,12 @@ TEST(HandoffTest, CorruptBlobIsLoudColdStart) {
   stats.Count(result);
   EXPECT_EQ(stats.cold_other, 1u);
 
-  // Wrong kind: an SDS blob offered to a KsTest detector rejects at the
+  // Wrong kind: a bare restart snapshot offered as a handoff rejects at the
   // kind rung, never a misparse.
-  KsTestDetector ks(*rig.scenario.hypervisor, rig.scenario.victim,
-                    KsTestParams{});
   const HandoffResult cross =
-      ApplyKsHandoff(PackSdsHandoff(*source, 400), &ks);
+      ApplySdsHandoff(SnapshotSdsDetector(*source), destination.get());
   EXPECT_FALSE(cross.warm);
   EXPECT_EQ(cross.status, SnapshotStatus::kBadKind);
-}
-
-TEST(HandoffTest, KsHandoffRoundTrips) {
-  SdsRig rig(/*attack_start=*/800, /*seed=*/24);
-  KsTestParams params;
-  auto source = std::make_unique<KsTestDetector>(
-      *rig.scenario.hypervisor, rig.scenario.victim, params);
-  for (Tick t = 0; t < 500; ++t) {
-    rig.scenario.hypervisor->RunTick();
-    source->OnTick();
-  }
-  const std::string blob = PackKsHandoff(*source, 500);
-  source.reset();
-
-  KsTestDetector destination(*rig.scenario.hypervisor, rig.scenario.victim,
-                             params);
-  const HandoffResult result = ApplyKsHandoff(blob, &destination);
-  EXPECT_TRUE(result.warm);
-  EXPECT_EQ(result.status, SnapshotStatus::kOk);
-  EXPECT_EQ(result.source_tick, 500);
 }
 
 }  // namespace

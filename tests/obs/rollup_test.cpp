@@ -239,27 +239,5 @@ TEST(FleetRollupTest, WriteJsonlEmitsRowsAndStats) {
   EXPECT_NE(text.find("\"ingested\":1"), std::string::npos);
 }
 
-TEST(FleetRollupTest, TracerAdapterFeedsRingAccounting) {
-  telemetry::EventTracer tracer(/*capacity=*/4);
-  for (int i = 0; i < 10; ++i) {
-    tracer.Emit(telemetry::TraceEvent{});
-  }
-  FleetRollup rollup = MakeRollup(1);
-  IngestTracerStats(tracer, /*tick=*/0, /*host=*/1, /*tenant=*/2, &rollup);
-  rollup.BarrierMerge(100);
-
-  ASSERT_EQ(rollup.completed().size(), 2u);
-  const MetricId emitted = rollup.RegisterMetric("tracer.emitted");
-  const MetricId dropped = rollup.RegisterMetric("tracer.dropped");
-  double emitted_value = -1.0;
-  double dropped_value = -1.0;
-  for (const RollupRow& r : rollup.completed()) {
-    if (r.key.metric == emitted) emitted_value = r.sum;
-    if (r.key.metric == dropped) dropped_value = r.sum;
-  }
-  EXPECT_EQ(emitted_value, 10.0);
-  EXPECT_EQ(dropped_value, 6.0);
-}
-
 }  // namespace
 }  // namespace sds::obs

@@ -1,5 +1,4 @@
-// SloEngine: rule grammar parsing, burn-rate level transitions and the
-// default fleet rule pack.
+// SloEngine: burn-rate level transitions and the default fleet rule pack.
 #include "obs/slo.h"
 
 #include <gtest/gtest.h>
@@ -12,54 +11,6 @@
 
 namespace sds::obs {
 namespace {
-
-TEST(ParseSloRuleTest, ParsesFullRule) {
-  std::string error;
-  const auto rule = ParseSloRule(
-      "detect-latency: p95(detect.latency_ticks) <= 600 budget 0.05 "
-      "window 12 warn 1 page 2",
-      &error);
-  ASSERT_TRUE(rule.has_value()) << error;
-  EXPECT_EQ(rule->name, "detect-latency");
-  EXPECT_EQ(rule->metric, "detect.latency_ticks");
-  EXPECT_EQ(rule->agg, SloAgg::kP95);
-  EXPECT_EQ(rule->op, SloOp::kLe);
-  EXPECT_EQ(rule->threshold, 600.0);
-  EXPECT_EQ(rule->budget, 0.05);
-  EXPECT_EQ(rule->burn_window, 12);
-  EXPECT_EQ(rule->warn_burn, 1.0);
-  EXPECT_EQ(rule->page_burn, 2.0);
-}
-
-TEST(ParseSloRuleTest, ClausesAreOptional) {
-  std::string error;
-  const auto rule = ParseSloRule("r: mean(m) >= 0.9", &error);
-  ASSERT_TRUE(rule.has_value()) << error;
-  EXPECT_EQ(rule->agg, SloAgg::kMean);
-  EXPECT_EQ(rule->op, SloOp::kGe);
-  // Defaults.
-  EXPECT_EQ(rule->budget, 0.01);
-  EXPECT_EQ(rule->burn_window, 12);
-}
-
-TEST(ParseSloRuleTest, RejectsBadSyntax) {
-  const char* kBad[] = {
-      "",
-      "no-colon p95(m) <= 1",
-      "r: p95(m <= 1",               // unclosed paren
-      "r: p97(m) <= 1",              // unknown aggregation
-      "r: p95(m) != 1",              // unknown operator
-      "r: p95(m) <= notanumber",
-      "r: p95(m) <= 1 budget",       // clause missing value
-      "r: p95(m) <= 1 frobnicate 2", // unknown clause
-      "r: p95(m) <= 1 warn 3 page 2",// page below warn
-  };
-  for (const char* text : kBad) {
-    std::string error;
-    EXPECT_FALSE(ParseSloRule(text, &error).has_value()) << text;
-    EXPECT_FALSE(error.empty()) << text;
-  }
-}
 
 TEST(SloAggregateTest, MapsEveryAggregation) {
   RollupRow row;
@@ -80,24 +31,26 @@ TEST(SloAggregateTest, MapsEveryAggregation) {
   EXPECT_EQ(SloAggregate(row, SloAgg::kSum), 10.0);
 }
 
-// Rig: one metric, one rule "r: max(m) <= 10 budget 0.25 window 4
-// warn 1 page 2" — violating 1 of the trailing 4 windows burns at exactly
-// 1.0, violating 2 burns at 2.0.
+// Rig: one metric, one rule "r: max(m) <= 10" with budget 0.25 over 4
+// windows, warn at burn 1, page at burn 2 — violating 1 of the trailing 4
+// windows burns at exactly 1.0, violating 2 burns at 2.0.
 struct EngineRig {
   FleetRollup rollup;
   SloEngine engine;
 
   EngineRig()
       : rollup(RollupConfig{}),
-        engine(ParseRules(), &rollup) {
+        engine({{.name = "r",
+                 .metric = "m",
+                 .agg = SloAgg::kMax,
+                 .op = SloOp::kLe,
+                 .threshold = 10,
+                 .budget = 0.25,
+                 .burn_window = 4,
+                 .warn_burn = 1,
+                 .page_burn = 2}},
+               &rollup) {
     rollup.RegisterMetric("m");
-  }
-
-  static std::vector<SloRule> ParseRules() {
-    std::string error;
-    const auto rule = ParseSloRule(
-        "r: max(m) <= 10 budget 0.25 window 4 warn 1 page 2", &error);
-    return {*rule};
   }
 
   void Window(std::int64_t window, double value) {

@@ -12,17 +12,15 @@
 #include <vector>
 
 #include "common/snapshot.h"
-#include "detect/kstest_detector.h"
 #include "detect/sds_detector.h"
 #include "eval/experiment.h"
 #include "eval/scenario.h"
+#include "obs/handoff.h"
 
 namespace sds::obs {
 namespace {
 
 using detect::DetectorParams;
-using detect::KsTestDetector;
-using detect::KsTestParams;
 using detect::SdsDetector;
 using detect::SdsMode;
 using detect::SdsProfile;
@@ -112,16 +110,6 @@ TEST(SnapshotEnvelopeTest, RejectsBadPayloadLengths) {
             SnapshotStatus::kBadLength);
 }
 
-TEST(SnapshotEnvelopeTest, FileRoundTrip) {
-  const std::string path = testing::TempDir() + "/sds_snapshot_test.bin";
-  const std::string blob = SealSnapshot("kind", 1, std::string("a\0b", 3));
-  ASSERT_TRUE(WriteSnapshotFile(path, blob));
-  const auto read = ReadSnapshotFile(path);
-  ASSERT_TRUE(read.has_value());
-  EXPECT_EQ(*read, blob);
-  EXPECT_FALSE(ReadSnapshotFile(path + ".missing").has_value());
-}
-
 // ---------------------------------------------------------------------------
 // SdsDetector round trip
 // ---------------------------------------------------------------------------
@@ -207,10 +195,10 @@ TEST(SdsSnapshotTest, RefusesDifferentConfiguration) {
   EXPECT_EQ(RestoreSdsDetector(blob, mismatched.get()),
             SnapshotStatus::kBadFingerprint);
 
-  // A KStest restore refuses an SDS blob by kind.
-  KsTestDetector ks(*rig.scenario.hypervisor, rig.scenario.victim,
-                    KsTestParams{});
-  EXPECT_EQ(RestoreKsTestDetector(blob, &ks), SnapshotStatus::kBadKind);
+  // A blob of another kind (a handoff envelope of the same detector) is
+  // refused by kind.
+  EXPECT_EQ(RestoreSdsDetector(PackSdsHandoff(*det, 0), det.get()),
+            SnapshotStatus::kBadKind);
 }
 
 TEST(SdsSnapshotTest, CorruptFieldStreamIsRejected) {
@@ -224,124 +212,6 @@ TEST(SdsSnapshotTest, CorruptFieldStreamIsRejected) {
   const std::string blob =
       SealSnapshot("sds_detector", det->ConfigFingerprint(), bogus.data());
   EXPECT_EQ(RestoreSdsDetector(blob, det.get()), SnapshotStatus::kCorrupt);
-}
-
-// ---------------------------------------------------------------------------
-// KsTestDetector round trip
-// ---------------------------------------------------------------------------
-
-KsTestParams FastKsParams() {
-  KsTestParams p;
-  p.l_r = 600;
-  p.w_r = 50;
-  p.l_m = 100;
-  p.w_m = 50;
-  p.initial_offset = p.l_r - 1;
-  return p;
-}
-
-struct KsRig {
-  eval::Scenario scenario;
-
-  KsRig(const std::string& app, eval::AttackKind attack, Tick attack_start,
-        std::uint64_t seed) {
-    eval::ScenarioConfig cfg;
-    cfg.app = app;
-    cfg.attack = attack;
-    cfg.attack_start = attack_start;
-    cfg.seed = seed;
-    scenario = eval::BuildScenario(cfg);
-  }
-
-  std::unique_ptr<KsTestDetector> MakeDetector() {
-    return std::make_unique<KsTestDetector>(*scenario.hypervisor,
-                                            scenario.victim, FastKsParams());
-  }
-};
-
-TEST(KsSnapshotTest, RoundTripReproducesDecisions) {
-  constexpr Tick kTotal = 6000;
-  // An odd boundary so the snapshot lands mid-collection, exercising the
-  // staging buffers and the source-running re-establishment on restore.
-  constexpr Tick kRestart = 2725;
-
-  KsRig ref_rig("bayes", eval::AttackKind::kBusLock, 2000, 41);
-  auto reference = ref_rig.MakeDetector();
-  std::vector<bool> ref_trace;
-  RunTrace(ref_rig.scenario, *reference, kTotal, &ref_trace);
-  ASSERT_GE(reference->alarm_events(), 1u);
-
-  KsRig rig("bayes", eval::AttackKind::kBusLock, 2000, 41);
-  auto first = rig.MakeDetector();
-  std::vector<bool> trace;
-  RunTrace(rig.scenario, *first, kRestart, &trace);
-  const std::string blob = SnapshotKsTestDetector(*first);
-  const std::size_t decisions_before = first->decisions().size();
-  first.reset();
-
-  auto second = rig.MakeDetector();
-  ASSERT_EQ(RestoreKsTestDetector(blob, second.get()), SnapshotStatus::kOk);
-  RunTrace(rig.scenario, *second, kTotal - kRestart, &trace);
-
-  EXPECT_EQ(trace, ref_trace);
-  EXPECT_EQ(second->alarm_events(), reference->alarm_events());
-  EXPECT_EQ(second->last_alarm_trigger_tick(),
-            reference->last_alarm_trigger_tick());
-  EXPECT_EQ(second->identified_attacker(), reference->identified_attacker());
-
-  // The restored detector logs decisions from empty; its log must equal the
-  // post-restart suffix of the reference log, decision for decision.
-  const auto& ref_decisions = reference->decisions();
-  const auto& post = second->decisions();
-  ASSERT_EQ(decisions_before + post.size(), ref_decisions.size());
-  for (std::size_t i = 0; i < post.size(); ++i) {
-    const auto& a = post[i];
-    const auto& b = ref_decisions[decisions_before + i];
-    EXPECT_EQ(a.tick, b.tick);
-    EXPECT_EQ(a.rejected_access, b.rejected_access);
-    EXPECT_EQ(a.rejected_miss, b.rejected_miss);
-    EXPECT_EQ(a.statistic_access, b.statistic_access);
-    EXPECT_EQ(a.statistic_miss, b.statistic_miss);
-  }
-}
-
-TEST(KsSnapshotTest, RestoreBeforeReferenceCompletes) {
-  constexpr Tick kTotal = 3000;
-  constexpr Tick kRestart = 30;  // mid reference collection
-
-  KsRig ref_rig("bayes", eval::AttackKind::kNone, 0, 42);
-  auto reference = ref_rig.MakeDetector();
-  std::vector<bool> ref_trace;
-  RunTrace(ref_rig.scenario, *reference, kTotal, &ref_trace);
-
-  KsRig rig("bayes", eval::AttackKind::kNone, 0, 42);
-  auto first = rig.MakeDetector();
-  std::vector<bool> trace;
-  RunTrace(rig.scenario, *first, kRestart, &trace);
-  EXPECT_FALSE(first->has_reference());
-  const std::string blob = SnapshotKsTestDetector(*first);
-  first.reset();
-
-  auto second = rig.MakeDetector();
-  ASSERT_EQ(RestoreKsTestDetector(blob, second.get()), SnapshotStatus::kOk);
-  RunTrace(rig.scenario, *second, kTotal - kRestart, &trace);
-
-  EXPECT_EQ(trace, ref_trace);
-  EXPECT_TRUE(second->has_reference());
-  EXPECT_EQ(second->decisions().size(), reference->decisions().size());
-}
-
-TEST(KsSnapshotTest, RefusesDifferentParams) {
-  KsRig rig("bayes", eval::AttackKind::kNone, 0, 43);
-  auto det = rig.MakeDetector();
-  const std::string blob = SnapshotKsTestDetector(*det);
-
-  KsTestParams other = FastKsParams();
-  other.alpha /= 2.0;
-  KsTestDetector mismatched(*rig.scenario.hypervisor, rig.scenario.victim,
-                            other);
-  EXPECT_EQ(RestoreKsTestDetector(blob, &mismatched),
-            SnapshotStatus::kBadFingerprint);
 }
 
 }  // namespace

@@ -67,9 +67,9 @@ TEST(AdmissionTest, InsaneCountersAreRejected) {
             Disposition::kRejectInsane);
 
   // Delta ceiling: one tick of data may not move the counter more than
-  // max_delta_per_tick...
+  // kMaxSampleDeltaPerTick...
   SvcSample burst = Sane(10);
-  burst.access_num = config.sanity.max_delta_per_tick + 1;
+  burst.access_num = detect::kMaxSampleDeltaPerTick + 1;
   burst.miss_num = 0;
   EXPECT_EQ(JudgeSample(burst, config, 10, nullptr, 0, false),
             Disposition::kRejectInsane);

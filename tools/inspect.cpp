@@ -155,7 +155,7 @@ struct Telemetry {
   // check=degrade audit records, keyed "consumer/action".
   std::map<std::string, unsigned long long> degrade_actions;
   // check=actuation audit records (the MitigationEngine's retry / escalate /
-  // verify / rollback steps), keyed by channel; plus the terminal
+  // verify steps), keyed by channel; plus the terminal
   // check=mitigation records as an incident timeline.
   std::map<std::string, unsigned long long> actuation_steps;
   std::vector<JsonObject> mitigation_records;
@@ -324,8 +324,8 @@ void Telemetry::Print(const Options& opt) const {
 
   if (!actuation_steps.empty() || !mitigation_records.empty()) {
     // The actuation-plane story: every deviation from the clean dispatch ->
-    // settle path (retries, timeouts, escalations, verification verdicts,
-    // rollbacks) plus the terminal mitigation record(s). A clean run shows
+    // settle path (retries, timeouts, escalations, verification verdicts)
+    // plus the terminal mitigation record(s). A clean run shows
     // only the mitigation line — any step row means the control plane had
     // to fight.
     std::printf("\nactuation incidents\n");

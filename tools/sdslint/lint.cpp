@@ -357,9 +357,9 @@ class Analyzer {
       Emit(f, v.line, kRuleDetHandoffVersioned,
            v.verb + "() called directly from " + f.path +
                ": detector state crossing hosts must ride the versioned "
-               "handoff envelope (obs::PackSdsHandoff/ApplySdsHandoff or "
-               "the KsTest equivalents) so fingerprint/version skew "
-               "rejects loudly instead of misparsing");
+               "handoff envelope (obs::PackSdsHandoff/ApplySdsHandoff) "
+               "so fingerprint/version skew rejects loudly instead of "
+               "misparsing");
     }
   }
 
@@ -414,9 +414,8 @@ class Analyzer {
       Emit(f, v.line, kRuleDetActuationIdempotent,
            v.verb + "() called directly from " + f.path +
                ": cluster-layer code must route placement changes "
-               "through the Actuator (SubmitMigrate/SubmitStop/"
-               "SubmitResume) so the idempotency guard and the actuation "
-               "fault plan apply");
+               "through the Actuator (SubmitMigrate/SubmitStop) so the "
+               "idempotency guard and the actuation fault plan apply");
     }
   }
 

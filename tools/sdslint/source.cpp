@@ -12,8 +12,10 @@ bool IsWord(char c) {
 }
 
 // Blanks comments and string/char literal bodies out of `raw` line by line,
-// carrying block-comment state across lines. Literal bodies are collected per
-// line into `strings` so the %p rule can look only inside format strings.
+// carrying block-comment state across lines. Every blanked byte becomes one
+// space, so a code line is a column-aligned prefix of its raw line that ends
+// where a trailing `//` comment starts. Literal bodies are collected per line
+// into `strings` so the %p rule can look only inside format strings.
 // Line/token analysis does not need raw-string or trigraph fidelity; the one
 // R"( in the tree is handled well enough by the '"' state machine.
 void StripFile(SourceText& f) {
@@ -32,6 +34,7 @@ void StripFile(SourceText& f) {
       if (in_block) {
         if (c == '*' && next == '/') {
           in_block = false;
+          code.push_back(' ');
           ++i;
         }
         code.push_back(' ');
@@ -165,8 +168,14 @@ void ParseIncludes(const SourceText& f, std::vector<IncludeDirective>* out) {
 void ParseAllows(const SourceText& f, std::vector<AllowComment>* out) {
   for (std::size_t i = 0; i < f.raw.size(); ++i) {
     const std::string& line = f.raw[i];
-    std::size_t p = line.find("sdslint:");
-    if (p == std::string::npos) continue;
+    // Only a `//` comment whose text starts with the marker suppresses; the
+    // marker inside a block comment, a string or mid-sentence does not.
+    const std::size_t slashes = f.code[i].size();
+    if (line.compare(slashes, 2, "//") != 0) continue;
+    const std::size_t p = line.find_first_not_of(" \t", slashes + 2);
+    if (p == std::string::npos || line.compare(p, 8, "sdslint:") != 0) {
+      continue;
+    }
     std::size_t q = line.find_first_not_of(" \t", p + 8);
     if (q == std::string::npos || line.compare(q, 5, "allow") != 0) continue;
     std::size_t open = line.find('(', q + 5);

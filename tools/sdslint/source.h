@@ -30,9 +30,10 @@ std::size_t FindToken(const std::string& line, const std::string& token,
                       std::size_t from = 0);
 bool HasToken(const std::string& line, const std::string& token);
 
-// Parses the `#include` directives and `sdslint: allow(...)` comments of a
-// loaded file (legacy-compatible semantics: a comment-only line silences the
-// next line, a trailing comment its own line).
+// Parses the `#include` directives and the allow(...) suppressions of a
+// loaded file. A suppression is a `//` comment whose text starts with
+// `sdslint:`; on a comment-only line it silences the next line, as a
+// trailing comment its own line.
 void ParseIncludes(const SourceText& text, std::vector<IncludeDirective>* out);
 void ParseAllows(const SourceText& text, std::vector<AllowComment>* out);
 
