@@ -56,7 +56,8 @@ PipelineResult RunPipeline(cluster::MitigationPolicy policy,
 
   detect::SdsDetector detector(cl.hypervisor(0), victim.id, profile, params,
                                detect::SdsMode::kCombined);
-  cluster::MitigationEngine engine(cl, victim, policy, /*spare=*/1);
+  cluster::MitigationEngine engine(cl, victim,
+                                   {.policy = policy, .spare_host = 1});
 
   PipelineResult result;
   std::uint64_t mark = 0;

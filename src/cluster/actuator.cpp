@@ -1,5 +1,6 @@
 #include "cluster/actuator.h"
 
+#include <algorithm>
 #include <string>
 
 #include "common/check.h"
@@ -315,6 +316,48 @@ void Actuator::RecordInjection(fault::ActuationFaultKind kind,
             .Str("op", ActuationOpName(command.result.op))
             .Num("host", static_cast<double>(command.result.target.host)));
   }
+}
+
+Tick RetryBackoff(int attempts) {
+  SDS_CHECK(attempts >= 1, "backoff follows at least one attempt");
+  constexpr Tick kBackoffBase = 8;
+  constexpr Tick kBackoffCap = 64;
+  return std::min(kBackoffBase << std::min(attempts - 1, 30), kBackoffCap);
+}
+
+void RetryDriver::Track(CommandId id, Tick now) {
+  ++attempts_;
+  command_ = id;
+  dispatched_ = now;
+}
+
+void RetryDriver::FailAttempt(Tick now) {
+  ++attempts_;
+  next_attempt_ = now + RetryBackoff(attempts_);
+}
+
+RetryDriver::Poll RetryDriver::PollCommand(Actuator& actuator, Tick now) {
+  if (command_ == 0) return Poll::kIdle;
+  const CommandResult& result = actuator.result(command_);
+  if (result.status == CommandStatus::kInFlight) {
+    if (now - dispatched_ < kCommandTimeout) return Poll::kInFlight;
+    // Lost (or pathologically slow): cancel so a re-dispatch cannot
+    // double-actuate.
+    actuator.Cancel(command_);
+    command_ = 0;
+    next_attempt_ = now + RetryBackoff(attempts_);
+    return Poll::kTimedOut;
+  }
+  command_ = 0;
+  result_ = result;
+  if (result.status == CommandStatus::kSucceeded) return Poll::kSucceeded;
+  next_attempt_ = now + RetryBackoff(attempts_);
+  return Poll::kFailed;
+}
+
+void RetryDriver::Reset() {
+  attempts_ = 0;
+  next_attempt_ = 0;
 }
 
 }  // namespace sds::cluster

@@ -138,4 +138,56 @@ class Actuator {
   telemetry::Counter* t_failed_ = nullptr;
 };
 
+// The retry policy every Actuator caller shares (DESIGN.md §12, §17).
+//
+// Ticks an outstanding command may stay unacknowledged before its caller
+// cancels it and counts the attempt as failed (catches lost commands).
+inline constexpr Tick kCommandTimeout = 64;
+// Attempts per action before the caller's exhaustion policy takes over.
+inline constexpr int kMaxAttempts = 5;
+// Duration of the in-place hypervisor throttle both engines fall back to.
+inline constexpr Tick kThrottleTicks = 4000;
+
+// Ticks to wait after the `attempts`-th failed attempt (attempts >= 1):
+// 8, 16, 32, 64, and 64 for every later attempt.
+Tick RetryBackoff(int attempts);
+
+// One caller's retry loop over one command at a time: counts attempts,
+// polls the outstanding command, cancels it once kCommandTimeout ticks pass
+// without an ack, and after any failed attempt holds the next one back by
+// RetryBackoff. What an exhausted loop does is the caller's policy.
+class RetryDriver {
+ public:
+  enum class Poll : std::uint8_t {
+    kIdle,       // no command outstanding
+    kInFlight,   // outstanding and still inside the timeout
+    kSucceeded,  // acknowledged; result() holds the command's result
+    kFailed,     // failed (or was cancelled by someone else); backing off
+    kTimedOut,   // cancelled here for want of an ack; backing off
+  };
+
+  // Counts an attempt that submitted `id` at `now`.
+  void Track(CommandId id, Tick now);
+  // Counts an attempt that could not submit anything, and backs off.
+  void FailAttempt(Tick now);
+  // Polls the outstanding command; a terminal or timed-out command is no
+  // longer outstanding afterwards.
+  Poll PollCommand(Actuator& actuator, Tick now);
+  // Forgets attempts and backoff: the next attempt starts a new action.
+  void Reset();
+
+  bool outstanding() const { return command_ != 0; }
+  bool ready(Tick now) const { return now >= next_attempt_; }
+  bool exhausted() const { return attempts_ >= kMaxAttempts; }
+  int attempts() const { return attempts_; }
+  const CommandResult& result() const { return result_; }
+
+ private:
+  CommandId command_ = 0;
+  Tick dispatched_ = kInvalidTick;
+  Tick next_attempt_ = 0;
+  int attempts_ = 0;
+  CommandResult result_;
+};
+
 }  // namespace sds::cluster

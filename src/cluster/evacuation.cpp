@@ -22,20 +22,10 @@ const char* EvacuationOutcomeName(EvacuationOutcome outcome) {
 }
 
 EvacuationEngine::EvacuationEngine(Cluster& cluster, HostLifecycle& lifecycle,
-                                   Actuator& actuator,
-                                   const EvacuationConfig& config)
-    : cluster_(cluster),
-      lifecycle_(lifecycle),
-      actuator_(actuator),
-      config_(config) {
+                                   Actuator& actuator)
+    : cluster_(cluster), lifecycle_(lifecycle), actuator_(actuator) {
   SDS_CHECK(lifecycle.host_count() == cluster.host_count(),
             "lifecycle host count must match the cluster");
-  SDS_CHECK(config_.command_timeout > 0, "command timeout must be positive");
-  SDS_CHECK(config_.max_attempts >= 1, "need at least one attempt");
-  SDS_CHECK(config_.backoff_base >= 1 &&
-                config_.backoff_cap >= config_.backoff_base,
-            "bad backoff range");
-  SDS_CHECK(config_.throttle_ticks > 0, "throttle duration must be positive");
 }
 
 bool EvacuationEngine::NeedsEvacuation(int host) const {
@@ -72,14 +62,6 @@ int EvacuationEngine::PickDestination(int source_host) const {
   return best;
 }
 
-Tick EvacuationEngine::Backoff(int attempts) const {
-  Tick backoff = config_.backoff_base;
-  for (int i = 1; i < attempts && backoff < config_.backoff_cap; ++i) {
-    backoff *= 2;
-  }
-  return std::min(backoff, config_.backoff_cap);
-}
-
 void EvacuationEngine::StartTasks() {
   for (int host = 0; host < cluster_.host_count(); ++host) {
     if (!NeedsEvacuation(host)) continue;
@@ -97,7 +79,6 @@ void EvacuationEngine::StartTasks() {
       Task task;
       task.record = records_.size();
       task.vm = vm;
-      task.next_attempt = cluster_.now();
       tasks_.push_back(task);
       EvacuationRecord record;
       record.from = vm;
@@ -112,7 +93,7 @@ void EvacuationEngine::FinishMigrated(Task& task, const VmRef& placement) {
   EvacuationRecord& record = records_[task.record];
   record.to = placement;
   record.finished = cluster_.now();
-  record.attempts = task.attempts;
+  record.attempts = task.retry.attempts();
   record.outcome = EvacuationOutcome::kMigrated;
   ++stats_.migrated;
   stats_.evacuation_ticks +=
@@ -124,80 +105,59 @@ void EvacuationEngine::FinishMigrated(Task& task, const VmRef& placement) {
 void EvacuationEngine::FinishThrottled(Task& task) {
   EvacuationRecord& record = records_[task.record];
   record.finished = cluster_.now();
-  record.attempts = task.attempts;
+  record.attempts = task.retry.attempts();
   record.outcome = EvacuationOutcome::kThrottledInPlace;
   ++stats_.throttled_in_place;
-  cluster_.hypervisor(task.vm.host)
-      .ThrottleVm(task.vm.id, config_.throttle_ticks);
+  cluster_.hypervisor(task.vm.host).ThrottleVm(task.vm.id, kThrottleTicks);
   task.done = true;
 }
 
 void EvacuationEngine::DriveTask(Task& task) {
   const Tick now = cluster_.now();
 
-  if (task.command != 0) {
-    const CommandResult& result = actuator_.result(task.command);
-    switch (result.status) {
-      case CommandStatus::kSucceeded:
-        FinishMigrated(task, result.placement);
-        return;
-      case CommandStatus::kFailed:
-      case CommandStatus::kCancelled:
-        task.command = 0;
-        ++stats_.retries;
-        task.next_attempt = now + Backoff(task.attempts);
-        return;
-      case CommandStatus::kInFlight:
-        if (now - task.dispatched >= config_.command_timeout) {
-          // Lost (or pathologically slow) command: cancel so a re-dispatch
-          // cannot double-actuate, then back off and retry.
-          actuator_.Cancel(task.command);
-          task.command = 0;
-          ++stats_.timeouts;
-          task.next_attempt = now + Backoff(task.attempts);
-        }
-        return;
+  if (!task.retry.outstanding()) {
+    if (!task.retry.ready(now)) return;
+
+    if (!cluster_.IsRunnable(task.vm)) {
+      EvacuationRecord& record = records_[task.record];
+      record.finished = now;
+      record.attempts = task.retry.attempts();
+      record.outcome = EvacuationOutcome::kAbandoned;
+      ++stats_.abandoned;
+      task.done = true;
+      return;
     }
+
+    if (task.retry.exhausted()) {
+      FinishThrottled(task);
+      return;
+    }
+
+    const int dest = PickDestination(task.vm.host);
+    if (dest < 0) {
+      ++stats_.no_destination;
+      task.retry.FailAttempt(now);
+      return;
+    }
+    task.retry.Track(actuator_.SubmitMigrate(task.vm, dest), now);
+    // A null actuation plan completes commands synchronously at submit; the
+    // poll below handles the terminal result in the same tick so fault-free
+    // evacuation converges in one pass.
   }
 
-  if (now < task.next_attempt) return;
-
-  if (!cluster_.IsRunnable(task.vm)) {
-    EvacuationRecord& record = records_[task.record];
-    record.finished = now;
-    record.attempts = task.attempts;
-    record.outcome = EvacuationOutcome::kAbandoned;
-    ++stats_.abandoned;
-    task.done = true;
-    return;
-  }
-
-  if (task.attempts >= config_.max_attempts) {
-    FinishThrottled(task);
-    return;
-  }
-
-  const int dest = PickDestination(task.vm.host);
-  if (dest < 0) {
-    ++stats_.no_destination;
-    ++task.attempts;
-    task.next_attempt = now + Backoff(task.attempts);
-    return;
-  }
-
-  ++task.attempts;
-  task.command = actuator_.SubmitMigrate(task.vm, dest);
-  task.dispatched = now;
-  // A null actuation plan completes commands synchronously at submit;
-  // process the terminal result in the same tick so fault-free evacuation
-  // converges in one pass.
-  const CommandResult& result = actuator_.result(task.command);
-  if (result.status == CommandStatus::kSucceeded) {
-    FinishMigrated(task, result.placement);
-  } else if (result.status == CommandStatus::kFailed) {
-    task.command = 0;
-    ++stats_.retries;
-    task.next_attempt = now + Backoff(task.attempts);
+  switch (task.retry.PollCommand(actuator_, now)) {
+    case RetryDriver::Poll::kSucceeded:
+      FinishMigrated(task, task.retry.result().placement);
+      return;
+    case RetryDriver::Poll::kFailed:
+      ++stats_.retries;
+      return;
+    case RetryDriver::Poll::kTimedOut:
+      ++stats_.timeouts;
+      return;
+    case RetryDriver::Poll::kIdle:
+    case RetryDriver::Poll::kInFlight:
+      return;
   }
 }
 

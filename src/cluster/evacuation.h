@@ -4,11 +4,13 @@
 // dead, each of its runnable VMs gets an evacuation task that
 // routes a migration through the shared Actuator (never Cluster::Migrate
 // directly — the det-actuation-idempotent contract), with capacity-aware
-// placement, retries with exponential backoff, and per-command timeouts.
-// When every attempt is exhausted — typically because no spare host has
-// room — the task falls back to throttling the VM in place: the provider
-// admits it cannot move the VM and caps its damage where it stands (the
-// same terminal fallback the MitigationEngine escalates to).
+// placement and the RetryDriver's per-command timeouts and backoff
+// (cluster/actuator.h). A scan that finds no destination counts as a failed
+// attempt. Once kMaxAttempts attempts have failed and the last backoff has
+// elapsed — typically because no spare host has room — the task falls back
+// to throttling the VM in place for kThrottleTicks: the provider admits it
+// cannot move the VM and caps its damage where it stands (the same terminal
+// fallback the MitigationEngine escalates to).
 //
 // Placement: the usable destination (lifecycle-placeable, no injected down
 // window, spare capacity) with the most free slots wins; ties break to the
@@ -30,20 +32,6 @@
 #include "common/types.h"
 
 namespace sds::cluster {
-
-struct EvacuationConfig {
-  // Ticks a submitted migration may stay unacknowledged before the engine
-  // cancels it (catches lost commands) and retries.
-  Tick command_timeout = 64;
-  // Attempts (submissions or no-destination scans) per VM before the
-  // throttle-in-place fallback.
-  int max_attempts = 5;
-  // Exponential backoff between attempts: base * 2^(attempt-1), capped.
-  Tick backoff_base = 8;
-  Tick backoff_cap = 64;
-  // Throttle duration of the in-place fallback.
-  Tick throttle_ticks = 4000;
-};
 
 enum class EvacuationOutcome : std::uint8_t {
   kPending,
@@ -81,7 +69,7 @@ class EvacuationEngine {
   // All references are non-owning and must outlive the engine; `actuator`
   // must drive the same `cluster`.
   EvacuationEngine(Cluster& cluster, HostLifecycle& lifecycle,
-                   Actuator& actuator, const EvacuationConfig& config = {});
+                   Actuator& actuator);
 
   // Called once per cluster tick (after Cluster::RunTick and
   // Actuator::OnTick). Starts tasks for newly-stranded VMs and drives the
@@ -99,23 +87,18 @@ class EvacuationEngine {
 
   const EvacuationStats& stats() const { return stats_; }
   const std::vector<EvacuationRecord>& records() const { return records_; }
-  const EvacuationConfig& config() const { return config_; }
 
  private:
   struct Task {
     std::size_t record = 0;  // index into records_
     VmRef vm;
-    CommandId command = 0;  // 0 = none in flight
-    Tick dispatched = kInvalidTick;
-    Tick next_attempt = 0;
-    int attempts = 0;
+    RetryDriver retry;
     bool done = false;
   };
 
   bool NeedsEvacuation(int host) const;
   // Best destination for one more VM, or -1 when no usable host has room.
   int PickDestination(int source_host) const;
-  Tick Backoff(int attempts) const;
   void StartTasks();
   void DriveTask(Task& task);
   void FinishMigrated(Task& task, const VmRef& placement);
@@ -124,7 +107,6 @@ class EvacuationEngine {
   Cluster& cluster_;
   HostLifecycle& lifecycle_;
   Actuator& actuator_;
-  EvacuationConfig config_;
   // Single-thread shard affinity: owned by the tick loop that owns the
   // cluster, like the lifecycle itself.
   std::vector<Task> tasks_ SDS_SHARD_OWNED;

@@ -1,7 +1,5 @@
 #include "cluster/mitigation.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 #include "telemetry/telemetry.h"
 
@@ -56,17 +54,6 @@ const char* MitigationStateName(MitigationState state) {
 }
 
 MitigationEngine::MitigationEngine(Cluster& cluster, const VmRef& victim,
-                                   MitigationPolicy policy, int spare_host)
-    : MitigationEngine(cluster, victim,
-                       [&] {
-                         MitigationConfig config;
-                         config.policy = policy;
-                         config.spare_host = spare_host;
-                         return config;
-                       }(),
-                       nullptr) {}
-
-MitigationEngine::MitigationEngine(Cluster& cluster, const VmRef& victim,
                                    const MitigationConfig& config,
                                    Actuator* actuator)
     : cluster_(cluster), victim_(victim), config_(config) {
@@ -78,11 +65,6 @@ MitigationEngine::MitigationEngine(Cluster& cluster, const VmRef& victim,
                  config.spare_host < cluster.host_count() &&
                  config.spare_host != victim.host),
             "spare host must exist and differ from the victim's host");
-  SDS_CHECK(config.command_timeout > 0, "command timeout must be positive");
-  SDS_CHECK(config.max_attempts > 0, "need at least one attempt per action");
-  SDS_CHECK(config.backoff_base >= 0 &&
-                config.backoff_cap >= config.backoff_base,
-            "bad backoff range");
   SDS_CHECK(config.verify_window >= 0, "verify window must be non-negative");
   if (actuator) {
     actuator_ = actuator;
@@ -121,8 +103,7 @@ void MitigationEngine::OnAlarm(OwnerId attributed_attacker) {
 
   chain_.clear();
   chain_index_ = 0;
-  attempts_ = 0;
-  backoff_until_ = 0;
+  retry_.Reset();
   switch (config_.policy) {
     case MitigationPolicy::kQuarantineAttacker:
       if (!fallback_) chain_.push_back(Action::kQuarantine);
@@ -151,16 +132,16 @@ void MitigationEngine::Dispatch() {
     return;
   }
   ++stats_.dispatches;
-  ++attempts_;
-  dispatch_tick_ = cluster_.now();
+  CommandId cmd = 0;
   if (action == Action::kQuarantine) {
     VmRef attacker;
     attacker.host = alarm_host_;
     attacker.id = attacker_;
-    cmd_ = actuator_->SubmitStop(attacker);
+    cmd = actuator_->SubmitStop(attacker);
   } else {
-    cmd_ = actuator_->SubmitMigrate(victim_, config_.spare_host);
+    cmd = actuator_->SubmitMigrate(victim_, config_.spare_host);
   }
+  retry_.Track(cmd, cluster_.now());
   state_ = MitigationState::kDispatched;
   // A zero-latency actuator completes inside Submit; pump so the clean
   // path settles synchronously within OnAlarm, exactly like the one-shot
@@ -169,39 +150,33 @@ void MitigationEngine::Dispatch() {
 }
 
 void MitigationEngine::PumpCommand() {
-  if (cmd_ == 0) return;
-  const CommandResult& result = actuator_->result(cmd_);
-  if (result.status == CommandStatus::kInFlight) {
-    if (cluster_.now() - dispatch_tick_ >= config_.command_timeout) {
-      ++stats_.timeouts;
-      AuditStep("timeout", static_cast<double>(attempts_), true);
-      actuator_->Cancel(cmd_);
-      cmd_ = 0;
-      OnAttemptFailed();
-    } else {
+  switch (retry_.PollCommand(*actuator_, cluster_.now())) {
+    case RetryDriver::Poll::kIdle:
+      return;
+    case RetryDriver::Poll::kInFlight:
       state_ = MitigationState::kInFlight;
-    }
-    return;
-  }
-  cmd_ = 0;
-  if (result.status == CommandStatus::kSucceeded) {
-    ApplySuccess(result);
-  } else {
-    OnAttemptFailed();
+      return;
+    case RetryDriver::Poll::kTimedOut:
+      ++stats_.timeouts;
+      AuditStep("timeout", static_cast<double>(retry_.attempts()), true);
+      OnAttemptFailed();
+      return;
+    case RetryDriver::Poll::kSucceeded:
+      ApplySuccess(retry_.result());
+      return;
+    case RetryDriver::Poll::kFailed:
+      OnAttemptFailed();
+      return;
   }
 }
 
 void MitigationEngine::OnAttemptFailed() {
-  if (attempts_ >= config_.max_attempts) {
+  if (retry_.exhausted()) {
     Escalate();
     return;
   }
-  const Tick shift = std::min<Tick>(attempts_ - 1, 30);
-  const Tick backoff =
-      std::min(config_.backoff_base << shift, config_.backoff_cap);
-  backoff_until_ = cluster_.now() + backoff;
   ++stats_.retries;
-  AuditStep("retry", static_cast<double>(attempts_), false);
+  AuditStep("retry", static_cast<double>(retry_.attempts()), false);
   state_ = MitigationState::kInFlight;  // waiting out the backoff
 }
 
@@ -213,8 +188,7 @@ void MitigationEngine::Escalate() {
   }
   ++chain_index_;
   ++stats_.escalations;
-  attempts_ = 0;
-  backoff_until_ = 0;
+  retry_.Reset();
   AuditStep("escalate", static_cast<double>(chain_index_), true);
   Dispatch();
 }
@@ -246,11 +220,10 @@ void MitigationEngine::ApplySuccess(const CommandResult& result) {
 
 void MitigationEngine::ApplyThrottle() {
   if (attacker_ != 0 && attacker_ != victim_.id) {
-    cluster_.hypervisor(alarm_host_).ThrottleVm(attacker_,
-                                                config_.throttle_ticks);
+    cluster_.hypervisor(alarm_host_).ThrottleVm(attacker_, kThrottleTicks);
   } else {
     cluster_.hypervisor(victim_.host)
-        .ThrottleAllExcept(victim_.id, config_.throttle_ticks);
+        .ThrottleAllExcept(victim_.id, kThrottleTicks);
   }
   applied_ = MitigationPolicy::kThrottleFallback;
   if (!mitigated_) {
@@ -299,9 +272,9 @@ void MitigationEngine::OnTick() {
   switch (state_) {
     case MitigationState::kDispatched:
     case MitigationState::kInFlight:
-      if (cmd_ != 0) {
+      if (retry_.outstanding()) {
         PumpCommand();
-      } else if (cluster_.now() >= backoff_until_) {
+      } else if (retry_.ready(cluster_.now())) {
         Dispatch();
       }
       break;

@@ -24,17 +24,16 @@
 //                 +- backoff --+<-----------+--------------> failed
 //
 // Commands route through cluster::Actuator, whose ActuationFaultPlan may
-// lose, abort, or bounce them. Each attempt has a timeout; failures retry
-// with capped exponential backoff; exhausted attempts escalate along
-// quarantine -> migrate -> throttle. With verification enabled the engine
-// watches the victim's access/miss rates after an action applies and
-// escalates when contention persists.
+// lose, abort, or bounce them. A RetryDriver (cluster/actuator.h) times
+// out each attempt after kCommandTimeout ticks and retries failures with
+// RetryBackoff; as soon as the kMaxAttempts-th attempt of an action fails
+// the engine escalates along quarantine -> migrate -> throttle. With
+// verification enabled the engine watches the victim's access/miss rates
+// after an action applies and escalates when contention persists.
 //
-// Compatibility: constructed through the legacy (policy, spare_host)
-// signature — or with a default MitigationConfig and a fault-free actuator —
-// the engine settles synchronously inside OnAlarm and emits exactly the
-// pre-actuation-plane telemetry (one "mitigation" audit record, one
-// "mitigation_applied"/"mitigation_fallback" event). The actuation golden
+// With a fault-free actuator the engine settles synchronously inside
+// OnAlarm and emits one "mitigation" audit record and one
+// "mitigation_applied"/"mitigation_fallback" event; the actuation golden
 // test pins this bit-for-bit.
 #pragma once
 
@@ -79,17 +78,6 @@ struct MitigationConfig {
   // fallback). Unused by kNone / kThrottleFallback.
   int spare_host = -1;
 
-  // Ticks an outstanding command may stay unacknowledged before the engine
-  // cancels it and counts the attempt as failed (catches lost commands).
-  Tick command_timeout = 64;
-  // Submissions per action before escalating to the next one.
-  int max_attempts = 5;
-  // Retry backoff: min(backoff_base << (attempt - 1), backoff_cap) ticks.
-  Tick backoff_base = 8;
-  Tick backoff_cap = 128;
-
-  // Duration of the hypervisor throttle when the chain falls back to it.
-  Tick throttle_ticks = 4000;
   // Whether the escalation chain ends in kThrottleFallback. Disabling it
   // makes chain exhaustion terminal (state kFailed) — useful for measuring
   // how often the fallible actions alone suffice.
@@ -111,13 +99,8 @@ struct MitigationStats {
 
 class MitigationEngine {
  public:
-  // Legacy signature: default robustness knobs and an owned fault-free
-  // actuator — single-shot behavior, bit-identical telemetry.
-  MitigationEngine(Cluster& cluster, const VmRef& victim,
-                   MitigationPolicy policy, int spare_host);
-
-  // Full control. `actuator` may be shared with other engines / the chaos
-  // harness; when nullptr the engine owns a fault-free one.
+  // `actuator` may be shared with other engines / the chaos harness; when
+  // nullptr the engine owns a fault-free one.
   MitigationEngine(Cluster& cluster, const VmRef& victim,
                    const MitigationConfig& config,
                    Actuator* actuator = nullptr);
@@ -191,10 +174,7 @@ class MitigationEngine {
   int alarm_host_ = -1;
   Tick alarm_tick_ = kInvalidTick;
 
-  CommandId cmd_ = 0;
-  Tick dispatch_tick_ = kInvalidTick;
-  Tick backoff_until_ = 0;
-  int attempts_ = 0;
+  RetryDriver retry_;
 
   bool mitigated_ = false;
   Tick mitigation_tick_ = kInvalidTick;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/check.h"
 #include "telemetry/telemetry.h"
 
 namespace sds::detect {
@@ -30,9 +29,7 @@ const char* GapPolicyName(GapPolicy policy) {
   return "?";
 }
 
-bool SampleIsSane(const pcm::PcmSample& sample, const SanityParams& params,
-                  Tick span_ticks) {
-  if (!params.enabled) return true;
+bool SampleIsSane(const pcm::PcmSample& sample, Tick span_ticks) {
   const auto span =
       static_cast<std::uint64_t>(std::max<Tick>(span_ticks, 1));
   // kMaxSampleDeltaPerTick (1e6) * any plausible span stays far from
@@ -40,19 +37,14 @@ bool SampleIsSane(const pcm::PcmSample& sample, const SanityParams& params,
   // sampler's own tick arithmetic).
   const std::uint64_t ceiling = kMaxSampleDeltaPerTick * span;
   if (sample.access_num > ceiling || sample.miss_num > ceiling) return false;
-  if (params.check_miss_le_access && sample.miss_num > sample.access_num) {
-    return false;
-  }
-  return true;
+  return sample.miss_num <= sample.access_num;
 }
 
 SamplerWatchdog::SamplerWatchdog(pcm::SampleSource& source,
-                                 const WatchdogParams& params,
                                  vm::Hypervisor& hypervisor)
-    : source_(source), params_(params), hypervisor_(hypervisor) {}
+    : source_(source), hypervisor_(hypervisor) {}
 
 bool SamplerWatchdog::OnMissing(Tick now) {
-  if (!params_.enabled) return false;
   ++miss_streak_;
   // A healthy-but-lossy source is left alone until the streak says the
   // stream is effectively dead; an unhealthy source is probed immediately.
@@ -128,9 +120,7 @@ DegradingSampleGate::DegradingSampleGate(vm::Hypervisor& hypervisor,
       source_(source),
       config_(config),
       consumer_(consumer),
-      watchdog_(source, config.watchdog, hypervisor) {
-  SDS_CHECK(config_.rewarm_gap > 0, "rewarm_gap must be >= 1");
-}
+      watchdog_(source, hypervisor) {}
 
 void DegradingSampleGate::EmitDegrade(Tick tick, const char* action,
                                       double value, double bound,
@@ -168,7 +158,7 @@ DegradingSampleGate::Outcome DegradingSampleGate::OnTick() {
   if (raw.has_value()) {
     out.delivered = true;
     const Tick span = std::max<Tick>(source_.last_span(), 1);
-    if (!SampleIsSane(*raw, config_.sanity, span)) {
+    if (!SampleIsSane(*raw, span)) {
       // Quarantine: the sample is corrupt by construction; treat the tick
       // as a gap so the gap policy decides what the analyzers see.
       ++stats_.quarantined;
@@ -205,10 +195,10 @@ DegradingSampleGate::Outcome DegradingSampleGate::OnTick() {
         rewarm_pending_ = false;
         ++stats_.rewarms;
         EmitDegrade(now, "rewarm", static_cast<double>(gap_run_),
-                    static_cast<double>(config_.rewarm_gap), false);
+                    static_cast<double>(kRewarmGap), false);
       }
     } else if (config_.gap_policy == GapPolicy::kRewarm && !rewarm_pending_ &&
-               gap_run_ >= config_.rewarm_gap) {
+               gap_run_ >= kRewarmGap) {
       // Long gap: schedule one re-warm; it fires now so the consumer can
       // discard its half-filled windows, and is not repeated while the same
       // gap keeps running.
@@ -216,7 +206,7 @@ DegradingSampleGate::Outcome DegradingSampleGate::OnTick() {
       rewarm_pending_ = true;
       ++stats_.rewarms;
       EmitDegrade(now, "rewarm", static_cast<double>(gap_run_),
-                  static_cast<double>(config_.rewarm_gap), false);
+                  static_cast<double>(kRewarmGap), false);
     }
     if (config_.gap_policy == GapPolicy::kHoldLast && last_good_.has_value()) {
       pcm::PcmSample held = *last_good_;

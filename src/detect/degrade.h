@@ -20,7 +20,7 @@
 //                holds its value and decision cadence is preserved;
 //   kSkipFreeze  feed nothing — analyzer windows and consecutive-violation
 //                counters freeze until real data resumes;
-//   kRewarm      like kSkipFreeze, and a gap of >= rewarm_gap ticks resets
+//   kRewarm      like kSkipFreeze, and a gap of >= kRewarmGap ticks resets
 //                the preprocessing pipeline so a stale half-filled MA window
 //                never mixes pre- and post-gap data (a fresh warm-up, as
 //                after a VM migration).
@@ -57,35 +57,24 @@ const char* GapPolicyName(GapPolicy policy);
 // sample is ever quarantined.
 inline constexpr std::uint64_t kMaxSampleDeltaPerTick = 1'000'000;
 
-struct SanityParams {
-  bool enabled = true;
-  // LLC misses are a subset of LLC accesses; a sample violating that is
-  // corrupt by construction.
-  bool check_miss_le_access = true;
-};
-
-struct WatchdogParams {
-  bool enabled = true;
-};
+// kRewarm: gap length (in ticks) that triggers a pipeline re-warm.
+inline constexpr Tick kRewarmGap = 50;
 
 struct DegradeConfig {
   GapPolicy gap_policy = GapPolicy::kHoldLast;
-  // kRewarm: gap length (in ticks) that triggers a pipeline re-warm.
-  Tick rewarm_gap = 50;
-  SanityParams sanity;
-  WatchdogParams watchdog;
 };
 
-// Stateless sample validation. `span_ticks` is the number of PCM intervals
-// the sample's delta covers (1 + the missed ticks it coalesced), which
-// scales the ceiling so a legitimate post-gap sample is not quarantined.
-bool SampleIsSane(const pcm::PcmSample& sample, const SanityParams& params,
-                  Tick span_ticks);
+// Stateless sample validation: both deltas under the span-scaled ceiling,
+// and misses no more than accesses (LLC misses are a subset of LLC
+// accesses, so a sample violating that is corrupt by construction).
+// `span_ticks` is the number of PCM intervals the sample's delta covers
+// (1 + the missed ticks it coalesced), which scales the ceiling so a
+// legitimate post-gap sample is not quarantined.
+bool SampleIsSane(const pcm::PcmSample& sample, Tick span_ticks);
 
 class SamplerWatchdog {
  public:
-  SamplerWatchdog(pcm::SampleSource& source, const WatchdogParams& params,
-                  vm::Hypervisor& hypervisor);
+  SamplerWatchdog(pcm::SampleSource& source, vm::Hypervisor& hypervisor);
 
   // Report one tick with no sample. May attempt a restart (rate-limited by
   // the backoff); returns true when a restart SUCCEEDED this tick — the
@@ -105,7 +94,6 @@ class SamplerWatchdog {
 
  private:
   pcm::SampleSource& source_;
-  WatchdogParams params_;
   vm::Hypervisor& hypervisor_;
   int miss_streak_ = 0;
   Tick next_attempt_ = 0;

@@ -59,12 +59,6 @@ void KsTestDetector::AuditKsDecision(const char* channel, double p_value,
 
 KsTestDetector::KsTestDetector(vm::Hypervisor& hypervisor, OwnerId target,
                                const KsTestParams& params,
-                               const KsIdentificationParams& ident)
-    : KsTestDetector(hypervisor, target, params, ident, nullptr,
-                     DegradeConfig{}) {}
-
-KsTestDetector::KsTestDetector(vm::Hypervisor& hypervisor, OwnerId target,
-                               const KsTestParams& params,
                                const KsIdentificationParams& ident,
                                pcm::SampleSource* source,
                                const DegradeConfig& degrade)

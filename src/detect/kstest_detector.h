@@ -63,14 +63,10 @@ struct KsIdentificationParams {
 
 class KsTestDetector final : public Detector {
  public:
-  // Owns a perfect PcmSampler; bit-identical to the pre-seam detector
-  // (pinned by tests/integration/golden_regression_test).
-  KsTestDetector(vm::Hypervisor& hypervisor, OwnerId target,
-                 const KsTestParams& params,
-                 const KsIdentificationParams& ident = {});
-
-  // Monitoring-plane seam: reads `source` (nullptr = own a PcmSampler)
-  // through a DegradingSampleGate. Collections tolerate gaps by extending —
+  // Monitoring-plane seam: reads `source` (nullptr = own a perfect
+  // PcmSampler, over which the gate is bit-transparent, pinned by
+  // tests/integration/golden_regression_test) through a
+  // DegradingSampleGate. Collections tolerate gaps by extending —
   // with their throttles re-armed so the collection conditions hold — up to
   // kCollectSlackFactor times their window, after which they are abandoned
   // (reference: keep the old one; monitored: test if at least half the
@@ -79,8 +75,9 @@ class KsTestDetector final : public Detector {
   // exonerated).
   KsTestDetector(vm::Hypervisor& hypervisor, OwnerId target,
                  const KsTestParams& params,
-                 const KsIdentificationParams& ident,
-                 pcm::SampleSource* source, const DegradeConfig& degrade);
+                 const KsIdentificationParams& ident = {},
+                 pcm::SampleSource* source = nullptr,
+                 const DegradeConfig& degrade = {});
 
   void OnTick() override;
   bool attack_active() const override { return attack_active_; }

@@ -12,12 +12,6 @@ namespace tel = sds::telemetry;
 
 SdsDetector::SdsDetector(vm::Hypervisor& hypervisor, OwnerId target,
                          const SdsProfile& profile,
-                         const DetectorParams& params, SdsMode mode)
-    : SdsDetector(hypervisor, target, profile, params, mode, nullptr,
-                  DegradeConfig{}) {}
-
-SdsDetector::SdsDetector(vm::Hypervisor& hypervisor, OwnerId target,
-                         const SdsProfile& profile,
                          const DetectorParams& params, SdsMode mode,
                          pcm::SampleSource* source,
                          const DegradeConfig& degrade)

@@ -24,21 +24,16 @@ class SdsDetector final : public Detector {
   // The profile must come from a clean window of the same application
   // (BuildSdsProfile). For kPeriodOnly the profile must be periodic.
   //
-  // This overload owns a perfect PcmSampler and default degradation config;
-  // it behaves bit-identically to the pre-seam detector (pinned by
-  // tests/integration/golden_regression_test).
+  // Monitoring-plane seam: reads `source` (nullptr = own a perfect
+  // PcmSampler) through a DegradingSampleGate configured by `degrade`, so
+  // the detector survives dropped samples, outages, corrupt reads and
+  // sampler death. An external `source` must outlive the detector; the
+  // detector starts it. Over a perfect sampler the gate is bit-transparent
+  // (pinned by tests/integration/golden_regression_test).
   SdsDetector(vm::Hypervisor& hypervisor, OwnerId target,
               const SdsProfile& profile, const DetectorParams& params,
-              SdsMode mode);
-
-  // Monitoring-plane seam: reads `source` (nullptr = own a PcmSampler)
-  // through a DegradingSampleGate configured by `degrade`, so the detector
-  // survives dropped samples, outages, corrupt reads and sampler death. An
-  // external `source` must outlive the detector; the detector starts it.
-  SdsDetector(vm::Hypervisor& hypervisor, OwnerId target,
-              const SdsProfile& profile, const DetectorParams& params,
-              SdsMode mode, pcm::SampleSource* source,
-              const DegradeConfig& degrade);
+              SdsMode mode, pcm::SampleSource* source = nullptr,
+              const DegradeConfig& degrade = {});
 
   void OnTick() override;
   bool attack_active() const override { return analyzer_.active(); }

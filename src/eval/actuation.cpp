@@ -213,8 +213,8 @@ void WriteActuationJson(std::ostream& os, const ActuationSweepConfig& config,
      << cluster::MitigationPolicyName(config.run.mitigation.policy)
      << "\",\"attributed\":" << (config.run.attribute ? "true" : "false")
      << ",\"runs_per_cell\":" << config.runs_per_cell
-     << ",\"command_timeout\":" << config.run.mitigation.command_timeout
-     << ",\"max_attempts\":" << config.run.mitigation.max_attempts
+     << ",\"command_timeout\":" << cluster::kCommandTimeout
+     << ",\"max_attempts\":" << cluster::kMaxAttempts
      << ",\"verify_window\":" << config.run.mitigation.verify_window
      << ",\"latency\":[" << kFaultedLatencyMin << "," << kFaultedLatencyMax
      << "],\"baseline\":";

@@ -42,9 +42,9 @@ HostChaosRunResult RunHostChaosRun(const HostChaosRunConfig& config,
   cluster::Cluster cl(config.hosts, host, seed);
   cluster::HostLifecycle lifecycle(config.hosts, config.host_plan);
   cl.AttachLifecycle(&lifecycle);
-  cluster::Actuator actuator(cl, config.actuation_plan);
-  cluster::EvacuationEngine evacuation(cl, lifecycle, actuator,
-                                       config.evacuation);
+  // Fault-free actuation: every command is terminal when Submit returns.
+  cluster::Actuator actuator(cl);
+  cluster::EvacuationEngine evacuation(cl, lifecycle, actuator);
 
   // One victim on host 0; a scheduled bus-locking attacker co-resident on
   // EVERY host so the contention signature follows the victim wherever it
@@ -136,7 +136,6 @@ HostChaosRunResult RunHostChaosRun(const HostChaosRunConfig& config,
   Tick next_forced = config.migrate_every > 0
                          ? config.attack_start + config.migrate_every
                          : kInvalidTick;
-  cluster::CommandId forced_command = 0;
 
   for (Tick t = 0; t < config.horizon; ++t) {
     migrated_this_tick = false;
@@ -145,37 +144,22 @@ HostChaosRunResult RunHostChaosRun(const HostChaosRunConfig& config,
     evacuation.OnTick();
     const Tick now = cl.now();
 
-    // Forced periodic victim migration (the evasion cell). Commands may be
-    // asynchronous under an actuation fault plan, so completions are
-    // collected here; failures simply wait for the next period.
-    if (forced_command != 0) {
-      const cluster::CommandResult& forced = actuator.result(forced_command);
-      if (forced.status == cluster::CommandStatus::kSucceeded) {
-        migrate_detector(victim, forced.placement, /*forced=*/true);
-        forced_command = 0;
-      } else if (forced.status != cluster::CommandStatus::kInFlight) {
-        forced_command = 0;
-      }
-    }
-    if (next_forced != kInvalidTick && now >= next_forced &&
-        forced_command == 0) {
+    // Forced periodic victim migration (the evasion cell); a failed one
+    // waits for the next period.
+    if (next_forced != kInvalidTick && now >= next_forced) {
       int dest = -1;
       for (int i = 1; i < config.hosts; ++i) {
         const int h = (victim.host + i) % config.hosts;
-        if (cl.host_placeable(h) && actuator.host_usable(h) &&
-            cl.HasCapacity(h)) {
+        if (cl.host_placeable(h) && cl.HasCapacity(h)) {
           dest = h;
           break;
         }
       }
       if (dest >= 0 && cl.IsRunnable(victim)) {
-        forced_command = actuator.SubmitMigrate(victim, dest);
-        const cluster::CommandResult& forced = actuator.result(forced_command);
+        const cluster::CommandResult& forced =
+            actuator.result(actuator.SubmitMigrate(victim, dest));
         if (forced.status == cluster::CommandStatus::kSucceeded) {
           migrate_detector(victim, forced.placement, /*forced=*/true);
-          forced_command = 0;
-        } else if (forced.status != cluster::CommandStatus::kInFlight) {
-          forced_command = 0;
         }
       }
       next_forced += config.migrate_every;

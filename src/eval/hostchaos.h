@@ -34,7 +34,6 @@
 #include "cluster/evacuation.h"
 #include "common/types.h"
 #include "detect/params.h"
-#include "fault/actuation_plan.h"
 #include "fault/host_plan.h"
 #include "obs/handoff.h"
 
@@ -55,8 +54,6 @@ struct HostChaosRunConfig {
   // migrate_every, then every migrate_every ticks. 0 disables.
   Tick migrate_every = 0;
   fault::HostFaultPlan host_plan;
-  fault::ActuationFaultPlan actuation_plan;
-  cluster::EvacuationConfig evacuation;
   detect::DetectorParams params;
 };
 

@@ -52,7 +52,7 @@ Disposition JudgeSample(const SvcSample& sample, const AdmissionConfig& config,
       sample.tick > entry->last_enqueued_tick) {
     span = sample.tick - entry->last_enqueued_tick;
   }
-  if (!detect::SampleIsSane(pcm_sample, config.sanity, span)) {
+  if (!detect::SampleIsSane(pcm_sample, span)) {
     return Disposition::kRejectInsane;
   }
   // Rung 4: future-timestamped.

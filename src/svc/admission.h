@@ -7,7 +7,7 @@
 //   1. kRejectMalformed    — the line did not parse; no tenant to blame.
 //   2. kRejectQuarantined  — the tenant is serving a quarantine sentence.
 //   3. kRejectInsane       — physically impossible counters, judged by the
-//                            same detect/degrade SanityParams the in-VM
+//                            same detect::SampleIsSane the in-VM
 //                            detectors use.
 //   4. kRejectFuture       — data timestamp ahead of the service clock by
 //                            more than max_future_ticks.
@@ -59,7 +59,6 @@ const char* DispositionName(Disposition d);
 bool DispositionIsOffense(Disposition d);
 
 struct AdmissionConfig {
-  detect::SanityParams sanity;
   // Ladder rung 4: tolerated clock skew of the feed, in ticks.
   Tick max_future_ticks = 100;
   // Offenses before a tenant is quarantined, and for how long.

@@ -31,9 +31,11 @@ std::uint64_t SvcConfig::Fingerprint() const {
   w.I64(pipeline.det.h_p);
   w.F64(pipeline.det.period_tolerance);
   w.U32(pipeline.profile_len);
-  w.Bool(admission.sanity.enabled);
+  // The sanity rung is always on with both checks; the two bytes keep the
+  // fingerprint layout of checkpoints already written.
+  w.Bool(true);
   w.U64(detect::kMaxSampleDeltaPerTick);
-  w.Bool(admission.sanity.check_miss_le_access);
+  w.Bool(true);
   w.I64(admission.max_future_ticks);
   w.U32(admission.quarantine_offense_threshold);
   w.I64(admission.quarantine_ticks);

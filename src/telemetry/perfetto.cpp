@@ -60,8 +60,7 @@ void WriteMetadata(std::ostream& os, bool& first, const char* name, int pid,
 
 }  // namespace
 
-void WritePerfettoTrace(const Telemetry& telemetry, std::ostream& os,
-                        const PerfettoOptions& options) {
+void WritePerfettoTrace(const Telemetry& telemetry, std::ostream& os) {
   const double tick_us = kDefaultTpcmSeconds * 1e6;
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
   bool first = true;
@@ -75,8 +74,7 @@ void WritePerfettoTrace(const Telemetry& telemetry, std::ostream& os,
   WriteMetadata(os, first, "thread_name", kSimPid, kAuditTid,
                 "detector decisions");
   const SpanProfiler& profiler = telemetry.profiler();
-  const bool slices = options.include_profiler_slices &&
-                      profiler.slices_retained() > 0;
+  const bool slices = profiler.slices_retained() > 0;
   if (slices) {
     WriteMetadata(os, first, "process_name", kProfilerPid, 0,
                   profiler.clock() == ProfileClock::kWall
@@ -85,48 +83,44 @@ void WritePerfettoTrace(const Telemetry& telemetry, std::ostream& os,
     WriteMetadata(os, first, "thread_name", kProfilerPid, 1, "spans");
   }
 
-  if (options.include_tracer_events) {
-    const EventTracer& tracer = telemetry.tracer();
-    for (std::size_t i = 0; i < tracer.retained(); ++i) {
-      const TraceEvent& e = tracer.event(i);
-      BeginEvent(os, first, e.name != nullptr ? e.name : "?", "i",
-                 static_cast<double>(e.tick) * tick_us, kSimPid,
-                 static_cast<int>(e.layer) + 1, LayerName(e.layer));
-      os << ",\"s\":\"t\",\"args\":{\"tick\":" << e.tick;
-      if (e.owner >= 0) os << ",\"owner\":" << e.owner;
-      for (const auto& f : e.nums) {
-        if (f.key == nullptr) continue;
-        os << ",\"" << JsonEscape(f.key) << "\":";
-        WriteJsonNumber(os, f.value);
-      }
-      for (const auto& f : e.strs) {
-        if (f.key == nullptr) continue;
-        os << ",\"" << JsonEscape(f.key) << "\":\""
-           << JsonEscape(f.value != nullptr ? f.value : "") << '"';
-      }
-      os << "}}";
+  const EventTracer& tracer = telemetry.tracer();
+  for (std::size_t i = 0; i < tracer.retained(); ++i) {
+    const TraceEvent& e = tracer.event(i);
+    BeginEvent(os, first, e.name != nullptr ? e.name : "?", "i",
+               static_cast<double>(e.tick) * tick_us, kSimPid,
+               static_cast<int>(e.layer) + 1, LayerName(e.layer));
+    os << ",\"s\":\"t\",\"args\":{\"tick\":" << e.tick;
+    if (e.owner >= 0) os << ",\"owner\":" << e.owner;
+    for (const auto& f : e.nums) {
+      if (f.key == nullptr) continue;
+      os << ",\"" << JsonEscape(f.key) << "\":";
+      WriteJsonNumber(os, f.value);
     }
+    for (const auto& f : e.strs) {
+      if (f.key == nullptr) continue;
+      os << ",\"" << JsonEscape(f.key) << "\":\""
+         << JsonEscape(f.value != nullptr ? f.value : "") << '"';
+    }
+    os << "}}";
   }
 
-  if (options.include_audit_records) {
-    for (const AuditRecord& r : telemetry.audit().records()) {
-      BeginEvent(os, first, r.check, "i",
-                 static_cast<double>(r.tick) * tick_us, kSimPid, kAuditTid,
-                 "audit");
-      os << ",\"s\":\"t\",\"args\":{\"tick\":" << r.tick << ",\"detector\":\""
-         << JsonEscape(r.detector) << "\",\"channel\":\""
-         << JsonEscape(r.channel) << "\",\"value\":";
-      WriteJsonNumber(os, r.value);
-      os << ",\"lower\":";
-      WriteJsonNumber(os, r.lower);
-      os << ",\"upper\":";
-      WriteJsonNumber(os, r.upper);
-      os << ",\"margin\":";
-      WriteJsonNumber(os, r.margin);
-      os << ",\"violation\":" << (r.violation ? "true" : "false")
-         << ",\"consecutive\":" << r.consecutive
-         << ",\"alarm\":" << (r.alarm ? "true" : "false") << "}}";
-    }
+  for (const AuditRecord& r : telemetry.audit().records()) {
+    BeginEvent(os, first, r.check, "i",
+               static_cast<double>(r.tick) * tick_us, kSimPid, kAuditTid,
+               "audit");
+    os << ",\"s\":\"t\",\"args\":{\"tick\":" << r.tick << ",\"detector\":\""
+       << JsonEscape(r.detector) << "\",\"channel\":\""
+       << JsonEscape(r.channel) << "\",\"value\":";
+    WriteJsonNumber(os, r.value);
+    os << ",\"lower\":";
+    WriteJsonNumber(os, r.lower);
+    os << ",\"upper\":";
+    WriteJsonNumber(os, r.upper);
+    os << ",\"margin\":";
+    WriteJsonNumber(os, r.margin);
+    os << ",\"violation\":" << (r.violation ? "true" : "false")
+       << ",\"consecutive\":" << r.consecutive
+       << ",\"alarm\":" << (r.alarm ? "true" : "false") << "}}";
   }
 
   if (slices) {
@@ -153,11 +147,10 @@ void WritePerfettoTrace(const Telemetry& telemetry, std::ostream& os,
 }
 
 bool WritePerfettoTraceFile(const Telemetry& telemetry,
-                            const std::string& path,
-                            const PerfettoOptions& options) {
+                            const std::string& path) {
   std::ofstream out(path);
   if (!out) return false;
-  WritePerfettoTrace(telemetry, out, options);
+  WritePerfettoTrace(telemetry, out);
   return static_cast<bool>(out);
 }
 

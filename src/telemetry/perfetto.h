@@ -33,19 +33,11 @@ namespace sds::telemetry {
 
 class Telemetry;
 
-struct PerfettoOptions {
-  bool include_tracer_events = true;
-  bool include_audit_records = true;
-  bool include_profiler_slices = true;
-};
-
 // Writes the full trace-event JSON object ({"traceEvents":[...],...}).
-void WritePerfettoTrace(const Telemetry& telemetry, std::ostream& os,
-                        const PerfettoOptions& options = {});
+void WritePerfettoTrace(const Telemetry& telemetry, std::ostream& os);
 
 // Convenience wrapper; returns false when the file cannot be opened.
 bool WritePerfettoTraceFile(const Telemetry& telemetry,
-                            const std::string& path,
-                            const PerfettoOptions& options = {});
+                            const std::string& path);
 
 }  // namespace sds::telemetry

@@ -234,5 +234,46 @@ TEST(ActuatorTest, FaultScheduleIsDeterministicPerSeed) {
   EXPECT_NE(run(99), run(100));  // different stream, different schedule
 }
 
+TEST(RetryDriverTest, BackoffDoublesUpToTheCap) {
+  EXPECT_EQ(RetryBackoff(1), 8);
+  EXPECT_EQ(RetryBackoff(2), 16);
+  EXPECT_EQ(RetryBackoff(3), 32);
+  EXPECT_EQ(RetryBackoff(4), 64);
+  EXPECT_EQ(RetryBackoff(5), 64);
+}
+
+TEST(RetryDriverTest, CancelsALostCommandAtTheTimeoutThenBacksOff) {
+  Rig rig;
+  Actuator actuator(rig.cluster,
+                    fault::ActuationFaultPlan::Single(
+                        fault::ActuationFaultKind::kCommandLost, 1.0, 3));
+  RetryDriver retry;
+  const CommandId id = actuator.SubmitStop(rig.attacker);
+  retry.Track(id, rig.cluster.now());
+  const Tick dispatched = rig.cluster.now();
+  while (rig.cluster.now() - dispatched < kCommandTimeout) {
+    ASSERT_EQ(retry.PollCommand(actuator, rig.cluster.now()),
+              RetryDriver::Poll::kInFlight);
+    rig.Tick(actuator, 1);
+  }
+  const Tick now = rig.cluster.now();
+  EXPECT_EQ(retry.PollCommand(actuator, now), RetryDriver::Poll::kTimedOut);
+  EXPECT_EQ(actuator.result(id).status, CommandStatus::kCancelled);
+  EXPECT_FALSE(retry.outstanding());
+  EXPECT_EQ(retry.PollCommand(actuator, now), RetryDriver::Poll::kIdle);
+  EXPECT_FALSE(retry.ready(now + RetryBackoff(1) - 1));
+  EXPECT_TRUE(retry.ready(now + RetryBackoff(1)));
+
+  // Attempts that submit nothing count toward exhaustion too.
+  for (int i = retry.attempts(); i < kMaxAttempts; ++i) {
+    EXPECT_FALSE(retry.exhausted());
+    retry.FailAttempt(now);
+  }
+  EXPECT_TRUE(retry.exhausted());
+  retry.Reset();
+  EXPECT_EQ(retry.attempts(), 0);
+  EXPECT_TRUE(retry.ready(now));
+}
+
 }  // namespace
 }  // namespace sds::cluster

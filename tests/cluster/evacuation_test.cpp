@@ -38,8 +38,7 @@ struct Rig {
   EvacuationEngine engine;
 
   Rig(int hosts, int capacity, const HostFaultPlan& host_plan,
-      const fault::ActuationFaultPlan& actuation_plan = {},
-      const EvacuationConfig& config = {})
+      const fault::ActuationFaultPlan& actuation_plan = {})
       : cluster(hosts,
                 [capacity] {
                   HostConfig hc;
@@ -49,7 +48,7 @@ struct Rig {
                 /*seed=*/11),
         lifecycle(hosts, host_plan),
         actuator(cluster, actuation_plan),
-        engine(cluster, lifecycle, actuator, config) {
+        engine(cluster, lifecycle, actuator) {
     cluster.AttachLifecycle(&lifecycle);
   }
 
@@ -93,24 +92,18 @@ TEST(EvacuationTest, CrashedHostIsEvacuatedToTheSpare) {
 
 TEST(EvacuationTest, NoUsableDestinationThrottlesInPlace) {
   // The only spare is at capacity, so every placement attempt fails and the
-  // engine must fall back to throttling the stranded VM where it sits.
-  EvacuationConfig config;
-  config.max_attempts = 3;
-  config.backoff_base = 1;
-  config.backoff_cap = 2;
-  config.throttle_ticks = 1000;
-  Rig rig(2, /*capacity=*/1, CrashAt(/*tick=*/5, /*host=*/0, 500),
-          fault::ActuationFaultPlan{}, config);
+  // engine must fall back to throttling the stranded VM where it sits once
+  // every attempt and its backoff (8+16+32+64+64 ticks) have run out.
+  Rig rig(2, /*capacity=*/1, CrashAt(/*tick=*/5, /*host=*/0, 500));
   rig.DeployBenign(0);
   rig.DeployBenign(1);  // fills the spare
-  rig.RunTicks(60);
+  rig.RunTicks(250);
 
   const auto& stats = rig.engine.stats();
   EXPECT_EQ(stats.started, 1u);
   EXPECT_EQ(stats.migrated, 0u);
   EXPECT_EQ(stats.throttled_in_place, 1u);
-  EXPECT_GE(stats.no_destination, static_cast<std::uint64_t>(
-                                      config.max_attempts));
+  EXPECT_GE(stats.no_destination, static_cast<std::uint64_t>(kMaxAttempts));
   EXPECT_TRUE(rig.engine.quiescent());
   ASSERT_EQ(rig.engine.records().size(), 1u);
   EXPECT_EQ(rig.engine.records()[0].outcome,
@@ -125,13 +118,9 @@ TEST(EvacuationTest, AllSparesDownThrottlesInPlace) {
   second.kind = HostFaultKind::kCrash;
   second.duration = 500;
   plan.scheduled.push_back(second);
-  EvacuationConfig config;
-  config.max_attempts = 2;
-  config.backoff_base = 1;
-  config.backoff_cap = 2;
-  Rig rig(2, /*capacity=*/4, plan, fault::ActuationFaultPlan{}, config);
+  Rig rig(2, /*capacity=*/4, plan);
   rig.DeployBenign(0);
-  rig.RunTicks(40);
+  rig.RunTicks(250);
 
   EXPECT_EQ(rig.engine.stats().migrated, 0u);
   EXPECT_EQ(rig.engine.stats().throttled_in_place, 1u);
@@ -154,10 +143,7 @@ TEST(EvacuationTest, HostDiesMidActuationAndRetryLandsElsewhere) {
   actuation.latency_min_ticks = 10;
   actuation.latency_max_ticks = 10;
 
-  EvacuationConfig config;
-  config.backoff_base = 2;
-  config.backoff_cap = 4;
-  Rig rig(3, /*capacity=*/4, plan, actuation, config);
+  Rig rig(3, /*capacity=*/4, plan, actuation);
   rig.DeployBenign(0);
   rig.DeployBenign(2);  // host 1 starts emptier than host 2
   rig.RunTicks(80);

@@ -1,6 +1,7 @@
 // State-machine behavior of the reworked MitigationEngine: retry/backoff,
 // timeouts, escalation, throttle fallback, efficacy verification — plus
 // the alarm-time telemetry pinning regression.
+#include <cstdint>
 #include <string_view>
 
 #include <gtest/gtest.h>
@@ -54,15 +55,8 @@ struct Rig {
   }
 };
 
-MitigationConfig FastConfig(MitigationPolicy policy) {
-  MitigationConfig config;
-  config.policy = policy;
-  config.spare_host = 1;
-  config.command_timeout = 16;
-  config.max_attempts = 3;
-  config.backoff_base = 2;
-  config.backoff_cap = 8;
-  return config;
+MitigationConfig SpareConfig(MitigationPolicy policy) {
+  return {.policy = policy, .spare_host = 1};
 }
 
 TEST(MitigationActuationTest, NewNamesAreStable) {
@@ -82,7 +76,7 @@ TEST(MitigationActuationTest, CleanPathSettlesSynchronouslyAtAlarm) {
   Rig rig;
   rig.cluster.RunTick();
   MitigationEngine engine(rig.cluster, rig.victim,
-                          FastConfig(MitigationPolicy::kMigrateVictim));
+                          SpareConfig(MitigationPolicy::kMigrateVictim));
   EXPECT_EQ(engine.state(), MitigationState::kIdle);
   engine.OnAlarm(0);
   EXPECT_EQ(engine.state(), MitigationState::kSettled);
@@ -98,7 +92,7 @@ TEST(MitigationActuationTest, RetriesThenEscalatesToThrottleOnAbort) {
                     fault::ActuationFaultPlan::Single(
                         fault::ActuationFaultKind::kMigrationAbort, 1.0, 5));
   MitigationEngine engine(rig.cluster, rig.victim,
-                          FastConfig(MitigationPolicy::kMigrateVictim),
+                          SpareConfig(MitigationPolicy::kMigrateVictim),
                           &actuator);
   engine.OnAlarm(0);
   rig.DriveToTerminal(engine);
@@ -106,8 +100,10 @@ TEST(MitigationActuationTest, RetriesThenEscalatesToThrottleOnAbort) {
   ASSERT_EQ(engine.state(), MitigationState::kSettled);
   EXPECT_EQ(engine.applied_policy(), MitigationPolicy::kThrottleFallback);
   EXPECT_EQ(engine.victim().host, 0);  // every migration aborted
-  EXPECT_EQ(engine.stats().dispatches, 3u);  // max_attempts
-  EXPECT_EQ(engine.stats().retries, 2u);
+  EXPECT_EQ(engine.stats().dispatches,
+            static_cast<std::uint64_t>(kMaxAttempts));
+  EXPECT_EQ(engine.stats().retries,
+            static_cast<std::uint64_t>(kMaxAttempts - 1));
   EXPECT_EQ(engine.stats().escalations, 1u);
   // Unattributed: the hypervisor throttles everything except the victim.
   EXPECT_TRUE(rig.cluster.hypervisor(0).throttling_active());
@@ -120,7 +116,7 @@ TEST(MitigationActuationTest, TimeoutCatchesLostCommands) {
                     fault::ActuationFaultPlan::Single(
                         fault::ActuationFaultKind::kCommandLost, 1.0, 5));
   MitigationEngine engine(rig.cluster, rig.victim,
-                          FastConfig(MitigationPolicy::kMigrateVictim),
+                          SpareConfig(MitigationPolicy::kMigrateVictim),
                           &actuator);
   engine.OnAlarm(0);
   EXPECT_EQ(engine.state(), MitigationState::kInFlight);
@@ -128,8 +124,10 @@ TEST(MitigationActuationTest, TimeoutCatchesLostCommands) {
 
   ASSERT_EQ(engine.state(), MitigationState::kSettled);
   EXPECT_EQ(engine.applied_policy(), MitigationPolicy::kThrottleFallback);
-  EXPECT_EQ(engine.stats().timeouts, 3u);
-  EXPECT_EQ(actuator.stats().cancelled, 3u);  // every lost command reaped
+  EXPECT_EQ(engine.stats().timeouts, static_cast<std::uint64_t>(kMaxAttempts));
+  // Every lost command reaped.
+  EXPECT_EQ(actuator.stats().cancelled,
+            static_cast<std::uint64_t>(kMaxAttempts));
 }
 
 TEST(MitigationActuationTest, QuarantineEscalatesToMigrationWhenStopsBounce) {
@@ -140,7 +138,7 @@ TEST(MitigationActuationTest, QuarantineEscalatesToMigrationWhenStopsBounce) {
                         fault::ActuationFaultKind::kStopRejected, 1.0, 5));
   MitigationEngine engine(
       rig.cluster, rig.victim,
-      FastConfig(MitigationPolicy::kQuarantineAttacker), &actuator);
+      SpareConfig(MitigationPolicy::kQuarantineAttacker), &actuator);
   engine.OnAlarm(rig.attacker.id);
   rig.DriveToTerminal(engine);
 
@@ -149,7 +147,8 @@ TEST(MitigationActuationTest, QuarantineEscalatesToMigrationWhenStopsBounce) {
   EXPECT_EQ(engine.victim().host, 1);
   EXPECT_TRUE(rig.cluster.IsRunnable(rig.attacker));  // never stopped
   EXPECT_EQ(engine.stats().escalations, 1u);
-  EXPECT_GE(engine.stats().retries, 2u);
+  EXPECT_GE(engine.stats().retries,
+            static_cast<std::uint64_t>(kMaxAttempts - 1));
 }
 
 TEST(MitigationActuationTest, ExhaustionWithoutFallbackFails) {
@@ -157,7 +156,7 @@ TEST(MitigationActuationTest, ExhaustionWithoutFallbackFails) {
   Actuator actuator(rig.cluster,
                     fault::ActuationFaultPlan::Single(
                         fault::ActuationFaultKind::kMigrationAbort, 1.0, 5));
-  MitigationConfig config = FastConfig(MitigationPolicy::kMigrateVictim);
+  MitigationConfig config = SpareConfig(MitigationPolicy::kMigrateVictim);
   config.allow_throttle_fallback = false;
   MitigationEngine engine(rig.cluster, rig.victim, config, &actuator);
   engine.OnAlarm(0);
@@ -171,7 +170,7 @@ TEST(MitigationActuationTest, ExhaustionWithoutFallbackFails) {
 TEST(MitigationActuationTest, ThrottleFallbackPolicyActsDirectly) {
   Rig rig;
   MitigationEngine engine(rig.cluster, rig.victim,
-                          FastConfig(MitigationPolicy::kThrottleFallback));
+                          SpareConfig(MitigationPolicy::kThrottleFallback));
   engine.OnAlarm(rig.attacker.id);
   EXPECT_EQ(engine.state(), MitigationState::kSettled);
   EXPECT_EQ(engine.applied_policy(), MitigationPolicy::kThrottleFallback);
@@ -185,7 +184,7 @@ TEST(MitigationActuationTest, VerificationPassesAfterRealRelief) {
   Rig rig;
   // Warm the rate EWMA under attack so the alarm snapshot is the attacked
   // rate.
-  MitigationConfig config = FastConfig(MitigationPolicy::kMigrateVictim);
+  MitigationConfig config = SpareConfig(MitigationPolicy::kMigrateVictim);
   config.verify_window = 60;
   MitigationEngine engine(rig.cluster, rig.victim, config);
   rig.Tick(engine, 200);
@@ -207,7 +206,7 @@ TEST(MitigationActuationTest, VerificationFailureEscalatesWhenReliefIsFake) {
   // throttle.
   Rig rig;
   rig.cluster.Deploy(1, "attacker2", AttackerFactory());
-  MitigationConfig config = FastConfig(MitigationPolicy::kMigrateVictim);
+  MitigationConfig config = SpareConfig(MitigationPolicy::kMigrateVictim);
   config.verify_window = 60;
   MitigationEngine engine(rig.cluster, rig.victim, config);
   rig.Tick(engine, 200);
@@ -239,8 +238,9 @@ TEST(MitigationActuationTest, AuditsLandOnTheAlarmTimeHost) {
   const VmRef victim = cluster.Deploy(0, "victim", AppFactory());
   cluster.Deploy(0, "attacker", AttackerFactory());
 
-  MitigationEngine engine(cluster, victim,
-                          MitigationPolicy::kMigrateVictim, /*spare=*/1);
+  MitigationEngine engine(
+      cluster, victim,
+      {.policy = MitigationPolicy::kMigrateVictim, .spare_host = 1});
   engine.OnAlarm(0);
   ASSERT_EQ(engine.victim().host, 1);
 
@@ -268,7 +268,7 @@ TEST(MitigationActuationTest, ActuationAuditTrailRecordsTheFight) {
                     fault::ActuationFaultPlan::Single(
                         fault::ActuationFaultKind::kMigrationAbort, 1.0, 5));
   MitigationEngine engine(cluster, victim,
-                          FastConfig(MitigationPolicy::kMigrateVictim),
+                          SpareConfig(MitigationPolicy::kMigrateVictim),
                           &actuator);
   engine.OnAlarm(0);
   for (int t = 0; t < 200 && engine.state() != MitigationState::kSettled;
@@ -287,7 +287,7 @@ TEST(MitigationActuationTest, ActuationAuditTrailRecordsTheFight) {
       EXPECT_TRUE(r.violation);
     }
   }
-  EXPECT_EQ(retries, 2);
+  EXPECT_EQ(retries, kMaxAttempts - 1);
   EXPECT_EQ(escalations, 1);
 }
 

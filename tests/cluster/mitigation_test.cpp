@@ -53,8 +53,9 @@ TEST(MitigationTest, PolicyNames) {
 
 TEST(MitigationTest, NonePolicyDoesNothing) {
   Rig rig;
-  MitigationEngine engine(rig.cluster, rig.victim, MitigationPolicy::kNone,
-                          -1);
+  MitigationEngine engine(
+      rig.cluster, rig.victim,
+      {.policy = MitigationPolicy::kNone, .spare_host = -1});
   engine.OnAlarm(rig.attacker.id);
   EXPECT_FALSE(engine.mitigated());
   EXPECT_EQ(engine.victim().host, 0);
@@ -64,8 +65,9 @@ TEST(MitigationTest, MigrateVictimRestoresThroughput) {
   Rig rig;
   const double under_attack = rig.VictimRate(rig.victim, 300);
 
-  MitigationEngine engine(rig.cluster, rig.victim,
-                          MitigationPolicy::kMigrateVictim, /*spare=*/1);
+  MitigationEngine engine(
+      rig.cluster, rig.victim,
+      {.policy = MitigationPolicy::kMigrateVictim, .spare_host = 1});
   engine.OnAlarm(/*attributed=*/0);
   ASSERT_TRUE(engine.mitigated());
   EXPECT_EQ(engine.applied_policy(), MitigationPolicy::kMigrateVictim);
@@ -82,8 +84,9 @@ TEST(MitigationTest, QuarantineStopsTheAttacker) {
   Rig rig;
   const double under_attack = rig.VictimRate(rig.victim, 300);
 
-  MitigationEngine engine(rig.cluster, rig.victim,
-                          MitigationPolicy::kQuarantineAttacker, /*spare=*/1);
+  MitigationEngine engine(
+      rig.cluster, rig.victim,
+      {.policy = MitigationPolicy::kQuarantineAttacker, .spare_host = 1});
   engine.OnAlarm(rig.attacker.id);
   ASSERT_TRUE(engine.mitigated());
   EXPECT_EQ(engine.applied_policy(), MitigationPolicy::kQuarantineAttacker);
@@ -98,8 +101,9 @@ TEST(MitigationTest, QuarantineStopsTheAttacker) {
 
 TEST(MitigationTest, QuarantineWithoutAttributionFallsBackToMigration) {
   Rig rig;
-  MitigationEngine engine(rig.cluster, rig.victim,
-                          MitigationPolicy::kQuarantineAttacker, /*spare=*/1);
+  MitigationEngine engine(
+      rig.cluster, rig.victim,
+      {.policy = MitigationPolicy::kQuarantineAttacker, .spare_host = 1});
   engine.OnAlarm(/*attributed=*/0);
   ASSERT_TRUE(engine.mitigated());
   EXPECT_EQ(engine.applied_policy(), MitigationPolicy::kMigrateVictim);
@@ -108,8 +112,9 @@ TEST(MitigationTest, QuarantineWithoutAttributionFallsBackToMigration) {
 
 TEST(MitigationTest, IdempotentAfterFirstResponse) {
   Rig rig;
-  MitigationEngine engine(rig.cluster, rig.victim,
-                          MitigationPolicy::kMigrateVictim, /*spare=*/1);
+  MitigationEngine engine(
+      rig.cluster, rig.victim,
+      {.policy = MitigationPolicy::kMigrateVictim, .spare_host = 1});
   engine.OnAlarm(0);
   const VmRef first = engine.victim();
   const Tick tick = engine.mitigation_tick();
@@ -123,8 +128,9 @@ TEST(MitigationTest, IdempotentAfterFirstResponse) {
 TEST(MitigationTest, RecordsMitigationTick) {
   Rig rig;
   for (int t = 0; t < 25; ++t) rig.cluster.RunTick();
-  MitigationEngine engine(rig.cluster, rig.victim,
-                          MitigationPolicy::kMigrateVictim, /*spare=*/1);
+  MitigationEngine engine(
+      rig.cluster, rig.victim,
+      {.policy = MitigationPolicy::kMigrateVictim, .spare_host = 1});
   engine.OnAlarm(0);
   EXPECT_EQ(engine.mitigation_tick(), 25);
 }
@@ -167,8 +173,9 @@ TEST(MitigationTest, UnattributedFallbackIsAudited) {
   // keeps migrating instead must find each unattributed alarm in the audit
   // stream, flagged as a fallback.
   AuditedRig rig;
-  MitigationEngine engine(rig.cluster, rig.victim,
-                          MitigationPolicy::kQuarantineAttacker, /*spare=*/1);
+  MitigationEngine engine(
+      rig.cluster, rig.victim,
+      {.policy = MitigationPolicy::kQuarantineAttacker, .spare_host = 1});
   engine.OnAlarm(/*attributed=*/0);
   ASSERT_TRUE(engine.mitigated());
   EXPECT_EQ(engine.applied_policy(), MitigationPolicy::kMigrateVictim);
@@ -185,8 +192,9 @@ TEST(MitigationTest, SelfAttributedAlarmAlsoFallsBack) {
   // Identification can land on the victim itself (KStest scores the victim
   // too); quarantining the victim would complete the denial of service.
   AuditedRig rig;
-  MitigationEngine engine(rig.cluster, rig.victim,
-                          MitigationPolicy::kQuarantineAttacker, /*spare=*/1);
+  MitigationEngine engine(
+      rig.cluster, rig.victim,
+      {.policy = MitigationPolicy::kQuarantineAttacker, .spare_host = 1});
   engine.OnAlarm(rig.victim.id);
   EXPECT_EQ(engine.applied_policy(), MitigationPolicy::kMigrateVictim);
   EXPECT_EQ(engine.victim().host, 1);
@@ -195,8 +203,9 @@ TEST(MitigationTest, SelfAttributedAlarmAlsoFallsBack) {
 
 TEST(MitigationTest, AttributedQuarantineIsAuditedAsApplied) {
   AuditedRig rig;
-  MitigationEngine engine(rig.cluster, rig.victim,
-                          MitigationPolicy::kQuarantineAttacker, /*spare=*/1);
+  MitigationEngine engine(
+      rig.cluster, rig.victim,
+      {.policy = MitigationPolicy::kQuarantineAttacker, .spare_host = 1});
   engine.OnAlarm(rig.attacker.id);
   EXPECT_EQ(engine.applied_policy(), MitigationPolicy::kQuarantineAttacker);
 
@@ -209,10 +218,11 @@ TEST(MitigationTest, AttributedQuarantineIsAuditedAsApplied) {
 
 TEST(MitigationTest, RejectsBadSpareHost) {
   Rig rig;
-  EXPECT_DEATH(MitigationEngine(rig.cluster, rig.victim,
-                                MitigationPolicy::kMigrateVictim,
-                                /*spare=*/0),
-               "spare host");
+  EXPECT_DEATH(
+      MitigationEngine(
+          rig.cluster, rig.victim,
+          {.policy = MitigationPolicy::kMigrateVictim, .spare_host = 0}),
+      "spare host");
 }
 
 }  // namespace

@@ -70,39 +70,27 @@ pcm::PcmSample Sample(Tick tick, std::uint64_t access, std::uint64_t miss) {
 // -- SampleIsSane -------------------------------------------------------------
 
 TEST(SampleIsSaneTest, AcceptsPlausibleSamples) {
-  SanityParams p;
-  EXPECT_TRUE(SampleIsSane(Sample(1, 500, 50), p, 1));
-  EXPECT_TRUE(SampleIsSane(Sample(1, 0, 0), p, 1));
-  EXPECT_TRUE(SampleIsSane(Sample(1, kMaxSampleDeltaPerTick, 0), p, 1));
+  EXPECT_TRUE(SampleIsSane(Sample(1, 500, 50), 1));
+  EXPECT_TRUE(SampleIsSane(Sample(1, 0, 0), 1));
+  EXPECT_TRUE(SampleIsSane(Sample(1, kMaxSampleDeltaPerTick, 0), 1));
 }
 
 TEST(SampleIsSaneTest, RejectsImpossibleDeltas) {
-  SanityParams p;
-  EXPECT_FALSE(SampleIsSane(Sample(1, kMaxSampleDeltaPerTick + 1, 0), p, 1));
+  EXPECT_FALSE(SampleIsSane(Sample(1, kMaxSampleDeltaPerTick + 1, 0), 1));
   EXPECT_FALSE(
-      SampleIsSane(Sample(1, std::uint64_t{1} << 62, 0), p, 1));
+      SampleIsSane(Sample(1, std::uint64_t{1} << 62, 0), 1));
 }
 
 TEST(SampleIsSaneTest, RejectsMissExceedingAccess) {
-  SanityParams p;
-  EXPECT_FALSE(SampleIsSane(Sample(1, 10, 11), p, 1));
-  p.check_miss_le_access = false;
-  EXPECT_TRUE(SampleIsSane(Sample(1, 10, 11), p, 1));
+  EXPECT_FALSE(SampleIsSane(Sample(1, 10, 11), 1));
 }
 
 TEST(SampleIsSaneTest, CeilingScalesWithSpan) {
-  SanityParams p;
   // A legitimate 5-interval coalesced delta exceeds the 1-interval ceiling
   // but not the span-scaled one.
   const pcm::PcmSample wide = Sample(5, 3 * kMaxSampleDeltaPerTick, 0);
-  EXPECT_FALSE(SampleIsSane(wide, p, 1));
-  EXPECT_TRUE(SampleIsSane(wide, p, 5));
-}
-
-TEST(SampleIsSaneTest, DisabledAcceptsEverything) {
-  SanityParams p;
-  p.enabled = false;
-  EXPECT_TRUE(SampleIsSane(Sample(1, std::uint64_t{1} << 62, 1), p, 1));
+  EXPECT_FALSE(SampleIsSane(wide, 1));
+  EXPECT_TRUE(SampleIsSane(wide, 5));
 }
 
 // -- SamplerWatchdog ----------------------------------------------------------
@@ -112,8 +100,8 @@ TEST(SamplerWatchdogTest, BackoffGrowsAcrossAttemptsOfOneIncident) {
   ScriptedSource source(rig.victim);
   source.healthy_flag = false;
   source.restart_allowed = false;
-  WatchdogParams p;  // backoff 1 -> 2 -> 4 -> ... capped at 64
-  SamplerWatchdog watchdog(source, p, *rig.hypervisor);
+  // Backoff 1 -> 2 -> 4 -> ... capped at 64.
+  SamplerWatchdog watchdog(source, *rig.hypervisor);
   for (Tick now = 1; now <= 20; ++now) watchdog.OnMissing(now);
   // Probes at ticks 1, 2, 4, 8, 16 — exponential, not every tick.
   EXPECT_EQ(watchdog.attempts(), 5u);
@@ -128,8 +116,7 @@ TEST(SamplerWatchdogTest, SuccessfulRestartDoesNotResetBackoff) {
   Rig rig;
   ScriptedSource source(rig.victim);
   source.healthy_flag = false;
-  WatchdogParams p;
-  SamplerWatchdog watchdog(source, p, *rig.hypervisor);
+  SamplerWatchdog watchdog(source, *rig.hypervisor);
   for (Tick now = 1; now <= 20; ++now) {
     if (watchdog.OnMissing(now)) {
       // Restart "succeeded" but the stream stays silent.
@@ -145,8 +132,7 @@ TEST(SamplerWatchdogTest, DeliveryEndsTheIncidentAndResetsBackoff) {
   ScriptedSource source(rig.victim);
   source.healthy_flag = false;
   source.restart_allowed = false;
-  WatchdogParams p;
-  SamplerWatchdog watchdog(source, p, *rig.hypervisor);
+  SamplerWatchdog watchdog(source, *rig.hypervisor);
   for (Tick now = 1; now <= 8; ++now) watchdog.OnMissing(now);
   EXPECT_EQ(watchdog.attempts(), 4u);  // ticks 1, 2, 4, 8
   watchdog.OnDelivered();
@@ -160,25 +146,14 @@ TEST(SamplerWatchdogTest, DeliveryEndsTheIncidentAndResetsBackoff) {
 TEST(SamplerWatchdogTest, HealthyLossySourceIsLeftAloneUntilStreak) {
   Rig rig;
   ScriptedSource source(rig.victim);  // healthy, just not delivering
-  WatchdogParams p;                   // dead_after_misses = 5
-  SamplerWatchdog watchdog(source, p, *rig.hypervisor);
+  // Presumed dead after 5 consecutive misses.
+  SamplerWatchdog watchdog(source, *rig.hypervisor);
   for (Tick now = 1; now <= 4; ++now) {
     watchdog.OnMissing(now);
     EXPECT_EQ(watchdog.attempts(), 0u) << "tick " << now;
   }
   watchdog.OnMissing(5);
   EXPECT_EQ(watchdog.attempts(), 1u);
-}
-
-TEST(SamplerWatchdogTest, DisabledWatchdogNeverProbes) {
-  Rig rig;
-  ScriptedSource source(rig.victim);
-  source.healthy_flag = false;
-  WatchdogParams p;
-  p.enabled = false;
-  SamplerWatchdog watchdog(source, p, *rig.hypervisor);
-  for (Tick now = 1; now <= 50; ++now) EXPECT_FALSE(watchdog.OnMissing(now));
-  EXPECT_EQ(watchdog.attempts(), 0u);
 }
 
 // -- DegradingSampleGate ------------------------------------------------------
@@ -210,7 +185,6 @@ TEST(DegradingSampleGateTest, PassesDeliveredSamplesThrough) {
 TEST(DegradingSampleGateTest, HoldLastSubstitutesOnGaps) {
   GateRig rig;
   DegradeConfig config;  // kHoldLast
-  config.watchdog.enabled = false;
   DegradingSampleGate gate = rig.MakeGate(config);
 
   rig.hypervisor->RunTick();
@@ -233,7 +207,6 @@ TEST(DegradingSampleGateTest, HoldLastSubstitutesOnGaps) {
 TEST(DegradingSampleGateTest, HoldLastHasNothingToSubstituteBeforeFirstGood) {
   GateRig rig;
   DegradeConfig config;
-  config.watchdog.enabled = false;
   DegradingSampleGate gate = rig.MakeGate(config);
   rig.hypervisor->RunTick();  // gap before any delivery
   const auto out = gate.OnTick();
@@ -245,7 +218,6 @@ TEST(DegradingSampleGateTest, SkipFreezeFeedsNothingOnGaps) {
   GateRig rig;
   DegradeConfig config;
   config.gap_policy = GapPolicy::kSkipFreeze;
-  config.watchdog.enabled = false;
   DegradingSampleGate gate = rig.MakeGate(config);
 
   rig.hypervisor->RunTick();
@@ -261,7 +233,6 @@ TEST(DegradingSampleGateTest, SkipFreezeFeedsNothingOnGaps) {
 TEST(DegradingSampleGateTest, QuarantinesInsaneSamplesAsGaps) {
   GateRig rig;
   DegradeConfig config;  // kHoldLast
-  config.watchdog.enabled = false;
   DegradingSampleGate gate = rig.MakeGate(config);
 
   rig.hypervisor->RunTick();
@@ -284,7 +255,6 @@ TEST(DegradingSampleGateTest, QuarantinesInsaneSamplesAsGaps) {
 TEST(DegradingSampleGateTest, NormalizesSpanningSamplesToPerInterval) {
   GateRig rig;
   DegradeConfig config;
-  config.watchdog.enabled = false;
   DegradingSampleGate gate = rig.MakeGate(config);
   rig.hypervisor->RunTick();
   rig.source.next = Sample(1, 1000, 100);
@@ -297,10 +267,11 @@ TEST(DegradingSampleGateTest, NormalizesSpanningSamplesToPerInterval) {
 
 TEST(DegradingSampleGateTest, RewarmFiresOncePerGap) {
   GateRig rig;
+  // The watchdog probes a 5-tick gap; a refused restart keeps its rewarm
+  // out of the way so only the gap-length rewarm is observed.
+  rig.source.restart_allowed = false;
   DegradeConfig config;
   config.gap_policy = GapPolicy::kRewarm;
-  config.rewarm_gap = 3;
-  config.watchdog.enabled = false;
   DegradingSampleGate gate = rig.MakeGate(config);
 
   auto gap_tick = [&]() {
@@ -311,9 +282,10 @@ TEST(DegradingSampleGateTest, RewarmFiresOncePerGap) {
   rig.source.next = Sample(1, 500, 50);
   gate.OnTick();
 
-  EXPECT_FALSE(gap_tick().rewarm);  // gap length 1
-  EXPECT_FALSE(gap_tick().rewarm);  // 2
-  EXPECT_TRUE(gap_tick().rewarm);   // 3 = rewarm_gap: fire once
+  for (Tick gap = 1; gap < kRewarmGap; ++gap) {
+    EXPECT_FALSE(gap_tick().rewarm) << "gap length " << gap;
+  }
+  EXPECT_TRUE(gap_tick().rewarm);   // gap length kRewarmGap: fire once
   EXPECT_FALSE(gap_tick().rewarm);  // same gap keeps running: no repeat
   EXPECT_FALSE(gap_tick().rewarm);
   EXPECT_EQ(gate.stats().rewarms, 1u);
@@ -322,8 +294,9 @@ TEST(DegradingSampleGateTest, RewarmFiresOncePerGap) {
   rig.hypervisor->RunTick();
   rig.source.next = Sample(10, 500, 50);
   gate.OnTick();
-  EXPECT_FALSE(gap_tick().rewarm);
-  EXPECT_FALSE(gap_tick().rewarm);
+  for (Tick gap = 1; gap < kRewarmGap; ++gap) {
+    EXPECT_FALSE(gap_tick().rewarm) << "gap length " << gap;
+  }
   EXPECT_TRUE(gap_tick().rewarm);
   EXPECT_EQ(gate.stats().rewarms, 2u);
 }
@@ -352,7 +325,6 @@ TEST(DegradingSampleGateTest, RestartRewarmsUnlessHoldLast) {
 TEST(DegradingSampleGateTest, SessionStartForgetsHeldSample) {
   GateRig rig;
   DegradeConfig config;
-  config.watchdog.enabled = false;
   DegradingSampleGate gate = rig.MakeGate(config);
   rig.hypervisor->RunTick();
   rig.source.next = Sample(1, 500, 50);

@@ -92,7 +92,8 @@ GoldenSummary RunGolden(cluster::MitigationPolicy policy, bool attribute,
                                detect::SdsMode::kCombined);
   // Legacy constructor: null fault plan, no verification. Must
   // reproduce the one-shot engine bit-for-bit.
-  cluster::MitigationEngine engine(cl, victim, policy, /*spare=*/1);
+  cluster::MitigationEngine engine(cl, victim,
+                                   {.policy = policy, .spare_host = 1});
 
   GoldenSummary g;
   for (Tick t = 0; t < attack_start; ++t) {

@@ -87,7 +87,8 @@ TEST(HostChaosTransparencyTest, NullPlanLifecycleIsBitTransparent) {
   detect::SdsDetector detector(cl.hypervisor(0), victim.id, profile, params,
                                detect::SdsMode::kCombined);
   cluster::MitigationEngine engine(
-      cl, victim, cluster::MitigationPolicy::kMigrateVictim, /*spare=*/1);
+      cl, victim,
+      {.policy = cluster::MitigationPolicy::kMigrateVictim, .spare_host = 1});
 
   Tick alarm_tick = -1;
   for (Tick t = 0; t < attack_start; ++t) {

@@ -273,28 +273,6 @@ TEST(PerfettoExport, NonFiniteNumbersBecomeNull) {
   EXPECT_EQ(trace.find("inf"), std::string::npos);
 }
 
-TEST(PerfettoExport, OptionsSuppressSections) {
-  Telemetry telemetry;
-  PopulateTelemetry(telemetry);
-
-  PerfettoOptions no_slices;
-  no_slices.include_profiler_slices = false;
-  std::ostringstream os1;
-  WritePerfettoTrace(telemetry, os1, no_slices);
-  ASSERT_TRUE(IsValidJson(os1.str()));
-  EXPECT_EQ(CountOccurrences(os1.str(), "\"ph\":\"X\""), 0);
-
-  PerfettoOptions meta_only;
-  meta_only.include_tracer_events = false;
-  meta_only.include_audit_records = false;
-  meta_only.include_profiler_slices = false;
-  std::ostringstream os2;
-  WritePerfettoTrace(telemetry, os2, meta_only);
-  ASSERT_TRUE(IsValidJson(os2.str()));
-  EXPECT_EQ(CountOccurrences(os2.str(), "\"ph\":\"i\""), 0);
-  EXPECT_GT(CountOccurrences(os2.str(), "\"ph\":\"M\""), 0);
-}
-
 TEST(PerfettoExport, EmptyTelemetryStillValid) {
   Telemetry telemetry;
   std::ostringstream os;
