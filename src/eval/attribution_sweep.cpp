@@ -1,8 +1,6 @@
 #include "eval/attribution_sweep.h"
 
-#include <cstring>
 #include <ostream>
-#include <string_view>
 
 #include "common/check.h"
 #include "common/snapshot.h"
@@ -17,27 +15,6 @@ constexpr Tick kWarmupTicks = 200;
 
 // Tick budget for the KStest cell before giving up on an alarm.
 constexpr Tick kKstestRunCap = 12000;
-
-// FNV-1a, doubles hashed by bit pattern (any numeric drift changes it). The
-// starting state is not the standard offset basis; it is kept so every
-// recorded fingerprint stays comparable.
-class Fingerprinter {
- public:
-  void Bytes(const void* data, std::size_t n) {
-    hash_ = Fnv1a(std::string_view(static_cast<const char*>(data), n), hash_);
-  }
-  void U64(std::uint64_t v) { Bytes(&v, sizeof v); }
-  void F64(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof bits);
-    U64(bits);
-  }
-  void Str(const std::string& s) { Bytes(s.data(), s.size()); }
-  std::uint64_t hash() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 1469598103934665603ull;
-};
 
 void ScoreCell(AttributionCell& cell, const detect::ForensicReport& report) {
   cell.report = report;

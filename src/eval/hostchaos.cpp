@@ -105,7 +105,7 @@ HostChaosRunResult RunHostChaosRun(const HostChaosRunConfig& config,
           obs::ApplySdsHandoff(blob, fresh.get());
       result.handoffs.Count(handoff);
       event.warm = handoff.warm;
-      event.status = obs::SnapshotStatusName(handoff.status);
+      event.status = SnapshotStatusName(handoff.status);
     } else {
       ++result.handoffs.attempts;
       ++result.handoffs.cold_other;

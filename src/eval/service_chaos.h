@@ -71,7 +71,7 @@ struct ChaosPointResult {
   std::uint64_t skipped_records = 0;
   std::uint64_t redelivered_deduped = 0;
   std::uint64_t recovery_wal_valid_bytes = 0;
-  svc::WalScanStop wal_stop = svc::WalScanStop::kCleanEnd;
+  SnapshotStatus wal_stop = SnapshotStatus::kOk;
   // The headline pin.
   bool bit_identical = false;
   std::uint64_t alarms = 0;

@@ -1,20 +1,21 @@
-// Warm detector-state handoff across hosts (DESIGN.md §17): the migration
-// counterpart of the restart snapshots in obs/snapshot.h.
+// Warm detector-state handoff across hosts and restarts (DESIGN.md §17).
 //
 // When a VM migrates (mitigation or evacuation), its per-host detector
 // state — MA/EWMA windows, consecutive-violation counters, alarm edges —
 // would otherwise stay behind and the destination detector would re-warm
 // from scratch, opening a blind window of roughly W + h_c * dW ticks that
 // an attacker can exploit by deliberately triggering mitigations. A
-// handoff packs the source detector's SaveState into the PR-6 versioned
-// envelope (nested inside an outer envelope carrying the source tick) and
-// applies it to the destination detector.
+// handoff is one common/snapshot.h envelope — kind "sds-handoff", the
+// detector's config fingerprint, then the source tick and the detector's
+// SaveState fields — applied to the destination detector. A monitoring
+// restart is the same handoff with source and destination on one host.
 //
-// Loud cold-start contract: Apply NEVER partially restores. On any
-// envelope rejection — version skew, config-fingerprint mismatch, corrupt
-// payload — the destination detector is left exactly as constructed (cold)
-// and the result says so, with the failing layer, so callers count and
-// report every cold start instead of silently eating the blind window.
+// Loud cold-start contract: on any envelope rejection — version skew,
+// config-fingerprint mismatch, checksum — the destination detector is left
+// exactly as constructed (cold) and the result says so, with the failing
+// rung, so callers count and report every cold start instead of silently
+// eating the blind window. A field stream the detector refuses reports
+// kCorrupt.
 //
 // Sampler interval phase: one simulator tick is one T_PCM interval, so the
 // handoff carries `source_tick` and the contract is that the destination
@@ -27,20 +28,20 @@
 #include <string>
 #include <string_view>
 
+#include "common/snapshot.h"
 #include "common/types.h"
 #include "detect/sds_detector.h"
-#include "obs/snapshot.h"
 
 namespace sds::obs {
 
-// Envelope kind string of the outer handoff blob.
+// Envelope kind of a handoff blob.
 inline constexpr char kSdsHandoffKind[] = "sds-handoff";
 
 struct HandoffResult {
-  // True only when every envelope layer verified and the destination
-  // detector fully restored the source state.
+  // True only when the envelope opened and the destination detector fully
+  // restored the source state.
   bool warm = false;
-  // kOk when warm; otherwise the layer that failed (kBadFingerprint =
+  // kOk when warm; otherwise the rung that failed (kBadFingerprint =
   // destination configured differently than the source, the expected
   // reject; anything else = corruption or version skew).
   SnapshotStatus status = SnapshotStatus::kOk;
@@ -74,8 +75,8 @@ std::string PackSdsHandoff(const detect::SdsDetector& detector,
                            Tick source_tick);
 
 // Applies a handoff blob to the freshly-constructed destination detector.
-// On any failure the detector is untouched (cold start) and the result
-// names the failing layer.
+// On an envelope rejection the detector is untouched (cold start) and the
+// result names the failing rung.
 HandoffResult ApplySdsHandoff(std::string_view blob,
                               detect::SdsDetector* detector);
 

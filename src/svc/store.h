@@ -2,8 +2,11 @@
 //
 // Everything the service must not lose across a crash goes through a
 // StableStore: WAL frames (append-only byte string) and checkpoint blobs
-// (sealed obs/snapshot envelopes). The interface is deliberately tiny so two
-// implementations can share the service unchanged:
+// (envelopes around one frame). Both are common/snapshot.h frames — u32
+// length | u64 fnv1a | versioned body — so the store itself never parses
+// bytes; the codec rejects whatever a crash tore. The interface is
+// deliberately tiny so two implementations can share the service
+// unchanged:
 //
 //   * MemStore  — in-memory, used by tests and the chaos harness. It
 //     interprets a fault::ServiceFaultPlan: at a planned operation ordinal
@@ -18,8 +21,8 @@
 // Checkpoint atomicity is TWO-SLOT in both stores: WriteCheckpoint writes
 // the new blob into the inactive slot and only then promotes it to active.
 // A crash mid-write tears the inactive slot; the active slot — the previous
-// good checkpoint — survives, and the torn blob is rejected by its envelope
-// checksum on recovery.
+// good checkpoint — survives, and the torn blob is rejected by its frame's
+// length or checksum on recovery.
 #pragma once
 
 #include <cstdint>

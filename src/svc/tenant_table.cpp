@@ -96,8 +96,11 @@ bool TenantTable::RestoreState(SnapshotReader& r) {
   }
   const std::uint64_t evicted = r.U64();
   if (!r.ok()) return false;
+  // Stop at the first failed read: a corrupt count must not spin.
   for (std::uint64_t i = 0; i < evicted; ++i) {
-    evicted_ever_.insert(r.U32());
+    const TenantId tenant = r.U32();
+    if (!r.ok()) return false;
+    evicted_ever_.insert(tenant);
   }
   stats_.created = r.U64();
   stats_.evictions = r.U64();

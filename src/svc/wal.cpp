@@ -1,118 +1,50 @@
 #include "svc/wal.h"
 
-#include "common/snapshot.h"
-#include "obs/snapshot.h"
-
 namespace sds::svc {
 
-namespace {
-
-// Frame header: u32 payload_len | u64 fnv1a(payload), little-endian.
-constexpr std::size_t kFrameHeaderBytes = 4 + 8;
-
-void PutU32(std::string* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutU64(std::string* out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-std::uint32_t GetU32(std::string_view bytes, std::size_t pos) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(
-             static_cast<unsigned char>(bytes[pos + static_cast<size_t>(i)]))
-         << (8 * i);
-  }
-  return v;
-}
-
-std::uint64_t GetU64(std::string_view bytes, std::size_t pos) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(
-             static_cast<unsigned char>(bytes[pos + static_cast<size_t>(i)]))
-         << (8 * i);
-  }
-  return v;
-}
-
-}  // namespace
-
-const char* WalScanStopName(WalScanStop stop) {
+const char* WalScanStopName(SnapshotStatus stop) {
   switch (stop) {
-    case WalScanStop::kCleanEnd:
+    case SnapshotStatus::kOk:
       return "clean_end";
-    case WalScanStop::kTornFrame:
+    case SnapshotStatus::kBadLength:
       return "torn_frame";
-    case WalScanStop::kBadChecksum:
-      return "bad_checksum";
-    case WalScanStop::kBadVersion:
-      return "bad_version";
-    case WalScanStop::kBadRecord:
+    case SnapshotStatus::kCorrupt:
       return "bad_record";
+    default:
+      return SnapshotStatusName(stop);
   }
-  return "?";
 }
 
 std::string WalWriter::EncodeFrame(const WalRecord& record) {
-  SnapshotWriter payload;
-  payload.U32(kWalPayloadVersion);  // det-wal-versioned pin
-  payload.U32(static_cast<std::uint32_t>(record.kind));
-  payload.U64(record.lsn);
+  SnapshotWriter fields;
+  fields.U32(static_cast<std::uint32_t>(record.kind));
+  fields.U64(record.lsn);
   switch (record.kind) {
     case WalRecordKind::kEvent:
-      payload.U64(record.sample.offset);
-      payload.U32(record.sample.tenant);
-      payload.I64(record.sample.tick);
-      payload.U64(record.sample.access_num);
-      payload.U64(record.sample.miss_num);
-      payload.U32(record.disposition);
+      fields.U64(record.sample.offset);
+      fields.U32(record.sample.tenant);
+      fields.I64(record.sample.tick);
+      fields.U64(record.sample.access_num);
+      fields.U64(record.sample.miss_num);
+      fields.U32(record.disposition);
       break;
     case WalRecordKind::kTick:
-      payload.I64(record.tick);
+      fields.I64(record.tick);
       break;
   }
-  const std::string& body = payload.data();
-  std::string frame;
-  frame.reserve(kFrameHeaderBytes + body.size());
-  PutU32(&frame, static_cast<std::uint32_t>(body.size()));
-  PutU64(&frame, Fnv1a(body));
-  frame.append(body);
-  return frame;
+  return SealFrame(fields.data());
 }
 
 WalScanResult WalReader::Scan(std::string_view bytes) {
   WalScanResult result;
   std::size_t pos = 0;
   while (pos < bytes.size()) {
-    if (bytes.size() - pos < kFrameHeaderBytes) {
-      result.stop = WalScanStop::kTornFrame;
+    const Frame frame = OpenFrame(bytes.substr(pos));
+    if (frame.status != SnapshotStatus::kOk) {
+      result.stop = frame.status;
       break;
     }
-    const std::uint32_t len = GetU32(bytes, pos);
-    const std::uint64_t checksum = GetU64(bytes, pos + 4);
-    if (bytes.size() - pos - kFrameHeaderBytes < len) {
-      result.stop = WalScanStop::kTornFrame;
-      break;
-    }
-    const std::string_view body =
-        bytes.substr(pos + kFrameHeaderBytes, len);
-    if (Fnv1a(body) != checksum) {
-      result.stop = WalScanStop::kBadChecksum;
-      break;
-    }
-    SnapshotReader reader(body);
-    const std::uint32_t version = reader.U32();
-    if (!reader.ok() || version != kWalPayloadVersion) {
-      result.stop = WalScanStop::kBadVersion;
-      break;
-    }
+    SnapshotReader reader(frame.fields);
     WalRecord record;
     const std::uint32_t kind = reader.U32();
     record.lsn = reader.U64();
@@ -128,15 +60,15 @@ WalScanResult WalReader::Scan(std::string_view bytes) {
       record.kind = WalRecordKind::kTick;
       record.tick = reader.I64();
     } else {
-      result.stop = WalScanStop::kBadRecord;
+      result.stop = SnapshotStatus::kCorrupt;
       break;
     }
     if (!reader.ok() || !reader.exhausted()) {
-      result.stop = WalScanStop::kBadRecord;
+      result.stop = SnapshotStatus::kCorrupt;
       break;
     }
     result.records.push_back(record);
-    pos += kFrameHeaderBytes + len;
+    pos += frame.size;
     result.valid_bytes = pos;
   }
   return result;

@@ -9,23 +9,21 @@
 // each record's recorded disposition; it never re-judges the admission
 // ladder (whose verdicts can depend on volatile state the crash destroyed).
 //
-// Frame format, repeated until end-of-log:
+// The log is a run of common/snapshot.h frames, one per record:
 //
-//   u32 payload_len | u64 fnv1a(payload) | payload
+//   u32 body_len | u64 fnv1a(body) | body
 //
-// with all integers little-endian and the payload a common/snapshot.h field
-// stream beginning with U32 kWalPayloadVersion (= obs::kSnapshotVersion) —
-// the same version pin the checkpoint envelopes carry, so one
-// release-format bump invalidates both halves of the durable state together
-// (enforced by sdslint's det-wal-versioned rule). Then: U32 record kind,
-// U64 LSN, kind fields.
+// where the body is the tagged format version (written and checked by the
+// codec only) followed by the record's fields: U32 record kind, U64 LSN,
+// kind fields. A checkpoint is an envelope around the same frame, so one
+// version bump invalidates both halves of the durable state together.
 //
 // WalReader scans a raw byte string (possibly ending in a torn frame — the
-// normal aftermath of a crash) and stops at the first frame that is
-// incomplete, checksum-corrupt, or version-mismatched, reporting how many
-// bytes were valid and why it stopped. A torn tail is EXPECTED, not an
-// error: recovery keeps the valid prefix and relies on at-least-once
-// redelivery for the rest.
+// normal aftermath of a crash) and stops at the first frame that the codec
+// refuses or whose fields do not form a record, reporting how many bytes
+// were valid and why it stopped. A torn tail is EXPECTED, not an error:
+// recovery keeps the valid prefix and relies on at-least-once redelivery
+// for the rest.
 #pragma once
 
 #include <cstdint>
@@ -33,16 +31,11 @@
 #include <string_view>
 #include <vector>
 
+#include "common/snapshot.h"
 #include "common/types.h"
-#include "obs/snapshot.h"
 #include "svc/sample.h"
 
 namespace sds::svc {
-
-// The version every WAL payload opens with — deliberately the checkpoint
-// envelope's pin, so one release-format bump invalidates both halves of the
-// durable state together.
-inline constexpr std::uint32_t kWalPayloadVersion = obs::kSnapshotVersion;
 
 enum class WalRecordKind : std::uint32_t {
   // One offered event and the disposition the service chose for it. The
@@ -65,22 +58,18 @@ struct WalRecord {
   Tick tick = 0;
 };
 
-// Why a WAL scan stopped.
-enum class WalScanStop : std::uint8_t {
-  kCleanEnd = 0,   // consumed every byte
-  kTornFrame,      // partial header or payload at the tail
-  kBadChecksum,    // payload bytes do not match the frame checksum
-  kBadVersion,     // payload sealed by a different release
-  kBadRecord,      // field stream malformed despite a good checksum
-};
-
-const char* WalScanStopName(WalScanStop stop);
+// Names why a WAL scan stopped, in the log's own terms: kOk is
+// "clean_end" (consumed every byte), kBadLength "torn_frame" (partial
+// header or body at the tail), kCorrupt "bad_record" (fields malformed
+// despite a good checksum); kBadChecksum and kBadVersion keep the codec's
+// names.
+const char* WalScanStopName(SnapshotStatus stop);
 
 struct WalScanResult {
   std::vector<WalRecord> records;
   // Bytes of `bytes` covered by intact frames (recovery truncates here).
   std::uint64_t valid_bytes = 0;
-  WalScanStop stop = WalScanStop::kCleanEnd;
+  SnapshotStatus stop = SnapshotStatus::kOk;
 };
 
 // Encodes one record as a framed WAL entry ready for StableStore::AppendWal.

@@ -11,8 +11,6 @@
 //      bit-identical audit stream — attribution only remembers more, it
 //      never perturbs a single sample or alarm.
 #include <cstdint>
-#include <cstring>
-#include <string_view>
 
 #include <gtest/gtest.h>
 
@@ -26,30 +24,21 @@ namespace {
 // FNV-1a over every audit record (doubles by bit pattern), as in the golden
 // regression test: any numeric drift anywhere in the pipeline changes it.
 std::uint64_t HashAudit(const telemetry::Telemetry& telemetry) {
-  std::uint64_t hash = 1469598103934665603ull;
-  auto bytes = [&hash](const void* data, std::size_t n) {
-    hash = Fnv1a(std::string_view(static_cast<const char*>(data), n), hash);
-  };
-  auto u64 = [&bytes](std::uint64_t v) { bytes(&v, sizeof v); };
-  auto f64 = [&u64](double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof bits);
-    u64(bits);
-  };
+  Fingerprinter h;
   for (const auto& rec : telemetry.audit().records()) {
-    u64(static_cast<std::uint64_t>(rec.tick));
-    bytes(rec.detector, std::strlen(rec.detector));
-    bytes(rec.check, std::strlen(rec.check));
-    bytes(rec.channel, std::strlen(rec.channel));
-    f64(rec.value);
-    f64(rec.lower);
-    f64(rec.upper);
-    f64(rec.margin);
-    u64(rec.violation ? 1 : 0);
-    u64(static_cast<std::uint64_t>(rec.consecutive));
-    u64(rec.alarm ? 1 : 0);
+    h.U64(static_cast<std::uint64_t>(rec.tick));
+    h.Str(rec.detector);
+    h.Str(rec.check);
+    h.Str(rec.channel);
+    h.F64(rec.value);
+    h.F64(rec.lower);
+    h.F64(rec.upper);
+    h.F64(rec.margin);
+    h.U64(rec.violation ? 1 : 0);
+    h.U64(static_cast<std::uint64_t>(rec.consecutive));
+    h.U64(rec.alarm ? 1 : 0);
   }
-  return hash;
+  return h.hash();
 }
 
 struct RunFingerprint {

@@ -9,8 +9,6 @@
 // them is a behavior change in the default (fault-free) pipeline and must
 // be justified, not re-golded casually.
 #include <cstdint>
-#include <cstring>
-#include <string_view>
 
 #include <gtest/gtest.h>
 
@@ -20,26 +18,6 @@
 
 namespace sds::eval {
 namespace {
-
-// FNV-1a over the fields of every audit record, in append order. Doubles are
-// hashed by bit pattern, so the hash is sensitive to any numeric drift.
-class AuditHasher {
- public:
-  void Bytes(const void* data, std::size_t n) {
-    hash_ = Fnv1a(std::string_view(static_cast<const char*>(data), n), hash_);
-  }
-  void U64(std::uint64_t v) { Bytes(&v, sizeof v); }
-  void F64(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof bits);
-    U64(bits);
-  }
-  void Cstr(const char* s) { Bytes(s, std::strlen(s)); }
-  std::uint64_t hash() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 1469598103934665603ull;
-};
 
 struct GoldenSummary {
   bool detected = false;
@@ -73,12 +51,14 @@ GoldenSummary RunGolden(const std::string& app, AttackKind attack,
   g.false_positive_intervals = r.false_positive_intervals;
   g.true_negative_intervals = r.true_negative_intervals;
   g.audit_records = telemetry.audit().size();
-  AuditHasher h;
+  // Every audit record's fields in append order, doubles by bit pattern:
+  // any numeric drift anywhere in the pipeline changes the hash.
+  Fingerprinter h;
   for (const auto& rec : telemetry.audit().records()) {
     h.U64(static_cast<std::uint64_t>(rec.tick));
-    h.Cstr(rec.detector);
-    h.Cstr(rec.check);
-    h.Cstr(rec.channel);
+    h.Str(rec.detector);
+    h.Str(rec.check);
+    h.Str(rec.channel);
     h.F64(rec.value);
     h.F64(rec.lower);
     h.F64(rec.upper);

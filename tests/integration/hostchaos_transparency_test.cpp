@@ -9,9 +9,7 @@
 // ones actuation_golden_test.cpp captured before this PR. Drift here means
 // the chaos plane leaks into fault-free runs.
 #include <cstdint>
-#include <cstring>
 #include <memory>
-#include <string_view>
 
 #include <gtest/gtest.h>
 
@@ -30,26 +28,6 @@
 
 namespace sds::eval {
 namespace {
-
-// FNV-1a over the fields of every audit record, in append order (same
-// scheme as actuation_golden_test.cpp / golden_regression_test.cpp).
-class AuditHasher {
- public:
-  void Bytes(const void* data, std::size_t n) {
-    hash_ = Fnv1a(std::string_view(static_cast<const char*>(data), n), hash_);
-  }
-  void U64(std::uint64_t v) { Bytes(&v, sizeof v); }
-  void F64(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof bits);
-    U64(bits);
-  }
-  void Cstr(const char* s) { Bytes(s, std::strlen(s)); }
-  std::uint64_t hash() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 1469598103934665603ull;
-};
 
 TEST(HostChaosTransparencyTest, NullPlanLifecycleIsBitTransparent) {
   const std::uint64_t seed = 42;
@@ -124,12 +102,12 @@ TEST(HostChaosTransparencyTest, NullPlanLifecycleIsBitTransparent) {
   EXPECT_EQ(engine.mitigation_tick(), 4550);
   EXPECT_EQ(engine.victim().host, 1);
   EXPECT_EQ(telemetry.audit().size(), 177u);
-  AuditHasher h;
+  Fingerprinter h;
   for (const auto& rec : telemetry.audit().records()) {
     h.U64(static_cast<std::uint64_t>(rec.tick));
-    h.Cstr(rec.detector);
-    h.Cstr(rec.check);
-    h.Cstr(rec.channel);
+    h.Str(rec.detector);
+    h.Str(rec.check);
+    h.Str(rec.channel);
     h.F64(rec.value);
     h.F64(rec.lower);
     h.F64(rec.upper);

@@ -1,11 +1,11 @@
-// The allow() escape hatch silences det-snapshot-versioned — e.g. for a
-// transcoder that re-emits payload bytes whose versioned header is written
-// by another translation unit.
+// The allow() escape hatch silences det-frame-versioned — e.g. for a
+// transcoder that re-emits payload bytes whose frame is written by another
+// translation unit.
 #include "common/snapshot.h"
 
 namespace sds::obs {
 std::string Transcode(const std::string& payload) {
-  SnapshotWriter w;  // sdslint: allow(det-snapshot-versioned)
+  SnapshotWriter w;  // sdslint: allow(det-frame-versioned)
   w.Str(payload);
   return w.TakeData();
 }

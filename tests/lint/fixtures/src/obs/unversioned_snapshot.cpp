@@ -1,6 +1,6 @@
 // Seeded violation: an obs-layer file serializes a snapshot byte stream
-// but never references the version constant, so the blob has no version
-// pin for OpenSnapshot to reject on (det-snapshot-versioned).
+// but never seals it with the frame codec, so the blob carries no format
+// version for a reader to reject on (det-frame-versioned).
 #include "common/snapshot.h"
 
 namespace sds::obs {

@@ -1,13 +1,12 @@
-// Clean: the same serialization shape with the version constant written
-// into the byte stream, as obs/snapshot.cpp does for real blobs.
+// Clean: the same serialization shape sealed by the frame codec, which
+// writes the format version into the byte stream, as obs/handoff.cpp does
+// for real blobs.
 #include "common/snapshot.h"
 
 namespace sds::obs {
-inline constexpr unsigned kSnapshotVersion = 1;
-
 std::string SealVersioned() {
   SnapshotWriter w;
-  w.U32(kSnapshotVersion);
-  return w.TakeData();
+  w.U32(7u);
+  return SealSnapshot("kind", 0, w.data());
 }
 }  // namespace sds::obs

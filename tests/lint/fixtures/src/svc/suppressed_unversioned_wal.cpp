@@ -1,10 +1,10 @@
-// The allow() escape hatch silences det-wal-versioned — e.g. for a replay
-// shim that copies already-framed bytes whose versioned payload was written
-// by another translation unit.
+// The allow() escape hatch silences det-frame-versioned — e.g. for a replay
+// shim that copies already-framed bytes whose frame was written by another
+// translation unit.
 #include <string>
 
 namespace sds::svc {
-class WalReader {  // sdslint: allow(det-wal-versioned)
+class WalReader {  // sdslint: allow(det-frame-versioned)
  public:
   static std::string PassThrough(const std::string& frame) { return frame; }
 };

@@ -1,6 +1,6 @@
-// Seeded violation: a svc-layer file frames WAL records but never
-// references the payload version pin, so a recovery scan could misparse
-// frames written by a different release (det-wal-versioned).
+// Seeded violation: a svc-layer file frames WAL records without the frame
+// codec, so a recovery scan could misparse frames written by a different
+// format (det-frame-versioned).
 #include <string>
 
 namespace sds::svc {

@@ -1,16 +1,14 @@
-// Clean: the same framing shape with the payload version pin written into
-// the byte stream, as svc/wal.cpp does for real frames. The alias
-// kWalPayloadVersion counts as a pin reference — svc/wal.h defines it as
-// obs::kSnapshotVersion.
+// Clean: the same framing shape sealed by the frame codec, which writes the
+// length, checksum and format version, as svc/wal.cpp does for real frames.
 #include <string>
 
-namespace sds::svc {
-inline constexpr unsigned kWalPayloadVersion = 1;
+#include "common/snapshot.h"
 
+namespace sds::svc {
 class WalWriter {
  public:
   static std::string EncodeFrame(const std::string& body) {
-    return std::string(1, static_cast<char>(kWalPayloadVersion)) + body;
+    return SealFrame(body);
   }
 };
 }  // namespace sds::svc

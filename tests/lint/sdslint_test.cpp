@@ -73,7 +73,7 @@ TEST(SdslintFixtures, ExactDiagnosticSet) {
       {"src/detect/unordered_iter.cpp", 12, kRuleDetUnorderedIter},
       {"src/eval/raw_handoff.cpp", 11, kRuleDetHandoffVersioned},
       {"src/eval/raw_handoff.cpp", 12, kRuleDetHandoffVersioned},
-      {"src/obs/unversioned_snapshot.cpp", 8, kRuleDetSnapshotVersioned},
+      {"src/obs/unversioned_snapshot.cpp", 8, kRuleDetFrameVersioned},
       {"src/pcm/wallclock.cpp", 5, kRuleDetClock},
       {"src/pcm/wallclock.cpp", 9, kRuleDetClock},
       {"src/pcm/wallclock.cpp", 13, kRuleDetPointerPrint},
@@ -87,7 +87,8 @@ TEST(SdslintFixtures, ExactDiagnosticSet) {
       {"src/sim/uses_rand.cpp", 13, kRuleDetRand},
       {"src/stats/no_pragma.h", 3, kRuleHdrPragmaOnce},
       {"src/stats/not_self_contained.h", 3, kRuleHdrSelfContained},
-      {"src/svc/unversioned_wal.cpp", 7, kRuleDetWalVersioned},
+      {"src/svc/includes_obs.cpp", 5, kRuleLayerDag},
+      {"src/svc/unversioned_wal.cpp", 7, kRuleDetFrameVersioned},
       {"src/vm/header_telemetry.h", 3, kRuleHdrTelemetryFwd},
   };
   for (const auto& e : kExpected) {
@@ -143,10 +144,10 @@ TEST(SdslintFixtures, CleanFilesStayClean) {
   // %d with a modulo expression must not be read as pointer printing, and
   // only the two clock reads + one %p fire in wallclock.cpp.
   EXPECT_EQ(CountForFile(r, "src/pcm/wallclock.cpp"), 3);
-  // Snapshot serialization that does reference the version constant is
-  // clean — the rule keys on the token, not on where it appears.
+  // Snapshot serialization sealed by the frame codec is clean — the rule
+  // keys on the codec's API, not on where it appears.
   EXPECT_EQ(CountForFile(r, "src/obs/versioned_snapshot.cpp"), 0);
-  // Same for WAL framing that references the payload version pin.
+  // Same for WAL framing through the codec.
   EXPECT_EQ(CountForFile(r, "src/svc/versioned_wal.cpp"), 0);
   // Detector state moved through the versioned handoff envelope is the
   // sanctioned migration path — det-handoff-versioned keys on the raw
@@ -168,8 +169,8 @@ TEST(SdslintFixtures, JsonOutputIsWellFormedAndComplete) {
        {kRuleLayerDag, kRuleDetRand, kRuleDetClock, kRuleDetPointerPrint,
         kRuleDetUnorderedIter, kRuleDetActuationIdempotent,
         kRuleDetAttribLedger,
-        kRuleDetSnapshotVersioned, kRuleDetWalVersioned,
-        kRuleDetHandoffVersioned, kRuleHdrPragmaOnce,
+        kRuleDetFrameVersioned, kRuleDetHandoffVersioned,
+        kRuleHdrPragmaOnce,
         kRuleHdrSelfContained, kRuleHdrTelemetryFwd}) {
     EXPECT_NE(json.find(std::string("\"rule\":\"") + rule + "\""),
               std::string::npos)

@@ -225,7 +225,7 @@ TEST(ServiceTest, ConfigChangeOrphansDurableState) {
   EXPECT_FALSE(restarted.Recover());
   EXPECT_FALSE(restarted.incarnation().recovered_from_checkpoint);
   EXPECT_EQ(restarted.incarnation().checkpoint_status,
-            obs::SnapshotStatus::kBadFingerprint);
+            SnapshotStatus::kBadFingerprint);
   EXPECT_EQ(restarted.accounting().offered, 0u);
 }
 

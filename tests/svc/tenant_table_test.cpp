@@ -170,6 +170,15 @@ TEST(TenantTableTest, RestoreRejectsOverCapacityAndGarbage) {
   SnapshotReader truncated(
       std::string_view(w.data()).substr(0, w.data().size() / 2));
   EXPECT_FALSE(fresh.RestoreState(truncated));
+
+  // A corrupt evicted-tenant count with nothing behind it fails at the
+  // first missing field instead of looping over the count.
+  SnapshotWriter huge;
+  huge.U64(0);           // no resident tenants
+  huge.U64(1ull << 62);  // evicted-tenant count
+  TenantTable spin(SmallPipeline(), 4);
+  SnapshotReader huge_reader(huge.data());
+  EXPECT_FALSE(spin.RestoreState(huge_reader));
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // trips, and — the crash-consistency workhorse — a scan truncated at EVERY
 // byte offset of the final frame must keep exactly the intact prefix and
 // report a torn tail, never misparse or crash. The checksum, version and
-// field-stream rungs of the scan's own rejection ladder are each pinned.
+// field-stream rungs of the scan's rejection ladder are each pinned.
 #include "svc/wal.h"
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include <string>
 
 #include "common/snapshot.h"
-#include "obs/snapshot.h"
 
 namespace sds::svc {
 namespace {
@@ -43,35 +42,17 @@ WalRecord TickRecord(std::uint64_t lsn, Tick tick) {
   return r;
 }
 
-void AppendU32(std::string* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void AppendU64(std::string* out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-// A frame with a CORRECT header for an arbitrary payload — the scan must
-// get past checksum verification and reject on payload content.
-std::string FrameAround(const std::string& payload) {
-  std::string frame;
-  AppendU32(&frame, static_cast<std::uint32_t>(payload.size()));
-  AppendU64(&frame, Fnv1a(payload));
-  frame += payload;
-  return frame;
-}
-
 TEST(WalTest, EventAndTickRoundTrip) {
   const SvcSample sample = MakeSample(3, 77, 41);
   const std::string log = WalWriter::EncodeFrame(EventRecord(9, sample, 2)) +
                           WalWriter::EncodeFrame(TickRecord(10, 78));
 
+  // Frame lengths are part of the recovery accounting (wal_valid_bytes):
+  // header 12 + nine tagged fields of 9 bytes, and 12 + four.
+  EXPECT_EQ(log.size(), 93u + 48u);
+
   const WalScanResult r = WalReader::Scan(log);
-  EXPECT_EQ(r.stop, WalScanStop::kCleanEnd);
+  EXPECT_EQ(r.stop, SnapshotStatus::kOk);
   EXPECT_EQ(r.valid_bytes, log.size());
   ASSERT_EQ(r.records.size(), 2u);
 
@@ -91,7 +72,7 @@ TEST(WalTest, EventAndTickRoundTrip) {
 
 TEST(WalTest, EmptyLogIsCleanEnd) {
   const WalScanResult r = WalReader::Scan("");
-  EXPECT_EQ(r.stop, WalScanStop::kCleanEnd);
+  EXPECT_EQ(r.stop, SnapshotStatus::kOk);
   EXPECT_EQ(r.valid_bytes, 0u);
   EXPECT_TRUE(r.records.empty());
 }
@@ -112,14 +93,14 @@ TEST(WalTest, TornFinalFrameAtEveryByteOffset) {
     ASSERT_EQ(r.records.size(), 2u) << "cut=" << cut;
     EXPECT_EQ(r.valid_bytes, prefix.size()) << "cut=" << cut;
     EXPECT_EQ(r.stop,
-              cut == 0 ? WalScanStop::kCleanEnd : WalScanStop::kTornFrame)
+              cut == 0 ? SnapshotStatus::kOk : SnapshotStatus::kBadLength)
         << "cut=" << cut;
   }
 
   // And the whole frame present again scans clean.
   const WalScanResult whole = WalReader::Scan(prefix + final_frame);
   EXPECT_EQ(whole.records.size(), 3u);
-  EXPECT_EQ(whole.stop, WalScanStop::kCleanEnd);
+  EXPECT_EQ(whole.stop, SnapshotStatus::kOk);
   EXPECT_EQ(whole.valid_bytes, prefix.size() + final_frame.size());
 }
 
@@ -134,58 +115,49 @@ TEST(WalTest, CorruptPayloadByteStopsWithBadChecksum) {
   ASSERT_EQ(r.records.size(), 1u);
   EXPECT_EQ(r.records[0].lsn, 1u);
   EXPECT_EQ(r.valid_bytes, first.size());
-  EXPECT_EQ(r.stop, WalScanStop::kBadChecksum);
+  EXPECT_EQ(r.stop, SnapshotStatus::kBadChecksum);
 }
 
 TEST(WalTest, OtherReleaseVersionStopsWithBadVersion) {
-  // A well-checksummed frame whose payload was sealed by a "future" release.
-  SnapshotWriter payload;
-  payload.U32(kWalPayloadVersion + 1);
-  payload.U32(static_cast<std::uint32_t>(WalRecordKind::kTick));
-  payload.U64(1);
-  payload.I64(5);
+  // A well-checksummed frame whose body was sealed by a "future" release.
+  SnapshotWriter fields;
+  fields.U32(static_cast<std::uint32_t>(WalRecordKind::kTick));
+  fields.U64(1);
+  fields.I64(5);
 
-  const WalScanResult r = WalReader::Scan(FrameAround(payload.data()));
+  const WalScanResult r =
+      WalReader::Scan(SealFrame(fields.data(), kFormatVersion + 1));
   EXPECT_TRUE(r.records.empty());
   EXPECT_EQ(r.valid_bytes, 0u);
-  EXPECT_EQ(r.stop, WalScanStop::kBadVersion);
+  EXPECT_EQ(r.stop, SnapshotStatus::kBadVersion);
 }
 
 TEST(WalTest, MalformedFieldStreamStopsWithBadRecord) {
   // Unknown record kind, good checksum.
   SnapshotWriter unknown_kind;
-  unknown_kind.U32(kWalPayloadVersion);
   unknown_kind.U32(99);
   unknown_kind.U64(1);
-  const WalScanResult a = WalReader::Scan(FrameAround(unknown_kind.data()));
+  const WalScanResult a = WalReader::Scan(SealFrame(unknown_kind.data()));
   EXPECT_TRUE(a.records.empty());
-  EXPECT_EQ(a.stop, WalScanStop::kBadRecord);
+  EXPECT_EQ(a.stop, SnapshotStatus::kCorrupt);
 
   // Known kind, field stream cut short (no tick field), good checksum.
   SnapshotWriter short_stream;
-  short_stream.U32(kWalPayloadVersion);
   short_stream.U32(static_cast<std::uint32_t>(WalRecordKind::kTick));
   short_stream.U64(1);
-  const WalScanResult b = WalReader::Scan(FrameAround(short_stream.data()));
+  const WalScanResult b = WalReader::Scan(SealFrame(short_stream.data()));
   EXPECT_TRUE(b.records.empty());
-  EXPECT_EQ(b.stop, WalScanStop::kBadRecord);
+  EXPECT_EQ(b.stop, SnapshotStatus::kCorrupt);
 
   // Known kind with TRAILING bytes after the last field: also corrupt.
   SnapshotWriter trailing;
-  trailing.U32(kWalPayloadVersion);
   trailing.U32(static_cast<std::uint32_t>(WalRecordKind::kTick));
   trailing.U64(1);
   trailing.I64(5);
   trailing.U64(0xdead);
-  const WalScanResult c = WalReader::Scan(FrameAround(trailing.data()));
+  const WalScanResult c = WalReader::Scan(SealFrame(trailing.data()));
   EXPECT_TRUE(c.records.empty());
-  EXPECT_EQ(c.stop, WalScanStop::kBadRecord);
-}
-
-// The WAL payload opens with the checkpoint envelope's version pin, so one
-// release bump invalidates both halves of the durable state together.
-TEST(WalTest, PayloadVersionIsTheSnapshotPin) {
-  EXPECT_EQ(kWalPayloadVersion, obs::kSnapshotVersion);
+  EXPECT_EQ(c.stop, SnapshotStatus::kCorrupt);
 }
 
 }  // namespace

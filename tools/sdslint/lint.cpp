@@ -100,11 +100,10 @@ constexpr RestrictedLayer kRestrictedLayers[] = {
     // crash points (fault/service_plan.h).
     {"fault", "cluster,eval,svc"},
     // obs is the off-path observability plane: rollups, SLO scoring and
-    // detector snapshots consume detector state but nothing on the
-    // decision path may grow a dependency on its aggregates. Only eval
-    // (which replays merged streams) and svc (whose checkpoints ride the
-    // versioned snapshot envelope) may include it from src/.
-    {"obs", "eval,svc"},
+    // detector handoffs consume detector state but nothing on the decision
+    // path may grow a dependency on its aggregates. Only eval (which
+    // replays merged streams and moves detectors) may include it from src/.
+    {"obs", "eval"},
     // svc is the streaming service shell around the detectors; only the
     // evaluation harness may drive it from src/.
     {"svc", "eval"},
@@ -337,19 +336,19 @@ class Analyzer {
     }
     CheckActuationIdempotent(f);
     CheckAttribLedger(f);
-    CheckSnapshotVersioned(f);
-    CheckWalVersioned(f);
+    CheckFrameVersioned(f);
     CheckHandoffVersioned(f);
   }
 
   // det-handoff-versioned: migration orchestration (cluster layer) and the
   // eval harnesses must never move detector state as raw SaveState /
   // RestoreState bytes — a handoff blob crosses hosts and release
-  // boundaries, so it must travel inside the versioned + fingerprinted obs
-  // envelope (obs/handoff.h), whose OpenSnapshot rejection is what turns a
-  // config or format skew into a LOUD cold start instead of a misparse.
-  // The detect layer (producing its own payload), the obs wrappers and the
-  // svc WAL path are the sanctioned callers and stay out of scope.
+  // boundaries, so it must travel inside the versioned + fingerprinted
+  // handoff envelope (obs/handoff.h), whose OpenSnapshot rejection is what
+  // turns a config or format skew into a LOUD cold start instead of a
+  // misparse. The detect layer (producing its own payload), the obs
+  // handoff and the svc checkpoint are the sanctioned callers and stay out
+  // of scope.
   void CheckHandoffVersioned(FileSummary& f) {
     if (f.layer != "cluster" && f.layer != "eval") return;
     for (const VerbCall& v : f.verb_calls) {
@@ -363,35 +362,28 @@ class Analyzer {
     }
   }
 
-  // det-snapshot-versioned: an obs-layer file that serializes or parses a
-  // snapshot byte stream (SnapshotWriter / SnapshotReader) must reference
-  // kSnapshotVersion somewhere in its code, so every blob format in the obs
-  // plane carries the version pin that OpenSnapshot rejects on (DESIGN.md
-  // §13). Detector-side SaveState payloads are out of scope: they are always
-  // wrapped in the versioned obs envelope before leaving the process.
-  void CheckSnapshotVersioned(FileSummary& f) {
-    if (f.layer != "obs") return;
-    if (f.snapshot.first_use != 0 && !f.snapshot.versioned) {
-      Emit(f, f.snapshot.first_use, kRuleDetSnapshotVersioned,
-           "obs-layer snapshot serialization without a kSnapshotVersion "
-           "reference: every blob format must carry the version pin that "
-           "OpenSnapshot validates, or restores after a format change would "
-           "misparse old bytes instead of rejecting them");
-    }
-  }
-
-  // det-wal-versioned: a svc-layer file that encodes or scans WAL frames
-  // (WalWriter / WalReader) must reference obs::kSnapshotVersion somewhere
-  // in its code, so every WAL payload carries the same version pin the
-  // checkpoint envelope does (DESIGN.md §14).
-  void CheckWalVersioned(FileSummary& f) {
-    if (f.layer != "svc") return;
-    if (f.wal.first_use != 0 && !f.wal.versioned) {
-      Emit(f, f.wal.first_use, kRuleDetWalVersioned,
-           "svc-layer WAL framing without a kSnapshotVersion reference: "
-           "every WAL record must carry the snapshot version pin so a "
-           "recovery scan rejects frames written by a different format "
-           "instead of misparsing them");
+  // det-frame-versioned: a file that writes or reads a durable byte stream
+  // — an obs-layer file using SnapshotWriter / SnapshotReader, or a
+  // svc-layer file using WalWriter / WalReader — must go through the
+  // common/snapshot.h frame codec (name SealFrame / OpenFrame /
+  // SealSnapshot / OpenSnapshot / SnapshotStatus somewhere in its code),
+  // the only code that writes and checks the length, checksum and format
+  // version (DESIGN.md §13). Bytes framed any other way would misparse
+  // after a format change instead of being rejected. Detector-side
+  // SaveState payloads are out of scope: they are always sealed by the
+  // codec before leaving the process.
+  void CheckFrameVersioned(FileSummary& f) {
+    const int first_use = f.layer == "obs"   ? f.codec.first_snapshot
+                          : f.layer == "svc" ? f.codec.first_wal
+                                             : 0;
+    if (first_use != 0 && !f.codec.calls_codec) {
+      Emit(f, first_use, kRuleDetFrameVersioned,
+           f.layer + "-layer byte stream without the frame codec: every "
+                     "snapshot and WAL record must be sealed and opened by "
+                     "common/snapshot.h (SealFrame/OpenFrame, "
+                     "SealSnapshot/OpenSnapshot) so a recovery rejects bytes "
+                     "written by a different format instead of misparsing "
+                     "them");
     }
   }
 

@@ -24,7 +24,7 @@
 //
 // plus the v1 rule families, byte-compatible: the layer DAG, the direct
 // determinism contract, header hygiene, and the seam rules
-// (det-actuation-idempotent, det-attrib-ledger, det-snapshot/wal-versioned).
+// (det-actuation-idempotent, det-attrib-ledger, det-frame-versioned).
 //
 // Every run parses the whole scan set; the one suppression mechanism is the
 // allow(...) comment. output.cpp adds SARIF 2.1.0 for CI code-scanning
@@ -52,8 +52,7 @@ inline constexpr char kRuleDetUnorderedIter[] = "det-unordered-iter";
 inline constexpr char kRuleDetActuationIdempotent[] =
     "det-actuation-idempotent";
 inline constexpr char kRuleDetAttribLedger[] = "det-attrib-ledger";
-inline constexpr char kRuleDetSnapshotVersioned[] = "det-snapshot-versioned";
-inline constexpr char kRuleDetWalVersioned[] = "det-wal-versioned";
+inline constexpr char kRuleDetFrameVersioned[] = "det-frame-versioned";
 inline constexpr char kRuleDetHandoffVersioned[] = "det-handoff-versioned";
 inline constexpr char kRuleHdrPragmaOnce[] = "hdr-pragma-once";
 inline constexpr char kRuleHdrSelfContained[] = "hdr-self-contained";

@@ -98,11 +98,12 @@ struct VerbCall {
   std::string verb;
 };
 
-// First SnapshotWriter/Reader (resp. WalWriter/Reader) use and whether the
-// file references the version pin token (det-snapshot/wal-versioned rules).
-struct VersionPinUse {
-  int first_use = 0;
-  bool versioned = false;
+// First SnapshotWriter/Reader and WalWriter/Reader use, and whether the
+// file names the frame codec's API (det-frame-versioned).
+struct CodecUse {
+  int first_snapshot = 0;
+  int first_wal = 0;
+  bool calls_codec = false;
 };
 
 struct FileSummary {
@@ -122,8 +123,7 @@ struct FileSummary {
   std::vector<StdUse> std_uses;
   std::vector<VerbCall> verb_calls;
   int pragma_diag_line = 0;  // 0 = clean / not applicable
-  VersionPinUse snapshot;
-  VersionPinUse wal;
+  CodecUse codec;
 };
 
 // Providers for the self-containment rule: returns the comma-separated

@@ -166,24 +166,22 @@ void ScanPragmaOnce(const SourceText& f, FileSummary* out) {
   out->pragma_diag_line = f.raw.empty() ? 0 : 1;
 }
 
-void ScanVersionPins(const SourceText& f, FileSummary* out) {
+void ScanCodecUse(const SourceText& f, FileSummary* out) {
   for (std::size_t i = 0; i < f.code.size(); ++i) {
     const std::string& line = f.code[i];
-    if (out->snapshot.first_use == 0 && (HasToken(line, "SnapshotWriter") ||
-                                         HasToken(line, "SnapshotReader"))) {
-      out->snapshot.first_use = static_cast<int>(i) + 1;
+    const int lineno = static_cast<int>(i) + 1;
+    if (out->codec.first_snapshot == 0 && (HasToken(line, "SnapshotWriter") ||
+                                           HasToken(line, "SnapshotReader"))) {
+      out->codec.first_snapshot = lineno;
     }
-    if (out->wal.first_use == 0 &&
+    if (out->codec.first_wal == 0 &&
         (HasToken(line, "WalWriter") || HasToken(line, "WalReader"))) {
-      out->wal.first_use = static_cast<int>(i) + 1;
+      out->codec.first_wal = lineno;
     }
-    if (HasToken(line, "kSnapshotVersion")) {
-      out->snapshot.versioned = true;
-      // kWalPayloadVersion is defined as obs::kSnapshotVersion in svc/wal.h,
-      // so referencing either token references the pin.
-      out->wal.versioned = true;
+    for (const char* api : {"SealFrame", "OpenFrame", "SealSnapshot",
+                            "OpenSnapshot", "SnapshotStatus"}) {
+      if (HasToken(line, api)) out->codec.calls_codec = true;
     }
-    if (HasToken(line, "kWalPayloadVersion")) out->wal.versioned = true;
   }
 }
 
@@ -916,7 +914,7 @@ FileSummary BuildSummary(const SourceText& text, const std::string& layer,
   ScanVerbCalls(text, &out);
   ScanStdUses(text, &out);
   ScanPragmaOnce(text, &out);
-  ScanVersionPins(text, &out);
+  ScanCodecUse(text, &out);
   ScanUnordered(text, &out);
 
   const std::vector<Token> tokens = Tokenize(text);

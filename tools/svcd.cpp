@@ -17,7 +17,9 @@
 // Feed lines are svc_sample JSONL (svc/sample.h); the transport offset is
 // the 1-based line number, so re-feeding the same file after a crash is
 // exactly the at-least-once redelivery the service dedupes. Lines that do
-// not parse are offered down the malformed rung, never fatal.
+// not parse are offered down the malformed rung, never fatal. Whenever the
+// state dir held a checkpoint, the run prints the rung it opened at:
+// `svcd: checkpoint=ok`, or e.g. `svcd: checkpoint=bad_checksum (refused)`.
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -25,6 +27,7 @@
 
 #include "common/flags.h"
 #include "common/rng.h"
+#include "common/snapshot.h"
 #include "common/types.h"
 #include "svc/sample.h"
 #include "svc/service.h"
@@ -174,6 +177,15 @@ int main(int argc, char** argv) {
   std::cout << "svcd: state_dir=" << state_dir << " ("
             << (recovered ? "recovered durable state" : "no durable state")
             << ")\n";
+  // Name the rung a surviving checkpoint opened at, so a refused one is
+  // never silently overwritten by the next ingest's cold start.
+  const svc::SvcIncarnation& inc = service.incarnation();
+  if (inc.recovered_from_checkpoint ||
+      inc.checkpoint_status != SnapshotStatus::kOk) {
+    std::cout << "svcd: checkpoint="
+              << SnapshotStatusName(inc.checkpoint_status)
+              << (inc.recovered_from_checkpoint ? "" : " (refused)") << "\n";
+  }
 
   const std::string feed_path = flags.GetString("feed", "");
   if (!flags.GetBool("status", false) && feed_path.empty()) {
