@@ -21,7 +21,7 @@ bool BusLockAttacker::NextOp(sim::MemOp& op) {
   --ops_left_this_tick_;
   op.atomic = true;
   op.addr = base_ + cursor_;
-  cursor_ = (cursor_ + 1) % config_.buffer_lines;
+  if (++cursor_ == config_.buffer_lines) cursor_ = 0;
   return true;
 }
 

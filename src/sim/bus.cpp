@@ -1,7 +1,5 @@
 #include "sim/bus.h"
 
-#include "sim/attribution.h"
-
 namespace sds::sim {
 
 MemoryBus::MemoryBus(const BusConfig& config)
@@ -10,28 +8,6 @@ MemoryBus::MemoryBus(const BusConfig& config)
 void MemoryBus::BeginTick() {
   remaining_ = config_.slots_per_tick;
   saturation_recorded_ = false;
-}
-
-bool MemoryBus::TryConsume(OwnerId owner, std::uint32_t slots) {
-  if (slots > remaining_) {
-    ++stats_.stalled_requests;
-    if (!saturation_recorded_) {
-      ++stats_.saturated_ticks;
-      saturation_recorded_ = true;
-    }
-    if (ledger_ != nullptr) ledger_->RecordBusStall(owner);
-    return false;
-  }
-  remaining_ -= slots;
-  stats_.slots_consumed += slots;
-  if (ledger_ != nullptr) ledger_->RecordBusOccupancy(owner, slots);
-  return true;
-}
-
-bool MemoryBus::TryAtomicLock(OwnerId owner) {
-  if (!TryConsume(owner, config_.atomic_lock_slots)) return false;
-  ++stats_.atomic_locks;
-  return true;
 }
 
 }  // namespace sds::sim

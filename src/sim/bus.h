@@ -14,10 +14,9 @@
 #include <cstdint>
 
 #include "common/types.h"
+#include "sim/attribution.h"
 
 namespace sds::sim {
-
-class AttributionLedger;
 
 struct BusConfig {
   // Transaction slots available per tick (aggregate bus bandwidth).
@@ -70,5 +69,28 @@ class MemoryBus {
   BusStats stats_;
   AttributionLedger* ledger_ = nullptr;  // not owned; see AttachLedger
 };
+
+// Defined in the header so that Machine::Access inlines it.
+inline bool MemoryBus::TryConsume(OwnerId owner, std::uint32_t slots) {
+  if (slots > remaining_) {
+    ++stats_.stalled_requests;
+    if (!saturation_recorded_) {
+      ++stats_.saturated_ticks;
+      saturation_recorded_ = true;
+    }
+    if (ledger_ != nullptr) ledger_->RecordBusStall(owner);
+    return false;
+  }
+  remaining_ -= slots;
+  stats_.slots_consumed += slots;
+  if (ledger_ != nullptr) ledger_->RecordBusOccupancy(owner, slots);
+  return true;
+}
+
+inline bool MemoryBus::TryAtomicLock(OwnerId owner) {
+  if (!TryConsume(owner, config_.atomic_lock_slots)) return false;
+  ++stats_.atomic_locks;
+  return true;
+}
 
 }  // namespace sds::sim

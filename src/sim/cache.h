@@ -5,10 +5,10 @@
 // the LLC cleansing attack's effect on victim miss counts EMERGES from actual
 // evictions rather than being injected. The default configuration scales the
 // paper's 35 MB / 20-way Xeon LLC down to 2 MiB / 16-way; shapes are
-// scale-free. Measured on a 4-vCPU x86 box (perfbench, one thread): 8-10k
-// simulated ticks/s on the cleansing deployment (terasort_cleanse_kstest,
-// ~1800 ops/tick, 80% misses) and 22-30k ticks/s on the 9-VM bus-lock one
-// (pca_buslock_sds).
+// scale-free. Measured on a shared 4-vCPU x86 box (perfbench, one thread,
+// RelWithDebInfo): 17-18k simulated ticks/s on the cleansing deployment
+// (terasort_cleanse_kstest, ~1800 ops/tick, 80% misses) and 44-55k ticks/s
+// on the 9-VM bus-lock one (pca_buslock_sds).
 //
 // Each set is one packed block: the tags and owners of its ways plus a
 // recency stack, a uint64 holding one 4-bit way index per nibble with the
@@ -20,14 +20,15 @@
 // associativity at 16 ways.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
+#include "sim/attribution.h"
 
 namespace sds::sim {
-
-class AttributionLedger;
 
 struct CacheConfig {
   // Number of sets; must be a power of two.
@@ -86,18 +87,26 @@ class LastLevelCache {
  private:
   static constexpr std::uint32_t kMaxWays = 16;
 
+  // Deliberately not alignas(64): the vector would then allocate through
+  // aligned operator new, and a build that did so read about three times
+  // the peak RSS on the accuracy grid.
   struct Set {
+    // All kMaxWays tags are compared on every lookup, so they come first.
+    // Ways at or past `fill` hold 0 or stale tags; FindWay masks them out.
+    LineAddr tag[kMaxWays] = {};
+    OwnerId owner[kMaxWays] = {};
     // Way indices by recency, 4 bits each, MRU in the low nibble. Only the
     // low `fill` nibbles are meaningful; evictions shift stale nibbles past
     // position ways-1, where nothing reads them.
     std::uint64_t stack = 0;
     std::uint32_t fill = 0;  // ways [0, fill) hold valid lines
-    LineAddr tag[kMaxWays] = {};
-    OwnerId owner[kMaxWays] = {};
   };
 
-  // Way holding `addr` in `set`, or -1.
+  // Way holding `addr` in `set`, or -1. Branch-free: one equality compare
+  // per way folds into a bitmask, the valid prefix [0, fill) masks out stale
+  // and unused ways, and the lowest set bit names the way.
   static int FindWay(const Set& set, LineAddr addr);
+  static std::uint64_t MoveToFront(std::uint64_t stack, std::uint32_t w);
 
   CacheConfig config_;
   std::uint32_t set_mask_;
@@ -105,5 +114,70 @@ class LastLevelCache {
   std::vector<Set> sets_;
   AttributionLedger* ledger_ = nullptr;  // not owned; see AttachLedger
 };
+
+// The per-access path is defined in the header so that Machine::Access and
+// its callers inline it.
+
+// One compare per way, unrolled by the fold (a loop over the ways was
+// measured slower: compilers keep it rolled at -O2).
+template <std::size_t... W>
+inline std::uint32_t MatchMask(const LineAddr* tag, LineAddr addr,
+                               std::index_sequence<W...> /*ways*/) {
+  return ((static_cast<std::uint32_t>(tag[W] == addr) << W) | ...);
+}
+
+inline int LastLevelCache::FindWay(const Set& set, LineAddr addr) {
+  std::uint32_t match =
+      MatchMask(set.tag, addr, std::make_index_sequence<kMaxWays>{});
+  // A line occupies at most one valid way: at most one bit survives.
+  match &= (1u << set.fill) - 1;
+  return match == 0 ? -1 : std::countr_zero(match);
+}
+
+// Moves way `w`, which the stack holds, to the MRU nibble; the nibbles in
+// front of it shift back by one. x has a zero nibble wherever w sits, and the
+// lowest flagged nibble of the SWAR zero test is exact (a borrow can only
+// flag nibbles above a true zero), so a stale copy of w past `fill` never
+// wins over its real position.
+inline std::uint64_t LastLevelCache::MoveToFront(std::uint64_t stack,
+                                                 std::uint32_t w) {
+  constexpr std::uint64_t kNibbleOnes = 0x1111111111111111ull;
+  constexpr std::uint64_t kNibbleHighs = 0x8888888888888888ull;
+  const std::uint64_t x = stack ^ (w * kNibbleOnes);
+  const std::uint64_t zeros = (x - kNibbleOnes) & ~x & kNibbleHighs;
+  const int pos = std::countr_zero(zeros) & ~3;  // bit offset of w's nibble
+  const std::uint64_t front = stack & ((std::uint64_t{1} << pos) - 1);
+  const std::uint64_t back = stack & ((~std::uint64_t{0} << pos) << 4);
+  return back | (front << 4) | w;
+}
+
+inline CacheAccessResult LastLevelCache::Access(OwnerId owner, LineAddr addr) {
+  Set& set = sets_[SetIndexOf(addr)];
+  CacheAccessResult result;
+
+  if (const int way = FindWay(set, addr); way >= 0) {
+    const auto w = static_cast<std::uint32_t>(way);
+    set.stack = MoveToFront(set.stack, w);
+    set.owner[w] = owner;  // shared lines re-tag to the latest toucher
+    result.hit = true;
+    return result;
+  }
+
+  // Miss: fill the first invalid way, or evict the LRU way.
+  std::uint32_t victim;
+  if (set.fill < config_.ways) {
+    victim = set.fill++;
+    set.stack = (set.stack << 4) | victim;
+  } else {
+    victim = static_cast<std::uint32_t>(set.stack >> lru_shift_) & 0xF;
+    set.stack = (set.stack << 4) | victim;
+    result.evicted_valid = true;
+    result.evicted_owner = set.owner[victim];
+    if (ledger_ != nullptr) ledger_->RecordEviction(owner, set.owner[victim]);
+  }
+  set.tag[victim] = addr;
+  set.owner[victim] = owner;
+  return result;
+}
 
 }  // namespace sds::sim

@@ -154,4 +154,51 @@ class Machine {
   std::vector<TickEvents> tick_events_;
 };
 
+// The per-op path, defined in the header so that the hypervisor's service
+// loop inlines it down to the cache lookup.
+inline void Machine::RecordStall(OwnerId owner) {
+  ++counters_[owner].bus_stalls;
+  if (instrumented_) [[unlikely]] InstrumentStall(owner);
+}
+
+inline AccessOutcome Machine::FinishAccess(OwnerId owner, LineAddr addr) {
+  SDS_DCHECK(owner < counters_.size(), "owner out of range");
+  OwnerCounters& ctr = counters_[owner];
+  ++ctr.llc_accesses;
+  const CacheAccessResult r = cache_.Access(owner, addr);
+  if (r.hit) return AccessOutcome::kHit;
+
+  ++ctr.llc_misses;
+  // The line fill from memory needs extra bus slots. If the budget runs dry
+  // the fill still completes (the hardware would simply slip into the next
+  // interval), so the failure only registers as bus pressure.
+  bus_.TryConsume(owner, config_.bus.miss_extra_slots);
+  if (instrumented_) [[unlikely]] {
+    if (r.evicted_valid && r.evicted_owner != owner) {
+      ++tick_events_[owner].cross_evictions;
+    }
+  }
+  return AccessOutcome::kMiss;
+}
+
+inline AccessOutcome Machine::Access(OwnerId owner, LineAddr addr) {
+  SDS_DCHECK(owner < counters_.size(), "owner out of range");
+  if (!bus_.TryConsume(owner, config_.bus.access_slots)) {
+    RecordStall(owner);
+    return AccessOutcome::kStalled;
+  }
+  return FinishAccess(owner, addr);
+}
+
+inline AccessOutcome Machine::AtomicAccess(OwnerId owner, LineAddr addr) {
+  SDS_DCHECK(owner < counters_.size(), "owner out of range");
+  if (!bus_.TryAtomicLock(owner)) {
+    RecordStall(owner);
+    return AccessOutcome::kStalled;
+  }
+  ++counters_[owner].atomic_ops;
+  if (instrumented_) [[unlikely]] ++tick_events_[owner].lock_windows;
+  return FinishAccess(owner, addr);
+}
+
 }  // namespace sds::sim

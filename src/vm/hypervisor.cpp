@@ -83,8 +83,15 @@ void Hypervisor::ThrottleAllExcept(OwnerId protected_vm, Tick duration) {
                static_cast<double>(duration));
 }
 
+void Hypervisor::UpdateDropProbability() {
+  drop_probability_ =
+      1.0 - std::pow(1.0 - config_.monitor_load_fraction,
+                     static_cast<double>(active_monitors_));
+}
+
 void Hypervisor::AttachMonitor() {
   ++active_monitors_;
+  UpdateDropProbability();
   TraceEventVm("monitor_attach", -1, "active",
                static_cast<double>(active_monitors_));
 }
@@ -92,6 +99,7 @@ void Hypervisor::AttachMonitor() {
 void Hypervisor::DetachMonitor() {
   SDS_CHECK(active_monitors_ > 0, "no monitor attached");
   --active_monitors_;
+  UpdateDropProbability();
   TraceEventVm("monitor_detach", -1, "active",
                static_cast<double>(active_monitors_));
 }
@@ -103,17 +111,8 @@ void Hypervisor::RunTick() {
   const bool throttling = throttle_remaining_ > 0;
   if (throttling) --throttle_remaining_;
 
-  const double drop_probability =
-      1.0 - std::pow(1.0 - config_.monitor_load_fraction,
-                     static_cast<double>(active_monitors_));
-
   // Collect the VMs that may execute this tick.
-  struct Slot {
-    VirtualMachine* vm;
-    bool exhausted = false;  // no more ops this tick (or stalled on the bus)
-  };
-  std::vector<Slot> slots;
-  slots.reserve(vms_.size());
+  slots_.clear();
   for (const auto& v : vms_) {
     Tick& per_vm = vm_throttle_remaining_[v->id() - 1];
     const bool vm_throttled_now = per_vm > 0;
@@ -122,54 +121,55 @@ void Hypervisor::RunTick() {
     if (throttling && v->id() != throttle_protected_) continue;
     if (vm_throttled_now) continue;
     v->workload().BeginTick(machine_.now());
-    slots.push_back(Slot{v.get()});
+    slots_.push_back(Slot{&v->workload(), v->id()});
   }
   if (t_runnable_vms_) {
-    t_runnable_vms_->Set(static_cast<double>(slots.size()));
+    t_runnable_vms_->Set(static_cast<double>(slots_.size()));
   }
-  if (slots.empty()) return;
+  if (slots_.empty()) return;
 
   std::uint64_t ops_this_tick = 0;
   std::uint64_t dropped_this_tick = 0;
 
-  // Round-robin service in chunks, starting from a rotating offset.
+  // Round-robin service in chunks, starting from a rotating offset: rotate
+  // the slots once so the offset VM comes first, then after every round keep
+  // only the VMs that can still run, in order. The cyclic service order is
+  // the same as visiting (offset + i) mod n and skipping exhausted VMs.
   SDS_PROFILE_SPAN(prof_, span_schedule_);
-  const std::size_t start =
-      static_cast<std::size_t>(machine_.now()) % slots.size();
-  std::size_t remaining = slots.size();
-  while (remaining > 0) {
-    remaining = 0;
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      Slot& slot = slots[(start + i) % slots.size()];
-      if (slot.exhausted) continue;
-      Workload& w = slot.vm->workload();
-      const OwnerId owner = slot.vm->id();
+  const auto offset = static_cast<std::ptrdiff_t>(
+      static_cast<std::size_t>(machine_.now()) % slots_.size());
+  std::rotate(slots_.begin(), slots_.begin() + offset, slots_.end());
+  while (!slots_.empty()) {
+    std::size_t live = 0;
+    for (const Slot slot : slots_) {
+      bool exhausted = false;  // no more ops this tick (or stalled on the bus)
       for (std::uint32_t c = 0; c < config_.schedule_chunk; ++c) {
         sim::MemOp op;
-        if (!w.NextOp(op)) {
-          slot.exhausted = true;
+        if (!slot.workload->NextOp(op)) {
+          exhausted = true;
           break;
         }
         ++ops_this_tick;
-        if (drop_probability > 0.0 && rng_.Bernoulli(drop_probability)) {
+        if (drop_probability_ > 0.0 && rng_.Bernoulli(drop_probability_)) {
           // Cycles stolen by the monitoring agent: the op is deferred and
           // does not execute this tick.
           ++monitor_dropped_ops_;
           ++dropped_this_tick;
-          w.OnOutcome(op, sim::AccessOutcome::kStalled);
+          slot.workload->OnOutcome(op, sim::AccessOutcome::kStalled);
           continue;
         }
         const sim::AccessOutcome outcome =
-            op.atomic ? machine_.AtomicAccess(owner, op.addr)
-                      : machine_.Access(owner, op.addr);
-        w.OnOutcome(op, outcome);
+            op.atomic ? machine_.AtomicAccess(slot.owner, op.addr)
+                      : machine_.Access(slot.owner, op.addr);
+        slot.workload->OnOutcome(op, outcome);
         if (outcome == sim::AccessOutcome::kStalled) {
-          slot.exhausted = true;
+          exhausted = true;
           break;
         }
       }
-      if (!slot.exhausted) ++remaining;
+      if (!exhausted) slots_[live++] = slot;
     }
+    slots_.resize(live);
   }
 
   if (t_scheduled_ops_) {

@@ -49,6 +49,7 @@ void SyntheticWorkload::EnterPhase(std::size_t index) {
   phase_index_ = index;
   phase_work_done_ = 0;
   const PhaseSpec& p = phase();
+  stream_pos_ = stream_cursor_ % p.stream_lines;
   double target = static_cast<double>(p.work);
   if (p.work_jitter > 0.0 && p.work > 0) {
     target *= 1.0 + rng_.UniformDouble(-p.work_jitter, p.work_jitter);
@@ -86,8 +87,9 @@ bool SyntheticWorkload::NextOp(sim::MemOp& op) {
                             zipf_[phase_index_]->Sample(rng_));
     op.addr = base_ + hot_offsets_[phase_index_] + idx;
   } else {
-    op.addr = base_ + stream_offset_ + (stream_cursor_ % p.stream_lines);
+    op.addr = base_ + stream_offset_ + stream_pos_;
     ++stream_cursor_;
+    if (++stream_pos_ == p.stream_lines) stream_pos_ = 0;
   }
   return true;
 }

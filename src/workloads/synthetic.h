@@ -108,7 +108,11 @@ class SyntheticWorkload final : public vm::Workload {
   // Per-phase hot-region offsets (disjoint so phase changes shift locality).
   std::vector<LineAddr> hot_offsets_;
   LineAddr stream_offset_ = 0;
+  // Stream ops issued so far, across phases, and that count wrapped at the
+  // current phase's stream_lines (re-derived by EnterPhase, so NextOp only
+  // compares and wraps).
   std::uint64_t stream_cursor_ = 0;
+  std::uint64_t stream_pos_ = 0;
   std::vector<std::unique_ptr<ZipfSampler>> zipf_;
 
   std::size_t phase_index_ = 0;

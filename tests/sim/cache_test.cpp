@@ -105,6 +105,31 @@ TEST(CacheTest, FlushEmptiesEverything) {
   EXPECT_FALSE(cache.Access(1, 0).hit);
 }
 
+// Ways past `fill` keep stale tags after Flush, and a fresh set's unused ways
+// hold tag 0; neither may ever match. Covers the one-way, odd-width and
+// full-width match masks.
+TEST(CacheTest, FreshAndFlushedSetsMatchNothing) {
+  for (std::uint32_t ways : {1u, 15u, 16u}) {
+    SCOPED_TRACE(ways);
+    LastLevelCache fresh(SmallCache(8, ways));
+    EXPECT_FALSE(fresh.Contains(0));
+    EXPECT_FALSE(fresh.Access(1, 0).hit);
+
+    LastLevelCache cache(SmallCache(8, ways));
+    std::vector<LineAddr> resident;
+    for (std::uint32_t w = 0; w < ways; ++w) resident.push_back(w * 8ull);
+    for (LineAddr a : resident) cache.Access(1, a);
+    for (LineAddr a : resident) ASSERT_TRUE(cache.Contains(a));
+    cache.Flush();
+    EXPECT_FALSE(cache.Contains(0));
+    for (LineAddr a : resident) EXPECT_FALSE(cache.Contains(a)) << a;
+    // Refill one way with a new line: the stale tags behind it stay dead.
+    EXPECT_FALSE(cache.Access(1, 8ull * ways).hit);
+    for (LineAddr a : resident) EXPECT_FALSE(cache.Contains(a)) << a;
+    for (LineAddr a : resident) EXPECT_FALSE(cache.Access(2, a).hit) << a;
+  }
+}
+
 TEST(CacheTest, CleansingPattern) {
   // The attack's core primitive: filling a set with `ways` fresh lines must
   // evict every pre-existing line in it.

@@ -11,28 +11,13 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "fault/service_plan.h"
 #include "svc/store.h"
 #include "svc/wal.h"
 
 namespace sds::svc {
 namespace {
-
-// SplitMix64 finalizer — the repo's stateless deterministic-noise idiom.
-std::uint64_t Mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-double Draw01(std::uint64_t seed, std::uint64_t tenant, Tick tick,
-              std::uint64_t salt) {
-  std::uint64_t h = Mix(seed ^ (salt << 48));
-  h = Mix(h ^ (tenant << 24));
-  h = Mix(h ^ static_cast<std::uint64_t>(tick));
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
 
 SvcConfig TestConfig() {
   SvcConfig c;

@@ -6,7 +6,9 @@
 #    from the checkpoint (from_checkpoint=yes, checkpoint=ok) with the same
 #    alarm lines the ingest run printed.
 # 2. Flips one checkpoint byte and checks that --status names the rung the
-#    checkpoint was refused at.
+#    checkpoint was refused at, that the refused bytes are kept as
+#    ckpt.snap.refused through a re-ingest that writes a fresh checkpoint,
+#    and that the fresh checkpoint opens.
 # 3. Plants a checkpoint in the version-2 envelope layout (hand-built bytes)
 #    and checks that it is refused with a typed rung, never misparsed.
 
@@ -82,9 +84,26 @@ endif()
 string(SUBSTRING "${hex}" 0 200 head)
 string(SUBSTRING "${hex}" 202 -1 tail)
 write_hex("${state}/ckpt.snap" "${head}${xored}${tail}")
+file(READ "${state}/ckpt.snap" flipped_hex HEX)
 run_svcd(flipped --state_dir=${state} --status)
 expect_match("${flipped}" "\nsvcd: checkpoint=bad_checksum \\(refused\\)\n")
+expect_match("${flipped}" "\nsvcd: refused checkpoint kept as ")
 expect_match("${flipped}" "\nstate: cold start ")
+
+# The refused bytes survive an ingest whose checkpoint replaces ckpt.snap,
+# and the fresh checkpoint then opens cleanly.
+run_svcd(reingest --state_dir=${state} --feed=${feed})
+expect_match("${reingest}" "\nsvcd: checkpoint=bad_checksum \\(refused\\)\n")
+file(READ "${state}/ckpt.snap.refused" refused_hex HEX)
+if(NOT refused_hex STREQUAL flipped_hex)
+  message(FATAL_ERROR "ckpt.snap.refused does not hold the refused bytes")
+endif()
+file(READ "${state}/ckpt.snap" fresh_hex HEX)
+if(fresh_hex STREQUAL flipped_hex)
+  message(FATAL_ERROR "the ingest did not write a fresh checkpoint")
+endif()
+run_svcd(fresh --state_dir=${state} --status)
+expect_match("${fresh}" "\nsvcd: checkpoint=ok\n")
 
 # 3. A version-2 envelope: magic | U32 2 | Str "svc_checkpoint" | U64 config
 #    fingerprint | U64 fnv1a(payload) | U64 payload length | payload, with a

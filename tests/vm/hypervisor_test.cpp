@@ -1,6 +1,8 @@
 #include "vm/hypervisor.h"
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -214,6 +216,86 @@ TEST(HypervisorTest, WorkloadSeesEveryRunnableTick) {
   rig.hypervisor->CreateVm("a", std::move(workload));
   for (int t = 0; t < 7; ++t) rig.hypervisor->RunTick();
   EXPECT_EQ(raw->ticks_seen(), 7u);
+}
+
+// Logs every serviced op as "<owner>.<line offset><h|m|s>" (s: stalled on
+// the bus or deferred by the monitor) into a log shared by all VMs, so the
+// interleaving the scheduler chose is visible op by op.
+class RecordingWorkload final : public Workload {
+ public:
+  RecordingWorkload(char owner, std::uint32_t rate, bool atomic,
+                    std::string* log)
+      : owner_(owner), rate_(rate), atomic_(atomic), log_(log) {}
+
+  void Bind(LineAddr base, Rng /*rng*/) override { base_ = base; }
+  void BeginTick(Tick /*now*/) override { left_ = rate_; }
+  bool NextOp(sim::MemOp& op) override {
+    if (left_ == 0) return false;
+    --left_;
+    op.atomic = atomic_;
+    op.addr = base_ + cursor_++;
+    return true;
+  }
+  void OnOutcome(const sim::MemOp& op, sim::AccessOutcome outcome) override {
+    static constexpr char kCode[] = {'h', 'm', 's'};
+    *log_ += owner_;
+    *log_ += '.' + std::to_string(op.addr - base_);
+    *log_ += kCode[static_cast<int>(outcome)];
+    *log_ += ' ';
+  }
+  std::uint64_t work_completed() const override { return 0; }
+  std::string_view name() const override { return "recording"; }
+
+ private:
+  char owner_;
+  std::uint32_t rate_;
+  bool atomic_;
+  std::string* log_;
+  LineAddr base_ = 0;
+  std::uint32_t left_ = 0;
+  std::uint64_t cursor_ = 0;
+};
+
+// The cyclic service order (rotating start, chunked rounds, a VM leaving the
+// rotation when it runs dry or stalls), the monitor's deferrals and a
+// throttled VM rejoining, pinned op by op over eight ticks. The expected
+// log was captured from the straightforward modulo-indexed scheduler; any
+// reimplementation of RunTick must reproduce it exactly.
+TEST(HypervisorTest, ServiceOrderIsPinned) {
+  sim::MachineConfig mc;
+  mc.cache.sets = 64;
+  mc.cache.ways = 4;
+  mc.bus.slots_per_tick = 100;
+  sim::Machine machine(mc);
+  HypervisorConfig hc;
+  hc.schedule_chunk = 2;
+  hc.monitor_load_fraction = 0.2;
+  Hypervisor hv(machine, hc, Rng(11));
+  std::string log;
+  hv.CreateVm("a", std::make_unique<RecordingWorkload>('1', 1, false, &log));
+  hv.CreateVm("b", std::make_unique<RecordingWorkload>('2', 3, false, &log));
+  hv.CreateVm("c", std::make_unique<RecordingWorkload>('3', 5, false, &log));
+  hv.CreateVm("hog", std::make_unique<RecordingWorkload>('4', 6, true, &log));
+  hv.AttachMonitor();
+  std::vector<std::string> ticks;
+  for (int t = 0; t < 8; ++t) {
+    if (t == 3) hv.ThrottleVm(3, 2);
+    log.clear();
+    hv.RunTick();
+    ticks.push_back(log);
+  }
+  const std::vector<std::string> expected = {
+      "2.0m 2.1m 3.0s 3.1s 4.0m 4.1m 1.0m 2.2m 3.2m 3.3s 4.2s 4.3s ",
+      "3.4s 3.5m 4.4m 4.5m 1.1s 2.3m 2.4m 3.6m 3.7m 4.6s 2.5s 3.8s ",
+      "4.7s 4.8m 1.2m 2.6s 2.7m 3.9m 3.10s 4.9m 4.10s 2.8m 3.11s 3.12m "
+      "4.11s 4.12s 3.13s ",
+      "2.9m 2.10m 4.13m 4.14s 1.3s 2.11m 4.15m 4.16s ",
+      "4.17m 4.18m 1.4m 2.12m 2.13m 4.19s 2.14m ",
+      "3.14s 3.15s 4.20m 4.21m 1.5m 2.15m 2.16m 3.16m 3.17m 4.22s 2.17s 3.18s ",
+      "4.23m 4.24m 1.6m 2.18m 2.19m 3.19m 3.20m 4.25s 2.20s 3.21s ",
+      "1.7m 2.21m 2.22m 3.22m 3.23s 4.26s 4.27m 2.23m 3.24m 3.25m 4.28s 3.26m ",
+  };
+  EXPECT_EQ(ticks, expected);
 }
 
 }  // namespace

@@ -93,6 +93,45 @@ TEST(SyntheticWorkloadTest, StreamAddressesSequentialAndWrapping) {
   }
 }
 
+// The stream cursor runs on across phase changes; each phase wraps it at its
+// own stream_lines, so the address is cursor % stream_lines of the phase the
+// op was issued in.
+TEST(SyntheticWorkloadTest, StreamWrapsAtEachPhasesLength) {
+  SyntheticSpec spec = SimpleSpec();
+  spec.phases[0].hot_fraction = 0.0;
+  spec.phases[0].stream_lines = 50;
+  spec.phases[0].work = 40;
+  PhaseSpec second = spec.phases[0];
+  second.stream_lines = 7;
+  second.work = 25;
+  PhaseSpec third = spec.phases[0];
+  third.stream_lines = 30;
+  third.work = 60;
+  spec.phases.push_back(second);
+  spec.phases.push_back(third);
+  SyntheticWorkload w(spec);
+  w.Bind(0, Rng(4));
+  const LineAddr stream_base = 3 * spec.phases[0].hot_lines;
+  std::vector<bool> seen(spec.phases.size(), false);
+  std::uint64_t cursor = 0;
+  for (Tick t = 0; t < 6; ++t) {
+    w.BeginTick(t);
+    sim::MemOp op;
+    for (std::size_t phase = w.current_phase(); w.NextOp(op);
+         phase = w.current_phase()) {
+      seen[phase] = true;
+      EXPECT_EQ(op.addr,
+                stream_base + cursor % spec.phases[phase].stream_lines)
+          << "op " << cursor << " in phase " << phase;
+      ++cursor;
+      w.OnOutcome(op, sim::AccessOutcome::kHit);
+    }
+  }
+  EXPECT_EQ(cursor, 600u);
+  EXPECT_EQ(seen, std::vector<bool>(spec.phases.size(), true));
+  EXPECT_GE(w.batches_completed(), 4u);
+}
+
 TEST(SyntheticWorkloadTest, StalledOpsDoNotCountAsWork) {
   SyntheticWorkload w(SimpleSpec());
   w.Bind(0, Rng(5));

@@ -20,6 +20,8 @@
 // not parse are offered down the malformed rung, never fatal. Whenever the
 // state dir held a checkpoint, the run prints the rung it opened at:
 // `svcd: checkpoint=ok`, or e.g. `svcd: checkpoint=bad_checksum (refused)`.
+// A refused checkpoint's bytes are copied to <state_dir>/ckpt.snap.refused
+// before any write, so the next checkpoint cannot destroy the evidence.
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -173,18 +175,35 @@ int main(int argc, char** argv) {
     return 1;
   }
   svc::DetectionService service(DemoConfig(), &store);
+  // Recover() checkpoints over ckpt.snap whenever it replays WAL records, so
+  // the bytes it may refuse are read first.
+  const std::string ckpt_bytes = store.ReadCheckpoint();
   const bool recovered = service.Recover();
   std::cout << "svcd: state_dir=" << state_dir << " ("
             << (recovered ? "recovered durable state" : "no durable state")
             << ")\n";
   // Name the rung a surviving checkpoint opened at, so a refused one is
-  // never silently overwritten by the next ingest's cold start.
+  // never silently replaced by the next ingest's cold start.
   const svc::SvcIncarnation& inc = service.incarnation();
   if (inc.recovered_from_checkpoint ||
       inc.checkpoint_status != SnapshotStatus::kOk) {
     std::cout << "svcd: checkpoint="
               << SnapshotStatusName(inc.checkpoint_status)
               << (inc.recovered_from_checkpoint ? "" : " (refused)") << "\n";
+  }
+  // Keep the refused bytes (read before Recover) beside the state, ahead of
+  // the ingest's first checkpoint write.
+  if (inc.checkpoint_status != SnapshotStatus::kOk) {
+    const std::string kept = state_dir + "/ckpt.snap.refused";
+    std::ofstream out(kept, std::ios::binary | std::ios::trunc);
+    out.write(ckpt_bytes.data(),
+              static_cast<std::streamsize>(ckpt_bytes.size()));
+    if (!out.flush()) {
+      std::cerr << "svcd: cannot keep the refused checkpoint as " << kept
+                << "\n";
+      return 1;
+    }
+    std::cout << "svcd: refused checkpoint kept as " << kept << "\n";
   }
 
   const std::string feed_path = flags.GetString("feed", "");
