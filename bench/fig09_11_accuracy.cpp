@@ -10,6 +10,7 @@
 #include "common/bench_common.h"
 #include "common/csv.h"
 #include "common/flags.h"
+#include "common/reporter.h"
 #include "eval/aggregate.h"
 #include "eval/report.h"
 #include "telemetry/telemetry.h"
@@ -168,6 +169,39 @@ double MeanMedian(const std::vector<AccuracyRow>& rows, eval::Scheme scheme,
   return scale * sum / n;
 }
 
+void WriteSummaryJson(std::ostream& os, const PercentileSummary& s) {
+  os << "{\"p10\":" << s.p10 << ",\"median\":" << s.median
+     << ",\"p90\":" << s.p90 << "}";
+}
+
+// The BENCH_fig09_11 payload: the sweep's stage lengths, then one object per
+// table row. A row with no detected run carries no delay.
+void WriteAccuracyJson(std::ostream& os, const SweepOptions& options,
+                       const std::vector<AccuracyRow>& rows) {
+  os << "{\"bench\":\"fig09_11\",\"runs\":" << options.runs
+     << ",\"base_seed\":" << options.base_seed
+     << ",\"profile_ticks\":" << options.profile_ticks
+     << ",\"clean_ticks\":" << options.clean_ticks
+     << ",\"attack_ticks\":" << options.attack_ticks << ",\"rows\":[";
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const AccuracyRow& row = rows[i];
+    os << (i > 0 ? "," : "") << "{\"app\":\"" << row.app
+       << "\",\"attack\":\"" << eval::AttackName(row.attack)
+       << "\",\"scheme\":\"" << eval::SchemeName(row.scheme)
+       << "\",\"runs\":" << row.agg.runs
+       << ",\"detected_runs\":" << row.agg.detected_runs << ",\"recall\":";
+    WriteSummaryJson(os, row.agg.recall);
+    os << ",\"specificity\":";
+    WriteSummaryJson(os, row.agg.specificity);
+    if (row.agg.detected_runs > 0) {
+      os << ",\"delay_s\":";
+      WriteSummaryJson(os, row.agg.delay_seconds);
+    }
+    os << "}";
+  }
+  os << "]}";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -179,7 +213,8 @@ int main(int argc, char** argv) {
            {"profile-seconds", "profiling stage length in virtual seconds"},
            {"seed", "base seed for the run-index seed sequence"},
            {"telemetry_out",
-            "write one instrumented run's telemetry JSONL to this path"}})) {
+            "write one instrumented run's telemetry JSONL to this path"},
+           {"json_out", "also write the BENCH_fig09_11 JSON to this file"}})) {
     return flags.help_requested() ? 0 : 1;
   }
   const SweepOptions options = SweepOptionsFromFlags(flags);
@@ -240,6 +275,13 @@ int main(int argc, char** argv) {
             << FormatFixed(100.0 * (ks_mean - sds_mean) / ks_mean, 0)
             << "% shorter)\nShape check (paper): SDS 15-30 s, KStest "
                "20-50 s — SDS 5-40% shorter; SDS/P ~10 s slower than "
-               "SDS/B on the periodic applications.\n";
+               "SDS/B on the periodic applications.\n\n";
+  if (!bench::EmitBenchJson(std::cout, "fig09_11",
+                            flags.GetString("json_out", ""),
+                            [&](std::ostream& os) {
+                              WriteAccuracyJson(os, options, rows);
+                            })) {
+    return 1;
+  }
   return 0;
 }

@@ -8,22 +8,56 @@
 // schemes; each application's runs x (baseline + schemes) grid runs in
 // parallel.
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "common/bench_common.h"
 #include "common/csv.h"
 #include "common/flags.h"
+#include "common/reporter.h"
 #include "eval/aggregate.h"
 #include "eval/report.h"
 #include "workloads/catalog.h"
 
+namespace {
+
+using namespace sds;
+
+struct OverheadRow {
+  std::string app;
+  eval::Scheme scheme = eval::Scheme::kSds;
+  eval::AggregatedOverhead agg;
+};
+
+// The BENCH_fig12 payload: one object per application x scheme with the
+// normalized execution time summary.
+void WriteOverheadJson(std::ostream& os, int runs, std::uint64_t work,
+                       std::uint64_t seed,
+                       const std::vector<OverheadRow>& rows) {
+  os << "{\"bench\":\"fig12\",\"runs\":" << runs
+     << ",\"work_units\":" << work << ",\"base_seed\":" << seed
+     << ",\"rows\":[";
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const PercentileSummary& t = rows[i].agg.normalized_time;
+    os << (i > 0 ? "," : "") << "{\"app\":\"" << rows[i].app
+       << "\",\"scheme\":\"" << eval::SchemeName(rows[i].scheme)
+       << "\",\"runs\":" << rows[i].agg.runs
+       << ",\"normalized_time\":{\"p10\":" << t.p10
+       << ",\"median\":" << t.median << ",\"p90\":" << t.p90 << "}}";
+  }
+  os << "]}";
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  using namespace sds;
   Flags flags;
   if (!flags.Parse(
           argc, argv,
           {{"runs", "seeded runs per app x scheme (default 5)"},
            {"work-units", "victim work units to complete (default 2000)"},
-           {"seed", "base simulation seed (default 51)"}})) {
+           {"seed", "base simulation seed (default 51)"},
+           {"json_out", "also write the BENCH_fig12 JSON to this file"}})) {
     return flags.help_requested() ? 0 : 1;
   }
   const int runs = static_cast<int>(flags.GetInt("runs", 5));
@@ -47,19 +81,21 @@ int main(int argc, char** argv) {
       eval::Scheme::kSds, eval::Scheme::kSdsB, eval::Scheme::kSdsP,
       eval::Scheme::kKsTest};
   const int threads = eval::DefaultThreads();
+  std::vector<OverheadRow> rows;
   for (const auto& info : workloads::AppCatalog()) {
     eval::OverheadRunConfig cfg;
     cfg.app = info.name;
     cfg.work_target_units = work;
     const auto aggs = eval::AggregateOverhead(cfg, schemes, runs, seed, threads);
-    std::vector<std::string> row = {info.name};
+    std::vector<std::string> line = {info.name};
     for (std::size_t s = 0; s < schemes.size(); ++s) {
       const double median = aggs[s].normalized_time.median;
-      row.push_back(FormatFixed(median, 3));
+      line.push_back(FormatFixed(median, 3));
       if (schemes[s] == eval::Scheme::kSds) sds_total += median;
       if (schemes[s] == eval::Scheme::kKsTest) ks_total += median;
+      rows.push_back({info.name, schemes[s], aggs[s]});
     }
-    table.AddRow(row);
+    table.AddRow(line);
     ++apps;
     std::cout << "." << std::flush;
   }
@@ -72,6 +108,13 @@ int main(int argc, char** argv) {
             << FormatFixed((ks_total / apps - 1.0) * 100.0, 1)
             << "%\nShape check (paper): SDS (and SDS/B, SDS/P) 1-2%; KStest "
                "3-8% due to throttled reference collection and the "
-               "identification sweeps.\n";
+               "identification sweeps.\n\n";
+  if (!bench::EmitBenchJson(std::cout, "fig12",
+                            flags.GetString("json_out", ""),
+                            [&](std::ostream& os) {
+                              WriteOverheadJson(os, runs, work, seed, rows);
+                            })) {
+    return 1;
+  }
   return 0;
 }
