@@ -1,8 +1,8 @@
 // Performance regression baseline for the whole detection pipeline.
 //
-// Runs the quickstart scenario (kmeans victim, co-located bus-locking
-// attacker, combined SDS detector) with the span profiler enabled on the
-// wall clock, then emits ONE machine-readable line:
+// Steps one eval::DetectionEpisode (kmeans victim, bus-locking attacker,
+// combined SDS) with the span profiler on the wall clock around its Step()
+// loop only, then emits ONE machine-readable line:
 //
 //   BENCH_perf {"ticks":12000,"wall_ms":...,"ticks_per_sec":...,
 //               "ns_per_cache_access":...,"detector_ns_per_sample":...,
@@ -15,7 +15,7 @@
 // anything.
 //
 //   --smoke        short run for CI (fewer ticks, still every pipeline stage)
-//   --seconds S    virtual seconds to simulate under attack monitoring
+//   --seconds S    virtual seconds to step, clean half then attacked half
 //   --trace_out F  also write a Perfetto/Chrome trace of the run to F
 //   --profile_out F  write the full telemetry JSONL (spans included) to F
 //
@@ -30,9 +30,7 @@
 
 #include "common/flags.h"
 #include "common/reporter.h"
-#include "detect/sds_detector.h"
 #include "eval/experiment.h"
-#include "eval/scenario.h"
 #include "telemetry/perfetto.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/timeline.h"
@@ -84,7 +82,7 @@ int main(int argc, char** argv) {
   if (!flags.Parse(
           argc, argv,
           {{"smoke", "short CI run (~10 virtual seconds per stage)"},
-           {"seconds", "virtual seconds of monitored attack run (default 60)"},
+           {"seconds", "virtual seconds to step, half clean (default 60)"},
            {"seed", "scenario seed"},
            {"trace_out", "write a Perfetto/Chrome trace JSON to this path"},
            {"profile_out", "write full telemetry JSONL to this path"},
@@ -95,47 +93,38 @@ int main(int argc, char** argv) {
   const TickClock clock;
   const double seconds = flags.GetDouble("seconds", smoke ? 10.0 : 60.0);
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 42));
-  const Tick profile_ticks = clock.ToTicks(smoke ? 30.0 : 120.0);
   const Tick run_ticks = clock.ToTicks(seconds);
-  const Tick attack_start = run_ticks / 2;
 
-  // Stage 1: clean profile (unprofiled; this is setup, not the measurement).
-  eval::ScenarioConfig base;
-  base.app = "kmeans";
-  const auto clean = eval::CollectCleanSamples(base, profile_ticks, seed + 1);
-  detect::DetectorParams params;
-  const detect::SdsProfile profile = detect::BuildSdsProfile(clean, params);
-
-  // Stage 2: the measured run — every layer instrumented, profiler on.
+  // Stage 1 (profile) and the warm-up run in the constructor, traced but
+  // unprofiled: that is setup, not the measurement.
   telemetry::Telemetry telemetry;
-  telemetry.profiler().Enable(telemetry::ProfileClock::kWall);
-  eval::ScenarioConfig cfg;
+  eval::DetectionRunConfig cfg;
   cfg.app = "kmeans";
   cfg.attack = eval::AttackKind::kBusLock;
-  cfg.attack_start = attack_start;
-  cfg.seed = seed;
-  cfg.machine.telemetry = &telemetry;
-  eval::Scenario scenario = eval::BuildScenario(cfg);
-  detect::SdsDetector detector(*scenario.hypervisor, scenario.victim, profile,
-                               params, detect::SdsMode::kCombined);
+  cfg.scheme = eval::Scheme::kSds;
+  cfg.profile_ticks = clock.ToTicks(smoke ? 30.0 : 120.0);
+  cfg.clean_ticks = run_ticks / 2;
+  cfg.attack_ticks = run_ticks - cfg.clean_ticks;
+  cfg.scenario.machine.telemetry = &telemetry;
+  eval::DetectionEpisode episode(cfg, seed);
 
+  // The measured run: every layer instrumented, profiler on.
+  telemetry.profiler().Enable(telemetry::ProfileClock::kWall);
   const auto run_start = std::chrono::steady_clock::now();
-  for (Tick t = 0; t < run_ticks; ++t) {
-    scenario.hypervisor->RunTick();
-    detector.OnTick();
-  }
+  while (!episode.done()) episode.Step();
   const double wall_ms = MillisSince(run_start);
+  const eval::DetectionRunResult result = episode.Result();
 
   std::printf("perf baseline: %" PRId64 " ticks (%.0fs virtual) in %.1f ms, "
-              "alarm %s\n",
+              "attack %s\n",
               run_ticks, seconds, wall_ms,
-              detector.alarm_events() > 0 ? "raised" : "not raised");
+              result.detected ? "detected" : "not detected");
   const auto incidents = telemetry::ReconstructIncidents(
-      telemetry, {.attack_start = attack_start});
+      telemetry, {.attack_start = episode.attack_start()});
   telemetry::WriteIncidentReport(std::cout, incidents, telemetry);
   std::cout.flush();
 
-  // Stage 3: the bare cache-access fast path, for the zero-cost-off claim.
+  // The bare cache-access fast path, for the zero-cost-off claim.
   const double ns_per_access = MeasureNsPerCacheAccess();
 
   const telemetry::SpanNodeStats det =

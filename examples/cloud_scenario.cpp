@@ -2,10 +2,11 @@
 // KStest baseline side by side on the same attack timeline.
 //
 // One victim VM (configurable application), one attack VM, seven benign
-// tenants. The run follows Section 5.1: a clean stage, then the attack
-// starts at the midpoint. Because the two detectors must not interfere
-// (KStest throttles VMs), each runs in its own identically-seeded scenario,
-// and the example prints a merged timeline of their decisions.
+// tenants. The run follows Section 5.1 (eval::DetectionEpisode): a clean
+// stage, then the attack starts at the midpoint. Because the two detectors
+// must not interfere (KStest throttles VMs), each runs in its own
+// identically-seeded episode, and the example prints a merged timeline of
+// their decisions.
 //
 //   cloud_scenario --app=terasort --attack=llc-cleansing --seconds=300
 #include <cstdio>
@@ -15,9 +16,7 @@
 
 #include "common/flags.h"
 #include "detect/kstest_detector.h"
-#include "detect/sds_detector.h"
 #include "eval/experiment.h"
-#include "eval/scenario.h"
 
 namespace {
 
@@ -51,34 +50,26 @@ int main(int argc, char** argv) {
 
   const TickClock clock;
   const Tick total = clock.ToTicks(seconds);
-  const Tick attack_start = total / 2;
+
+  // Two episodes with one seed step identical worlds until KStest throttles.
+  eval::DetectionRunConfig cfg;
+  cfg.app = app;
+  cfg.attack = attack;
+  cfg.clean_ticks = total / 2;
+  cfg.attack_ticks = total - cfg.clean_ticks;
+  cfg.scheme = eval::Scheme::kSds;
+  eval::DetectionEpisode sds_run(cfg, seed);
+  cfg.scheme = eval::Scheme::kKsTest;
+  eval::DetectionEpisode ks_run(cfg, seed);
+  const detect::Detector& sds = sds_run.detector();
+  const auto& kstest =
+      dynamic_cast<const detect::KsTestDetector&>(ks_run.detector());
+  const Tick attack_start = sds_run.attack_start();
 
   std::printf("deployment: victim=%s + attack VM (%s at t=%.0fs) + 7 benign "
               "tenants\n\n",
               app.c_str(), eval::AttackName(attack),
               clock.ToSeconds(attack_start));
-
-  // Profile for SDS.
-  eval::ScenarioConfig base;
-  base.app = app;
-  detect::DetectorParams params;
-  const auto clean = eval::CollectCleanSamples(base, 12000, seed + 1);
-  const auto profile = detect::BuildSdsProfile(clean, params);
-
-  // Two identically-seeded worlds, one per detector.
-  eval::ScenarioConfig cfg;
-  cfg.app = app;
-  cfg.attack = attack;
-  cfg.attack_start = attack_start;
-  cfg.seed = seed;
-  eval::Scenario world_sds = eval::BuildScenario(cfg);
-  eval::Scenario world_ks = eval::BuildScenario(cfg);
-
-  detect::SdsDetector sds(*world_sds.hypervisor, world_sds.victim, profile,
-                          params, detect::SdsMode::kCombined);
-  detect::KsTestParams ks_params;
-  detect::KsTestDetector kstest(*world_ks.hypervisor, world_ks.victim,
-                                ks_params);
 
   std::vector<TimelineEntry> timeline;
   timeline.push_back({clock.ToSeconds(attack_start),
@@ -86,12 +77,11 @@ int main(int argc, char** argv) {
                           ") launched"});
   bool sds_state = false;
   bool ks_state = false;
-  for (Tick t = 0; t < total; ++t) {
-    world_sds.hypervisor->RunTick();
-    sds.OnTick();
-    world_ks.hypervisor->RunTick();
-    kstest.OnTick();
-    const double now = clock.ToSeconds(world_sds.hypervisor->now());
+  while (!sds_run.done()) {
+    sds_run.Step();
+    ks_run.Step();
+    const double now =
+        clock.ToSeconds(sds_run.scenario().hypervisor->now());
     if (sds.attack_active() != sds_state) {
       sds_state = sds.attack_active();
       timeline.push_back({now, sds_state ? "SDS: alarm RAISED"
@@ -103,7 +93,8 @@ int main(int argc, char** argv) {
       if (ks_state && kstest.identified_attacker() != 0) {
         event += " (identified VM " +
                  std::to_string(kstest.identified_attacker()) + ", '" +
-                 world_ks.hypervisor->vm(kstest.identified_attacker()).name() +
+                 ks_run.scenario().hypervisor->vm(kstest.identified_attacker())
+                     .name() +
                  "')";
       }
       timeline.push_back({now, event});

@@ -1,15 +1,14 @@
 // Quickstart: the smallest end-to-end use of the library.
 //
-//   1. Build the standard cloud deployment (victim + attacker + 7 benign
-//      VMs on one simulated server).
-//   2. Profile the victim application while it is known clean.
-//   3. Attach the SDS detector and run: 60 s clean, then a bus locking
-//      attack — and watch the alarm fire.
-//   4. Read the detector's decision audit trail back out of the attached
+//   1. Start one detection episode (eval::DetectionEpisode): it profiles
+//      the victim while known clean, then builds the standard cloud
+//      deployment (victim + attacker + 7 benign VMs) with SDS attached.
+//   2. Step it: 60 s clean, then a bus locking attack — watch the alarm.
+//   3. Read the detector's decision audit trail back out of the attached
 //      telemetry handle (the same data --telemetry_out + tools/inspect use),
 //      and reconstruct the incident timeline: attack -> first check ->
 //      violation streak -> alarm, with the detection delay decomposed.
-//   5. With the hardware attribution ledger enabled, ask the forensics
+//   4. With the hardware attribution ledger enabled, ask the forensics
 //      engine WHO did it: the alarm collapses the evidence window into a
 //      ranked-suspect forensic report (DESIGN.md section 15).
 //
@@ -24,9 +23,7 @@
 
 #include "common/flags.h"
 #include "detect/forensics.h"
-#include "detect/sds_detector.h"
 #include "eval/experiment.h"
-#include "eval/scenario.h"
 #include "telemetry/perfetto.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/timeline.h"
@@ -48,58 +45,50 @@ int main(int argc, char** argv) {
   telemetry::Telemetry telemetry;
   telemetry.profiler().Enable(telemetry::ProfileClock::kWall);
 
-  // -- Stage 1: profile the application while the VM is known clean. ------
-  eval::ScenarioConfig base;
-  base.app = "kmeans";
-  const auto clean_samples =
-      eval::CollectCleanSamples(base, clock.ToTicks(120.0), /*seed=*/7);
-  detect::DetectorParams params;  // Table 1 defaults
-  const detect::SdsProfile profile =
-      detect::BuildSdsProfile(clean_samples, params);
-  std::printf("profiled %s: AccessNum mu=%.0f sigma=%.0f, periodic=%s\n",
-              base.app.c_str(), profile.access_boundary.mean,
-              profile.access_boundary.stddev,
-              profile.periodic() ? "yes" : "no");
-
-  // -- Deployment: attack VM co-located, attack launches at t=60 s. --------
-  eval::ScenarioConfig cfg;
+  // -- The episode: attack VM co-located, attack launches after 60 s clean.
+  eval::DetectionRunConfig cfg;
   cfg.app = "kmeans";
   cfg.attack = eval::AttackKind::kBusLock;
-  cfg.attack_start = clock.ToTicks(60.0);
-  cfg.seed = 42;
-  cfg.machine.telemetry = &telemetry;
+  cfg.scheme = eval::Scheme::kSds;  // Table 1 defaults in cfg.params
+  cfg.profile_ticks = clock.ToTicks(120.0);
+  cfg.clean_ticks = clock.ToTicks(60.0);
+  cfg.attack_ticks = clock.ToTicks(60.0);
+  cfg.scenario.machine.telemetry = &telemetry;
   // Tag inter-VM evictions and bus stalls with their culprit so the alarm
   // below can be attributed from hardware evidence (off by default; the
   // ledger never perturbs simulated timing, only records it).
-  cfg.machine.attribution = true;
-  eval::Scenario scenario = eval::BuildScenario(cfg);
-
-  detect::SdsDetector detector(*scenario.hypervisor, scenario.victim, profile,
-                               params, detect::SdsMode::kCombined);
+  cfg.scenario.machine.attribution = true;
+  eval::DetectionEpisode episode(cfg, /*seed=*/42);  // profiles, then deploys
+  const detect::SdsProfile& profile = episode.profile();
+  std::printf("profiled %s: AccessNum mu=%.0f sigma=%.0f, periodic=%s\n",
+              cfg.app.c_str(), profile.access_boundary.mean,
+              profile.access_boundary.stddev,
+              profile.periodic() ? "yes" : "no");
+  eval::Scenario& scenario = episode.scenario();
   detect::ForensicsEngine forensics(*scenario.hypervisor, scenario.victim);
 
   // -- Run 120 s and report the first alarm. -------------------------------
-  const Tick total = clock.ToTicks(120.0);
   Tick alarm_tick = kInvalidTick;
-  for (Tick t = 0; t < total; ++t) {
-    scenario.hypervisor->RunTick();
-    detector.OnTick();
+  while (!episode.done()) {
+    episode.Step();
     forensics.OnTick();
-    if (alarm_tick == kInvalidTick && detector.attack_active()) {
+    if (alarm_tick == kInvalidTick && episode.detector().attack_active()) {
       alarm_tick = scenario.hypervisor->now();
       forensics.OnAlarm(alarm_tick);
     }
   }
+  const eval::DetectionRunResult result = episode.Result();
 
-  if (alarm_tick == kInvalidTick) {
+  if (alarm_tick == kInvalidTick || !result.detected) {
     std::printf("no alarm raised — unexpected, check the configuration\n");
     return 1;
   }
+  const Tick attack_start = episode.attack_start();
   std::printf(
       "attack launched at t=%.0fs; SDS raised the alarm at t=%.1fs "
       "(detection delay %.1fs)\n",
-      clock.ToSeconds(cfg.attack_start), clock.ToSeconds(alarm_tick),
-      clock.ToSeconds(alarm_tick - cfg.attack_start));
+      clock.ToSeconds(attack_start), clock.ToSeconds(alarm_tick),
+      clock.ToSeconds(*result.detection_delay_ticks));
 
   // -- Why did it fire? Ask the audit log for the decisive check. ----------
   for (const auto& rec : telemetry.audit().records()) {
@@ -121,7 +110,7 @@ int main(int argc, char** argv) {
   // -- And WHEN: the reconstructed incident timeline with the detection
   // delay split into sampling wait / detector compute / debounce. ----------
   const auto incidents = telemetry::ReconstructIncidents(
-      telemetry, {.attack_start = cfg.attack_start});
+      telemetry, {.attack_start = attack_start});
   telemetry::WriteIncidentReport(std::cout, incidents, telemetry);
   std::cout.flush();
 

@@ -1,6 +1,5 @@
 #include "eval/experiment.h"
 
-#include <algorithm>
 #include <chrono>
 #include <memory>
 
@@ -12,13 +11,8 @@
 #include "workloads/catalog.h"
 
 namespace sds::eval {
-namespace {
 
 namespace tel = sds::telemetry;
-
-// Ticks run before any sampling so cold-cache transients do not pollute
-// profiles or ground truth.
-constexpr Tick kWarmupTicks = 500;
 
 // Emits eval-layer stage begin/end events carrying per-stage wall-clock time
 // and simulated-tick throughput, so experiment time budgets are visible in
@@ -78,16 +72,13 @@ class StageSpan {
   std::chrono::steady_clock::time_point start_;
 };
 
-detect::SdsMode ModeFor(Scheme scheme) {
-  switch (scheme) {
-    case Scheme::kSdsB:
-      return detect::SdsMode::kBoundaryOnly;
-    case Scheme::kSdsP:
-      return detect::SdsMode::kPeriodOnly;
-    default:
-      return detect::SdsMode::kCombined;
-  }
-}
+namespace {
+
+// Ticks run before any sampling so cold-cache transients do not pollute
+// profiles or ground truth.
+constexpr Tick kWarmupTicks = 500;
+// Clean-profile length of the overhead protocol.
+constexpr Tick kOverheadProfileTicks = 6000;
 
 // If profiling failed to classify a known-periodic application (short or
 // unlucky profile window), fall back to the catalog's nominal period so that
@@ -104,22 +95,76 @@ void ApplyNominalPeriodFallback(const std::string& app,
   profile.access_period = fallback;
 }
 
+// Warms `config`'s deployment up, then samples its victim for `ticks`.
+std::vector<pcm::PcmSample> SampleVictim(const ScenarioConfig& config,
+                                         Tick ticks) {
+  Scenario s = BuildScenario(config);
+  s.RunTicks(kWarmupTicks);
+  pcm::PcmSampler sampler(*s.hypervisor, s.victim);
+  sampler.Start();
+  return pcm::CollectSamples(*s.hypervisor, sampler, ticks);
+}
+
+// Stage 1 for `config.scheme` (a DetectionRunConfig or OverheadRunConfig):
+// profiles config.app clean for `ticks`, with the nominal-period fallback
+// for the schemes that watch periods. KStest self-calibrates online and the
+// no-scheme baseline runs no detector, so both get an empty profile.
+// `periodic`, when given, receives whether profiling itself found a period.
+template <typename Config>
+detect::SdsProfile ProfileFor(const Config& config, Tick ticks,
+                              std::uint64_t seed, bool* periodic) {
+  detect::SdsProfile profile;
+  if (config.scheme == Scheme::kKsTest || config.scheme == Scheme::kNone) {
+    return profile;
+  }
+  StageSpan span(config.scenario.machine.telemetry, "profile", "eval.profile",
+                 0);
+  ScenarioConfig base = config.scenario;
+  base.app = config.app;
+  profile = detect::BuildSdsProfile(CollectCleanSamples(base, ticks, seed),
+                                    config.params);
+  if (periodic) *periodic = profile.periodic();
+  if (config.scheme == Scheme::kSdsP || config.scheme == Scheme::kSds) {
+    ApplyNominalPeriodFallback(config.app, config.params, profile);
+  }
+  span.Finish(ticks);
+  return profile;
+}
+
+// The detector `config.scheme` names, watching `target`; nullptr for the
+// no-scheme baseline. KStest draws its reference-collection offset from
+// `rng`. SDS/P on a profile without a period runs boundary-only, so the
+// overhead sweep over every application stays runnable.
+template <typename Config>
+std::unique_ptr<detect::Detector> MakeDetector(
+    const Config& config, const detect::SdsProfile& profile, Rng& rng,
+    vm::Hypervisor& hypervisor, OwnerId target,
+    pcm::SampleSource* source = nullptr,
+    const detect::DegradeConfig& degrade = {}) {
+  if (config.scheme == Scheme::kNone) return nullptr;
+  if (config.scheme == Scheme::kKsTest) {
+    detect::KsTestParams kp = config.ks_params;
+    kp.initial_offset = static_cast<Tick>(
+        rng.UniformInt(static_cast<std::uint64_t>(kp.l_r)));
+    return std::make_unique<detect::KsTestDetector>(
+        hypervisor, target, kp, detect::KsIdentificationParams{}, source,
+        degrade);
+  }
+  const detect::SdsMode mode =
+      config.scheme == Scheme::kSds ? detect::SdsMode::kCombined
+      : config.scheme == Scheme::kSdsP && profile.periodic()
+          ? detect::SdsMode::kPeriodOnly
+          : detect::SdsMode::kBoundaryOnly;
+  return std::make_unique<detect::SdsDetector>(
+      hypervisor, target, profile, config.params, mode, source, degrade);
+}
+
 }  // namespace
 
 const char* SchemeName(Scheme scheme) {
-  switch (scheme) {
-    case Scheme::kNone:
-      return "none";
-    case Scheme::kSdsB:
-      return "SDS/B";
-    case Scheme::kSdsP:
-      return "SDS/P";
-    case Scheme::kSds:
-      return "SDS";
-    case Scheme::kKsTest:
-      return "KStest";
-  }
-  return "?";
+  static constexpr const char* kNames[] = {"none", "SDS/B", "SDS/P", "SDS",
+                                           "KStest"};
+  return kNames[static_cast<std::size_t>(scheme)];
 }
 
 double DetectionRunResult::specificity() const {
@@ -135,11 +180,7 @@ std::vector<pcm::PcmSample> CollectCleanSamples(const ScenarioConfig& base,
   ScenarioConfig config = base;
   config.attack = AttackKind::kNone;
   config.seed = seed;
-  Scenario s = BuildScenario(config);
-  s.RunTicks(kWarmupTicks);
-  pcm::PcmSampler sampler(*s.hypervisor, s.victim);
-  sampler.Start();
-  return pcm::CollectSamples(*s.hypervisor, sampler, ticks);
+  return SampleVictim(config, ticks);
 }
 
 std::vector<pcm::PcmSample> RunMeasurementStudy(const std::string& app,
@@ -152,179 +193,138 @@ std::vector<pcm::PcmSample> RunMeasurementStudy(const std::string& app,
   config.attack = attack;
   config.attack_start = kWarmupTicks + attack_start;
   config.seed = seed;
-  Scenario s = BuildScenario(config);
-  s.RunTicks(kWarmupTicks);
-  pcm::PcmSampler sampler(*s.hypervisor, s.victim);
-  sampler.Start();
-  return pcm::CollectSamples(*s.hypervisor, sampler, total_ticks);
+  return SampleVictim(config, total_ticks);
 }
 
-namespace {
-
-// Shared body of RunDetectionRun and RunDetectionRunFaulted. With
-// `robust == nullptr` this is the plain accuracy protocol (and the detector
-// constructions below delegate to exactly the pre-seam behavior, pinned by
-// the golden regression test); with a RobustnessRunConfig, stages 2+3 read
-// the monitoring plane through a FaultInjector and the configured
-// degradation policies.
-DetectionRunResult RunDetectionRunImpl(const DetectionRunConfig& config,
-                                       std::uint64_t seed,
-                                       const RobustnessRunConfig* robust,
-                                       RobustnessCounters* counters) {
+DetectionEpisode::DetectionEpisode(const DetectionRunConfig& config,
+                                   std::uint64_t seed,
+                                   const RobustnessRunConfig* robust)
+    : config_(config), telemetry_(config.scenario.machine.telemetry) {
   SDS_CHECK(config.attack != AttackKind::kNone,
             "detection runs need an attack in stage 3");
+  SDS_CHECK(config.scheme != Scheme::kNone, "detection runs need a scheme");
   Rng rng(seed);
   const std::uint64_t profile_seed = rng();
   const std::uint64_t main_seed = rng();
-  tel::Telemetry* telemetry = config.scenario.machine.telemetry;
 
-  DetectionRunResult result;
+  profile_ = ProfileFor(config, config.profile_ticks, profile_seed,
+                        &result_.profile_periodic);
+  SDS_CHECK(config.scheme != Scheme::kSdsP || profile_.periodic(),
+            "SDS/P requested for a non-periodic application");
 
-  // Stage 1: profile (SDS schemes only; KStest self-calibrates online).
-  detect::SdsProfile profile;
-  if (config.scheme != Scheme::kKsTest) {
-    StageSpan span(telemetry, "profile", "eval.profile", 0);
-    ScenarioConfig base = config.scenario;
-    base.app = config.app;
-    const auto clean =
-        CollectCleanSamples(base, config.profile_ticks, profile_seed);
-    profile = detect::BuildSdsProfile(clean, config.params);
-    result.profile_periodic = profile.periodic();
-    if (config.scheme == Scheme::kSdsP || config.scheme == Scheme::kSds) {
-      ApplyNominalPeriodFallback(config.app, config.params, profile);
-    }
-    if (config.scheme == Scheme::kSdsP) {
-      SDS_CHECK(profile.periodic(),
-                "SDS/P requested for a non-periodic application");
-    }
-    span.Finish(config.profile_ticks);
-  }
-
-  // Stages 2 + 3: clean then attacked.
   ScenarioConfig main = config.scenario;
   main.app = config.app;
   main.attack = config.attack;
   main.seed = main_seed;
-  const Tick attack_start = kWarmupTicks + config.clean_ticks;
-  main.attack_start = attack_start;
+  attack_start_ = kWarmupTicks + config.clean_ticks;
+  main.attack_start = attack_start_;
   main.attack_stop = -1;
-  Scenario s = BuildScenario(main);
-  s.RunTicks(kWarmupTicks);
+  scenario_ = BuildScenario(main);
+  scenario_.RunTicks(kWarmupTicks);
 
-  std::unique_ptr<fault::FaultInjector> injector;
   if (robust) {
-    injector = std::make_unique<fault::FaultInjector>(*s.hypervisor, s.victim,
-                                                      robust->plan);
+    injector_ = std::make_unique<fault::FaultInjector>(
+        *scenario_.hypervisor, scenario_.victim, robust->plan);
   }
-  const detect::DegradeConfig degrade =
-      robust ? robust->degrade : detect::DegradeConfig{};
-
-  std::unique_ptr<detect::Detector> detector;
-  detect::SdsDetector* sds = nullptr;
-  detect::KsTestDetector* ks = nullptr;
-  if (config.scheme == Scheme::kKsTest) {
-    detect::KsTestParams kp = config.ks_params;
-    kp.initial_offset = static_cast<Tick>(
-        rng.UniformInt(static_cast<std::uint64_t>(kp.l_r)));
-    auto d = std::make_unique<detect::KsTestDetector>(
-        *s.hypervisor, s.victim, kp, detect::KsIdentificationParams{},
-        injector.get(), degrade);
-    ks = d.get();
-    detector = std::move(d);
-  } else {
-    auto d = std::make_unique<detect::SdsDetector>(
-        *s.hypervisor, s.victim, profile, config.params,
-        ModeFor(config.scheme), injector.get(), degrade);
-    sds = d.get();
-    detector = std::move(d);
-  }
-
-  // Stage 2: clean. Specificity over fixed decision intervals.
-  StageSpan clean_span(telemetry, "clean", "eval.clean", s.hypervisor->now());
-  bool interval_false_positive = false;
-  Tick interval_elapsed = 0;
-  for (Tick t = 0; t < config.clean_ticks; ++t) {
-    s.hypervisor->RunTick();
-    detector->OnTick();
-    interval_false_positive |= detector->attack_active();
-    if (++interval_elapsed == config.eval_interval) {
-      if (interval_false_positive) {
-        ++result.false_positive_intervals;
-      } else {
-        ++result.true_negative_intervals;
-      }
-      interval_false_positive = false;
-      interval_elapsed = 0;
-    }
-  }
-  clean_span.Finish(s.hypervisor->now());
-
-  // Stage 3: under attack. The first NEW alarm event gives the detection
-  // delay; a false-positive alarm state latched across the attack start must
-  // re-raise to count (it does, since the attack keeps the statistics
-  // anomalous). As a fallback, a state that was already active at attack
-  // start and never clears is credited as a zero-delay detection — the
-  // detector is, after all, reporting an attack throughout.
-  const std::uint64_t events_at_attack_start = detector->alarm_events();
-  const bool active_at_attack_start = detector->attack_active();
-  bool ever_inactive_during_attack = false;
-  // Timeline marker: the incident reconstructor (telemetry/timeline.h)
-  // anchors its delay decomposition on this event when the caller does not
-  // pass the attack tick explicitly.
-  if (telemetry && telemetry->tracer().enabled(tel::Layer::kEval)) {
-    telemetry->tracer().Emit(tel::MakeEvent(attack_start, tel::Layer::kEval,
-                                            "attack_phase_begin")
-                                 .Str("scheme", SchemeName(config.scheme)));
-  }
-  StageSpan attack_span(telemetry, "attack", "eval.attack",
-                        s.hypervisor->now());
-  for (Tick t = 0; t < config.attack_ticks; ++t) {
-    s.hypervisor->RunTick();
-    detector->OnTick();
-    ever_inactive_during_attack |= !detector->attack_active();
-    if (!result.detected &&
-        detector->alarm_events() > events_at_attack_start &&
-        detector->last_alarm_trigger_tick() >= attack_start) {
-      result.detected = true;
-      result.detection_delay_ticks = s.hypervisor->now() - attack_start;
-    }
-  }
-  attack_span.Finish(s.hypervisor->now());
-  if (!result.detected && active_at_attack_start &&
-      !ever_inactive_during_attack) {
-    result.detected = true;
-    result.detection_delay_ticks = 0;
-  }
-  if (telemetry && telemetry->tracer().enabled(tel::Layer::kEval)) {
-    telemetry->tracer().Emit(
-        tel::MakeEvent(s.hypervisor->now(), tel::Layer::kEval, "run_result")
-            .Str("scheme", SchemeName(config.scheme))
-            .Num("detected", result.detected ? 1.0 : 0.0)
-            .Num("delay_ticks",
-                 static_cast<double>(result.detection_delay_ticks.value_or(-1)))
-            .Num("false_positive_intervals", result.false_positive_intervals)
-            .Num("true_negative_intervals", result.true_negative_intervals));
-  }
-  if (counters) {
-    if (injector) counters->fault = injector->stats();
-    counters->degrade = sds ? sds->gate().stats() : ks->gate().stats();
-    if (ks) counters->ks_abandoned_collections = ks->abandoned_collections();
-  }
-  return result;
+  detector_ = MakeDetector(config, profile_, rng, *scenario_.hypervisor,
+                           scenario_.victim, injector_.get(),
+                           robust ? robust->degrade : detect::DegradeConfig{});
+  stage_ = std::make_unique<StageSpan>(telemetry_, "clean", "eval.clean",
+                                       scenario_.hypervisor->now());
+  EndStageIfDue();
 }
 
-}  // namespace
+DetectionEpisode::~DetectionEpisode() = default;
+
+void DetectionEpisode::Step() {
+  const bool clean = elapsed_ < config_.clean_ticks;
+  scenario_.hypervisor->RunTick();
+  detector_->OnTick();
+  ++elapsed_;
+  if (clean) {
+    interval_false_positive_ |= detector_->attack_active();
+    if (++interval_elapsed_ == config_.eval_interval) {
+      ++(interval_false_positive_ ? result_.false_positive_intervals
+                                  : result_.true_negative_intervals);
+      interval_false_positive_ = false;
+      interval_elapsed_ = 0;
+    }
+  } else {
+    ever_inactive_during_attack_ |= !detector_->attack_active();
+    if (!result_.detected &&
+        detector_->alarm_events() > events_at_attack_start_ &&
+        detector_->last_alarm_trigger_tick() >= attack_start_) {
+      result_.detected = true;
+      result_.detection_delay_ticks =
+          scenario_.hypervisor->now() - attack_start_;
+    }
+  }
+  EndStageIfDue();
+}
+
+void DetectionEpisode::EndStageIfDue() {
+  const Tick now = scenario_.hypervisor->now();
+  if (elapsed_ == config_.clean_ticks) {
+    stage_->Finish(now);
+    events_at_attack_start_ = detector_->alarm_events();
+    active_at_attack_start_ = detector_->attack_active();
+    // Timeline marker: the incident reconstructor (telemetry/timeline.h)
+    // anchors its delay decomposition on this event when the caller does
+    // not pass the attack tick explicitly.
+    if (telemetry_ && telemetry_->tracer().enabled(tel::Layer::kEval)) {
+      telemetry_->tracer().Emit(
+          tel::MakeEvent(attack_start_, tel::Layer::kEval,
+                         "attack_phase_begin")
+              .Str("scheme", SchemeName(config_.scheme)));
+    }
+    stage_ = std::make_unique<StageSpan>(telemetry_, "attack", "eval.attack",
+                                         now);
+  }
+  if (done()) stage_->Finish(now);
+}
+
+DetectionRunResult DetectionEpisode::Result() {
+  SDS_CHECK(done(), "Result() before the attack stage ended");
+  if (!result_.detected && active_at_attack_start_ &&
+      !ever_inactive_during_attack_) {
+    result_.detected = true;
+    result_.detection_delay_ticks = 0;
+  }
+  if (telemetry_ && telemetry_->tracer().enabled(tel::Layer::kEval)) {
+    telemetry_->tracer().Emit(
+        tel::MakeEvent(scenario_.hypervisor->now(), tel::Layer::kEval,
+                       "run_result")
+            .Str("scheme", SchemeName(config_.scheme))
+            .Num("detected", result_.detected ? 1.0 : 0.0)
+            .Num("delay_ticks", static_cast<double>(
+                                    result_.detection_delay_ticks.value_or(-1)))
+            .Num("false_positive_intervals", result_.false_positive_intervals)
+            .Num("true_negative_intervals", result_.true_negative_intervals));
+  }
+  return result_;
+}
 
 DetectionRunResult RunDetectionRun(const DetectionRunConfig& config,
                                    std::uint64_t seed) {
-  return RunDetectionRunImpl(config, seed, nullptr, nullptr);
+  DetectionEpisode episode(config, seed);
+  while (!episode.done()) episode.Step();
+  return episode.Result();
 }
 
 DetectionRunResult RunDetectionRunFaulted(const DetectionRunConfig& config,
                                           std::uint64_t seed,
                                           const RobustnessRunConfig& robust,
                                           RobustnessCounters* counters) {
-  return RunDetectionRunImpl(config, seed, &robust, counters);
+  DetectionEpisode episode(config, seed, &robust);
+  while (!episode.done()) episode.Step();
+  if (counters) {
+    counters->fault = episode.injector()->stats();
+    const auto* sds = dynamic_cast<detect::SdsDetector*>(&episode.detector());
+    const auto* ks = dynamic_cast<detect::KsTestDetector*>(&episode.detector());
+    counters->degrade = sds ? sds->gate().stats() : ks->gate().stats();
+    if (ks) counters->ks_abandoned_collections = ks->abandoned_collections();
+  }
+  return episode.Result();
 }
 
 OverheadRunResult RunOverheadRun(const OverheadRunConfig& config,
@@ -332,25 +332,8 @@ OverheadRunResult RunOverheadRun(const OverheadRunConfig& config,
   Rng rng(seed);
   const std::uint64_t profile_seed = rng();
   const std::uint64_t main_seed = rng();
-
-  // Profile the protected application when the scheme needs one.
-  detect::SdsProfile profile;
-  if (config.scheme == Scheme::kSdsB || config.scheme == Scheme::kSdsP ||
-      config.scheme == Scheme::kSds) {
-    ScenarioConfig base = config.scenario;
-    base.app = config.app;
-    const auto clean = CollectCleanSamples(base, 6000, profile_seed);
-    profile = detect::BuildSdsProfile(clean, config.params);
-    if (config.scheme == Scheme::kSdsP || config.scheme == Scheme::kSds) {
-      ApplyNominalPeriodFallback(config.app, config.params, profile);
-    }
-    if (config.scheme == Scheme::kSdsP && !profile.periodic()) {
-      // SDS/P is undefined for this application; treat as boundary-only so
-      // overhead sweeps over all apps stay runnable.
-      profile.access_period.reset();
-      profile.miss_period.reset();
-    }
-  }
+  const detect::SdsProfile profile =
+      ProfileFor(config, kOverheadProfileTicks, profile_seed, nullptr);
 
   // Deployment: protected VM (id 1), measured co-located VM (id 2) and six
   // benign tenants (ids 3-8). No attack VM is created.
@@ -371,22 +354,8 @@ OverheadRunResult RunOverheadRun(const OverheadRunConfig& config,
   for (Tick t = 0; t < kWarmupTicks; ++t) hypervisor.RunTick();
   const std::uint64_t work_base =
       hypervisor.vm(measured_vm).workload().work_completed();
-
-  std::unique_ptr<detect::Detector> detector;
-  if (config.scheme == Scheme::kKsTest) {
-    detect::KsTestParams kp = config.ks_params;
-    kp.initial_offset = static_cast<Tick>(
-        rng.UniformInt(static_cast<std::uint64_t>(kp.l_r)));
-    detector = std::make_unique<detect::KsTestDetector>(hypervisor,
-                                                        protected_vm, kp);
-  } else if (config.scheme != Scheme::kNone) {
-    detect::SdsMode mode = ModeFor(config.scheme);
-    if (config.scheme == Scheme::kSdsP && !profile.periodic()) {
-      mode = detect::SdsMode::kBoundaryOnly;
-    }
-    detector = std::make_unique<detect::SdsDetector>(
-        hypervisor, protected_vm, profile, config.params, mode);
-  }
+  const auto detector =
+      MakeDetector(config, profile, rng, hypervisor, protected_vm);
 
   OverheadRunResult result;
   for (Tick t = 0; t < config.max_ticks; ++t) {

@@ -8,16 +8,22 @@
 // false-alarm study of Figure 1 / Section 3.2.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "common/types.h"
+#include "detect/detector.h"
 #include "detect/kstest_detector.h"
 #include "detect/params.h"
 #include "detect/profile.h"
 #include "eval/scenario.h"
 #include "pcm/pcm_sampler.h"
+
+namespace sds::fault {
+class FaultInjector;
+}  // namespace sds::fault
 
 namespace sds::eval {
 
@@ -60,6 +66,62 @@ struct DetectionRunResult {
   double recall() const { return detected ? 1.0 : 0.0; }
   // Whether profiling classified the application as periodic.
   bool profile_periodic = false;
+};
+
+struct RobustnessRunConfig;  // eval/robustness.h
+class StageSpan;             // experiment.cpp
+
+// The three-stage protocol, stepped one tick at a time, so callers with
+// per-tick work of their own drive the same scoring as RunDetectionRun.
+//
+// The constructor runs stage 1 (SDS schemes profile the app clean, with the
+// catalog's nominal period as fallback; SDS/P must end up periodic), then
+// builds and warms the deployment, wires the FaultInjector when `robust` is
+// given, builds the detector and opens the clean stage. Each Step() runs one
+// tick and scores it: before the attack tick, decision intervals with and
+// without a false alarm; from it on, the first NEW alarm event triggered
+// no earlier than the attack gives the delay.
+class DetectionEpisode {
+ public:
+  // `robust` (stages 2+3 read through FaultInjector(robust->plan), gate
+  // configured by robust->degrade) is only read during construction.
+  DetectionEpisode(const DetectionRunConfig& config, std::uint64_t seed,
+                   const RobustnessRunConfig* robust = nullptr);
+  ~DetectionEpisode();
+
+  void Step();
+  bool done() const {
+    return elapsed_ == config_.clean_ticks + config_.attack_ticks;
+  }
+  // Call once, when done(). A state active at the attack tick that never
+  // cleared is credited as a zero-delay detection. Emits run_result.
+  DetectionRunResult Result();
+
+  Scenario& scenario() { return scenario_; }
+  detect::Detector& detector() { return *detector_; }
+  const fault::FaultInjector* injector() const { return injector_.get(); }
+  const detect::SdsProfile& profile() const { return profile_; }
+  Tick attack_start() const { return attack_start_; }  // simulated tick
+
+ private:
+  // Closes the clean stage at the attack tick, the attack stage when done.
+  void EndStageIfDue();
+
+  DetectionRunConfig config_;
+  telemetry::Telemetry* telemetry_;
+  detect::SdsProfile profile_;
+  Scenario scenario_;
+  std::unique_ptr<fault::FaultInjector> injector_;
+  std::unique_ptr<detect::Detector> detector_;
+  std::unique_ptr<StageSpan> stage_;
+  Tick attack_start_ = 0;
+  Tick elapsed_ = 0;  // stage 2+3 ticks stepped
+  Tick interval_elapsed_ = 0;
+  bool interval_false_positive_ = false;
+  std::uint64_t events_at_attack_start_ = 0;
+  bool active_at_attack_start_ = false;
+  bool ever_inactive_during_attack_ = false;
+  DetectionRunResult result_;
 };
 
 // Runs one full three-stage experiment for `seed`.

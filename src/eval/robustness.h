@@ -40,11 +40,9 @@ struct RobustnessCounters {
   void Accumulate(const RobustnessCounters& other);
 };
 
-// RunDetectionRun with the monitoring plane of stages 2+3 routed through a
-// FaultInjector(robust.plan) and the detector's DegradingSampleGate
-// configured by robust.degrade. Same `seed` => same simulated trajectory as
-// the fault-free RunDetectionRun. Fully deterministic for a fixed
-// (config, seed, robust).
+// Steps DetectionEpisode(config, seed, &robust) to the end: the same
+// simulated trajectory as the fault-free RunDetectionRun, read through the
+// faulted monitoring plane. Deterministic for a fixed (config, seed, robust).
 DetectionRunResult RunDetectionRunFaulted(const DetectionRunConfig& config,
                                           std::uint64_t seed,
                                           const RobustnessRunConfig& robust,
