@@ -77,7 +77,9 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < variants.size(); ++i) {
     table.Row(variants[i].name, FormatFixed(aggs[i].recall.median, 2),
               FormatFixed(aggs[i].specificity.median, 2),
-              FormatFixed(aggs[i].delay_seconds.median, 1));
+              aggs[i].detected_runs > 0
+                  ? FormatFixed(aggs[i].delay_seconds.median, 1)
+                  : "-");
   }
   std::cout << "\n";
   table.Print(std::cout);

@@ -2,6 +2,8 @@
 // KStest, plus SDS/B and SDS/P for the periodic applications, per application,
 // for both attacks. The three figures are views of one sweep, which runs once
 // as a single cells x runs grid.
+#include <cmath>
+#include <cstdio>
 #include <iostream>
 #include <string>
 #include <utility>
@@ -52,6 +54,29 @@ SweepOptions SweepOptionsFromFlags(const Flags& flags) {
       flags.GetInt("seed", static_cast<long long>(options.base_seed)));
   options.telemetry_out = flags.GetString("telemetry_out", "");
   return options;
+}
+
+// Rejects stages that cannot run: every stage must hold at least one tick,
+// and the profile enough samples for two EWMA values (window + step ticks).
+// Names the flag on stderr.
+bool StagesValid(const char* program, const Flags& flags,
+                 const SweepOptions& options) {
+  if (options.clean_ticks <= 0) {
+    std::fprintf(stderr, "%s: --stage-seconds=%s: stages must be at least "
+                 "one tick long\n", program,
+                 flags.GetString("stage-seconds", "").c_str());
+    return false;
+  }
+  const detect::DetectorParams params;
+  const auto min_profile = static_cast<Tick>(params.window + params.step);
+  if (options.profile_ticks < min_profile) {
+    std::fprintf(stderr, "%s: --profile-seconds=%s: the profile needs at "
+                 "least %g s (window + step)\n", program,
+                 flags.GetString("profile-seconds", "").c_str(),
+                 TickClock().ToSeconds(min_profile));
+    return false;
+  }
+  return true;
 }
 
 // Runs one fully instrumented SDS detection run (kmeans vs. bus locking) with
@@ -153,7 +178,9 @@ void PrintFigure(const std::vector<AccuracyRow>& rows, int figure,
 }
 
 // scale * mean over both attacks of `scheme`'s median `metric`, summed in
-// figure order (all bus-locking rows, then all LLC-cleansing rows).
+// figure order (all bus-locking rows, then all LLC-cleansing rows). A row
+// with no detected run has no delay, so the delay mean leaves it out (NaN
+// when no row has one).
 double MeanMedian(const std::vector<AccuracyRow>& rows, eval::Scheme scheme,
                   PercentileSummary eval::AggregatedDetection::*metric,
                   double scale = 1.0) {
@@ -162,11 +189,15 @@ double MeanMedian(const std::vector<AccuracyRow>& rows, eval::Scheme scheme,
   for (eval::AttackKind attack : kAttacks) {
     for (const auto& row : rows) {
       if (row.attack != attack || row.scheme != scheme) continue;
+      if (metric == &eval::AggregatedDetection::delay_seconds &&
+          row.agg.detected_runs == 0) {
+        continue;
+      }
       sum += (row.agg.*metric).median;
       ++n;
     }
   }
-  return scale * sum / n;
+  return n == 0 ? std::nan("") : scale * sum / n;
 }
 
 void WriteSummaryJson(std::ostream& os, const PercentileSummary& s) {
@@ -218,6 +249,11 @@ int main(int argc, char** argv) {
     return flags.help_requested() ? 0 : 1;
   }
   const SweepOptions options = SweepOptionsFromFlags(flags);
+  if (!bench::SweepFlagsValid(argv[0], flags.GetInt("runs", options.runs),
+                              {}) ||
+      !StagesValid(argv[0], flags, options)) {
+    return 1;
+  }
 
   bench::PrintBenchHeader(
       std::cout, "bench_fig09_11_accuracy",
@@ -264,15 +300,22 @@ int main(int argc, char** argv) {
               {"application", "scheme", "delay (s) med [p10, p90]"},
               [](const AggregatedDetection& agg) {
                 return std::vector<std::string>{
-                    eval::FormatSummary(agg.delay_seconds, 1)};
+                    agg.detected_runs > 0
+                        ? eval::FormatSummary(agg.delay_seconds, 1)
+                        : "-"};
               });
   const double sds_mean = MeanMedian(rows, eval::Scheme::kSds,
                                      &AggregatedDetection::delay_seconds);
   const double ks_mean = MeanMedian(rows, eval::Scheme::kKsTest,
                                     &AggregatedDetection::delay_seconds);
-  std::cout << "mean median delay: SDS " << FormatFixed(sds_mean, 1)
-            << "s  vs  KStest " << FormatFixed(ks_mean, 1) << "s ("
-            << FormatFixed(100.0 * (ks_mean - sds_mean) / ks_mean, 0)
+  const auto seconds = [](double mean) {
+    return std::isnan(mean) ? std::string("-") : FormatFixed(mean, 1) + "s";
+  };
+  std::cout << "mean median delay: SDS " << seconds(sds_mean)
+            << "  vs  KStest " << seconds(ks_mean) << " ("
+            << (std::isnan(sds_mean) || std::isnan(ks_mean)
+                    ? std::string("-")
+                    : FormatFixed(100.0 * (ks_mean - sds_mean) / ks_mean, 0))
             << "% shorter)\nShape check (paper): SDS 15-30 s, KStest "
                "20-50 s — SDS 5-40% shorter; SDS/P ~10 s slower than "
                "SDS/B on the periodic applications.\n\n";

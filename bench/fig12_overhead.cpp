@@ -7,6 +7,7 @@
 // Baselines are computed once per (application, seed) and shared across
 // schemes; each application's runs x (baseline + schemes) grid runs in
 // parallel.
+#include <cstdio>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -60,9 +61,16 @@ int main(int argc, char** argv) {
            {"json_out", "also write the BENCH_fig12 JSON to this file"}})) {
     return flags.help_requested() ? 0 : 1;
   }
-  const int runs = static_cast<int>(flags.GetInt("runs", 5));
-  const auto work =
-      static_cast<std::uint64_t>(flags.GetInt("work-units", 2000));
+  const long long runs_flag = flags.GetInt("runs", 5);
+  const long long work_flag = flags.GetInt("work-units", 2000);
+  if (!bench::SweepFlagsValid(argv[0], runs_flag, {})) return 1;
+  if (work_flag < 1) {
+    std::fprintf(stderr, "%s: --work-units=%lld: work target must be "
+                 "positive\n", argv[0], work_flag);
+    return 1;
+  }
+  const auto runs = static_cast<int>(runs_flag);
+  const auto work = static_cast<std::uint64_t>(work_flag);
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 51));
 
   bench::PrintBenchHeader(

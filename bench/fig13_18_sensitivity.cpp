@@ -39,7 +39,9 @@ void PrintFigure(const Figure& figure, const std::vector<double>& values,
   for (std::size_t i = figure.begin; i < figure.end; ++i) {
     table.Row(FormatFixed(values[i], 3), FormatFixed(aggs[i].recall.median, 2),
               FormatFixed(aggs[i].specificity.median, 2),
-              FormatFixed(aggs[i].delay_seconds.median, 1));
+              aggs[i].detected_runs > 0
+                  ? FormatFixed(aggs[i].delay_seconds.median, 1)
+                  : "-");
   }
   table.Print(std::cout);
   std::cout << "shape check (paper): " << figure.shape << "\n\n";
