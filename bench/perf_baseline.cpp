@@ -98,10 +98,7 @@ int main(int argc, char** argv) {
   // Stage 1 (profile) and the warm-up run in the constructor, traced but
   // unprofiled: that is setup, not the measurement.
   telemetry::Telemetry telemetry;
-  eval::DetectionRunConfig cfg;
-  cfg.app = "kmeans";
-  cfg.attack = eval::AttackKind::kBusLock;
-  cfg.scheme = eval::Scheme::kSds;
+  eval::DetectionRunConfig cfg;  // kmeans, bus-lock, combined SDS
   cfg.profile_ticks = clock.ToTicks(smoke ? 30.0 : 120.0);
   cfg.clean_ticks = run_ticks / 2;
   cfg.attack_ticks = run_ticks - cfg.clean_ticks;

@@ -46,10 +46,7 @@ int main(int argc, char** argv) {
   telemetry.profiler().Enable(telemetry::ProfileClock::kWall);
 
   // -- The episode: attack VM co-located, attack launches after 60 s clean.
-  eval::DetectionRunConfig cfg;
-  cfg.app = "kmeans";
-  cfg.attack = eval::AttackKind::kBusLock;
-  cfg.scheme = eval::Scheme::kSds;  // Table 1 defaults in cfg.params
+  eval::DetectionRunConfig cfg;  // defaults: k-means, bus-lock, SDS (Table 1)
   cfg.profile_ticks = clock.ToTicks(120.0);
   cfg.clean_ticks = clock.ToTicks(60.0);
   cfg.attack_ticks = clock.ToTicks(60.0);

@@ -77,8 +77,6 @@ namespace {
 // Ticks run before any sampling so cold-cache transients do not pollute
 // profiles or ground truth.
 constexpr Tick kWarmupTicks = 500;
-// Clean-profile length of the overhead protocol.
-constexpr Tick kOverheadProfileTicks = 6000;
 
 // If profiling failed to classify a known-periodic application (short or
 // unlucky profile window), fall back to the catalog's nominal period so that
@@ -162,9 +160,19 @@ std::unique_ptr<detect::Detector> MakeDetector(
 }  // namespace
 
 const char* SchemeName(Scheme scheme) {
-  static constexpr const char* kNames[] = {"none", "SDS/B", "SDS/P", "SDS",
-                                           "KStest"};
-  return kNames[static_cast<std::size_t>(scheme)];
+  switch (scheme) {
+    case Scheme::kNone:
+      return "none";
+    case Scheme::kSdsB:
+      return "SDS/B";
+    case Scheme::kSdsP:
+      return "SDS/P";
+    case Scheme::kSds:
+      return "SDS";
+    case Scheme::kKsTest:
+      return "KStest";
+  }
+  return "?";
 }
 
 double DetectionRunResult::specificity() const {
@@ -203,6 +211,7 @@ DetectionEpisode::DetectionEpisode(const DetectionRunConfig& config,
   SDS_CHECK(config.attack != AttackKind::kNone,
             "detection runs need an attack in stage 3");
   SDS_CHECK(config.scheme != Scheme::kNone, "detection runs need a scheme");
+  SDS_CHECK(config.eval_interval >= 1, "decision intervals must be >= 1 tick");
   Rng rng(seed);
   const std::uint64_t profile_seed = rng();
   const std::uint64_t main_seed = rng();
@@ -243,11 +252,10 @@ void DetectionEpisode::Step() {
   ++elapsed_;
   if (clean) {
     interval_false_positive_ |= detector_->attack_active();
-    if (++interval_elapsed_ == config_.eval_interval) {
+    if (elapsed_ % config_.eval_interval == 0) {
       ++(interval_false_positive_ ? result_.false_positive_intervals
                                   : result_.true_negative_intervals);
       interval_false_positive_ = false;
-      interval_elapsed_ = 0;
     }
   } else {
     ever_inactive_during_attack_ |= !detector_->attack_active();
@@ -333,7 +341,7 @@ OverheadRunResult RunOverheadRun(const OverheadRunConfig& config,
   const std::uint64_t profile_seed = rng();
   const std::uint64_t main_seed = rng();
   const detect::SdsProfile profile =
-      ProfileFor(config, kOverheadProfileTicks, profile_seed, nullptr);
+      ProfileFor(config, /*ticks=*/6000, profile_seed, nullptr);
 
   // Deployment: protected VM (id 1), measured co-located VM (id 2) and six
   // benign tenants (ids 3-8). No attack VM is created.

@@ -104,7 +104,6 @@ class DetectionEpisode {
   Tick attack_start() const { return attack_start_; }  // simulated tick
 
  private:
-  // Closes the clean stage at the attack tick, the attack stage when done.
   void EndStageIfDue();
 
   DetectionRunConfig config_;
@@ -116,7 +115,6 @@ class DetectionEpisode {
   std::unique_ptr<StageSpan> stage_;
   Tick attack_start_ = 0;
   Tick elapsed_ = 0;  // stage 2+3 ticks stepped
-  Tick interval_elapsed_ = 0;
   bool interval_false_positive_ = false;
   std::uint64_t events_at_attack_start_ = 0;
   bool active_at_attack_start_ = false;
