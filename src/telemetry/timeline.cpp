@@ -37,7 +37,7 @@ std::vector<Incident> ReconstructIncidents(const Telemetry& telemetry,
   const auto& records = telemetry.audit().records();
 
   // Attack start: explicit option wins; otherwise the eval-layer marker
-  // event (emitted by eval::Experiment when stage 3 begins).
+  // event (emitted by eval::DetectionEpisode when stage 3 begins).
   Tick attack_start = options.attack_start;
   if (attack_start == kInvalidTick) {
     for (std::size_t i = 0; i < tracer.retained(); ++i) {
