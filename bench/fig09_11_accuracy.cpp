@@ -200,11 +200,6 @@ double MeanMedian(const std::vector<AccuracyRow>& rows, eval::Scheme scheme,
   return n == 0 ? std::nan("") : scale * sum / n;
 }
 
-void WriteSummaryJson(std::ostream& os, const PercentileSummary& s) {
-  os << "{\"p10\":" << s.p10 << ",\"median\":" << s.median
-     << ",\"p90\":" << s.p90 << "}";
-}
-
 // The BENCH_fig09_11 payload: the sweep's stage lengths, then one object per
 // table row. A row with no detected run carries no delay.
 void WriteAccuracyJson(std::ostream& os, const SweepOptions& options,
@@ -221,12 +216,12 @@ void WriteAccuracyJson(std::ostream& os, const SweepOptions& options,
        << "\",\"scheme\":\"" << eval::SchemeName(row.scheme)
        << "\",\"runs\":" << row.agg.runs
        << ",\"detected_runs\":" << row.agg.detected_runs << ",\"recall\":";
-    WriteSummaryJson(os, row.agg.recall);
+    eval::WriteSummaryJson(os, row.agg.recall);
     os << ",\"specificity\":";
-    WriteSummaryJson(os, row.agg.specificity);
+    eval::WriteSummaryJson(os, row.agg.specificity);
     if (row.agg.detected_runs > 0) {
       os << ",\"delay_s\":";
-      WriteSummaryJson(os, row.agg.delay_seconds);
+      eval::WriteSummaryJson(os, row.agg.delay_seconds);
     }
     os << "}";
   }

@@ -39,12 +39,11 @@ void WriteOverheadJson(std::ostream& os, int runs, std::uint64_t work,
      << ",\"work_units\":" << work << ",\"base_seed\":" << seed
      << ",\"rows\":[";
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    const PercentileSummary& t = rows[i].agg.normalized_time;
     os << (i > 0 ? "," : "") << "{\"app\":\"" << rows[i].app
        << "\",\"scheme\":\"" << eval::SchemeName(rows[i].scheme)
-       << "\",\"runs\":" << rows[i].agg.runs
-       << ",\"normalized_time\":{\"p10\":" << t.p10
-       << ",\"median\":" << t.median << ",\"p90\":" << t.p90 << "}}";
+       << "\",\"runs\":" << rows[i].agg.runs << ",\"normalized_time\":";
+    eval::WriteSummaryJson(os, rows[i].agg.normalized_time);
+    os << "}";
   }
   os << "]}";
 }

@@ -38,4 +38,9 @@ std::string FormatSummary(const PercentileSummary& s, int decimals) {
          "]";
 }
 
+void WriteSummaryJson(std::ostream& os, const PercentileSummary& s) {
+  os << "{\"p10\":" << s.p10 << ",\"median\":" << s.median
+     << ",\"p90\":" << s.p90 << "}";
+}
+
 }  // namespace sds::eval

@@ -17,4 +17,7 @@ void PrintParams(std::ostream& os, const detect::DetectorParams& params,
 // "0.97 [0.93, 1.00]" — median with the 10th/90th percentile error bar.
 std::string FormatSummary(const PercentileSummary& s, int decimals);
 
+// {"p10":..,"median":..,"p90":..} — the same summary in a BENCH payload.
+void WriteSummaryJson(std::ostream& os, const PercentileSummary& s);
+
 }  // namespace sds::eval
