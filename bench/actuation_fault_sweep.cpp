@@ -41,7 +41,6 @@ int main(int argc, char** argv) {
            {"rates", "comma-separated fault rates (default 0.1,0.25,0.5)"},
            {"runs", "seeded runs per grid cell (default 3)"},
            {"seed", "base simulation seed (default 7100)"},
-           {"smoke", "tiny windows + 1 run per cell: CI smoke test"},
            {"json_out", "also write the BENCH_actuation JSON to this file"}})) {
     return flags.help_requested() ? 0 : 1;
   }
@@ -68,17 +67,6 @@ int main(int argc, char** argv) {
   if (!rates || !bench::SweepFlagsValid(argv[0], runs, *rates)) return 1;
   config.rates = *rates;
 
-  if (flags.GetBool("smoke", false)) {
-    // CI-sized: one run per cell, short windows, two rates. Still covers
-    // every fault kind and the full retry / escalate / fallback chain.
-    config.runs_per_cell = 1;
-    config.run.clean_window = 200;
-    config.run.attack_lead = 150;
-    config.run.settle_cap = 2000;
-    config.run.post_window = 200;
-    config.rates = {0.25, 0.5};
-  }
-
   bench::PrintBenchHeader(
       std::cout, "bench_actuation_fault_sweep",
       "Robustness extension (no paper counterpart): mitigation convergence "
@@ -98,8 +86,9 @@ int main(int argc, char** argv) {
   auto row = [&table](const eval::ActuationCell& cell, const char* kind) {
     table.Row(kind, FormatFixed(cell.rate, 2),
               FormatFixed(cell.settle_ratio(), 2),
-              FormatFixed(cell.mean_time_to_settled, 0),
-              TextTable::Str(cell.max_time_to_settled),
+              bench::FixedOrDash(cell.mean_time_to_settled, 0),
+              bench::FixedOrDash(static_cast<double>(cell.max_time_to_settled),
+                                 0),
               TextTable::Str(cell.escalated_runs),
               TextTable::Str(cell.throttle_runs),
               TextTable::Str(cell.retries), TextTable::Str(cell.timeouts),

@@ -9,12 +9,10 @@
 // scored against the throttling-derived culprit. Emits the
 // `BENCH_attrib {json}` line.
 //
-// The whole sweep runs TWICE and the exit code enforces two properties:
-//   - determinism: both runs must produce the same fingerprint (FNV over
-//     every scored field) — divergence means attribution scoring picked up
-//     hidden state and the bench fails;
-//   - accuracy: the true attacker must be the rank-1 suspect on >= 90% of
-//     single-attacker cells.
+// The exit code enforces accuracy: the true attacker must be the rank-1
+// suspect on >= 90% of single-attacker cells. Determinism is checked by the
+// `ctest -L sweeps` pin, whose golden payload carries the FNV fingerprint of
+// every scored field.
 //
 // No counterpart figure in the paper: section V identifies the culprit by
 // throttling candidates one at a time; this extends the evaluation to
@@ -35,8 +33,7 @@ int main(int argc, char** argv) {
   Flags flags;
   if (!flags.Parse(
           argc, argv,
-          {{"smoke", "short CI grid: two apps, no KStest cell"},
-           {"seed", "base seed for the grid (default 9100)"},
+          {{"seed", "base seed for the grid (default 9100)"},
            {"json_out", "also write the BENCH_attrib JSON to this file"},
            {"forensics_out",
             "write every cell's forensic report as JSONL here (the stream "
@@ -46,13 +43,6 @@ int main(int argc, char** argv) {
 
   eval::AttributionSweepConfig config;
   config.base_seed = static_cast<std::uint64_t>(flags.GetInt("seed", 9100));
-  if (flags.GetBool("smoke", false)) {
-    // CI-sized: still covers both attack programs, a quiet cell and the
-    // colluding cell; drops the (slow) KStest identification cell.
-    config.apps = {"kmeans", "bayes"};
-    config.attack_ticks = 400;
-    config.kstest_cell = false;
-  }
 
   bench::PrintBenchHeader(
       std::cout, "bench_attrib_sweep",
@@ -61,9 +51,6 @@ int main(int argc, char** argv) {
 
   std::cout << "run 1:\n";
   const eval::AttributionSweepResult result =
-      eval::RunAttributionSweep(config, &std::cout);
-  std::cout << "run 2 (determinism self-check):\n";
-  const eval::AttributionSweepResult repeat =
       eval::RunAttributionSweep(config, &std::cout);
 
   std::cout << "\nrank1_fraction=" << FormatFixed(result.rank1_fraction, 3)
@@ -103,12 +90,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (repeat.fingerprint != result.fingerprint) {
-    std::cerr << "FAIL: attribution scoring diverged between identical runs "
-                 "(fingerprints " << result.fingerprint << " vs "
-              << repeat.fingerprint << ")\n";
-    return 1;
-  }
   if (result.rank1_fraction < 0.9) {
     std::cerr << "FAIL: rank-1 attribution on "
               << FormatFixed(result.rank1_fraction * 100.0, 1)

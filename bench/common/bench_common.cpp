@@ -4,6 +4,7 @@
 #include <limits>
 #include <ostream>
 
+#include "common/csv.h"
 #include "eval/report.h"
 
 namespace sds::bench {
@@ -32,6 +33,10 @@ bool SweepFlagsValid(const std::string& program, long long runs,
     }
   }
   return true;
+}
+
+std::string FixedOrDash(double value, int decimals) {
+  return value < 0.0 ? "-" : FormatFixed(value, decimals);
 }
 
 }  // namespace sds::bench

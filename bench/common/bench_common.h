@@ -18,4 +18,9 @@ void PrintBenchHeader(std::ostream& os, const std::string& title,
 bool SweepFlagsValid(const std::string& program, long long runs,
                      const std::vector<double>& rates);
 
+// A table cell for a mean or max that the sweep sets to -1 when no run
+// produced one: `-`, as Figure 11 prints an undetected cell; else the value
+// with `decimals` places.
+std::string FixedOrDash(double value, int decimals);
+
 }  // namespace sds::bench

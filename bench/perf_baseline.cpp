@@ -4,7 +4,7 @@
 // combined SDS) with the span profiler on the wall clock around its Step()
 // loop only, then emits ONE machine-readable line:
 //
-//   BENCH_perf {"ticks":12000,"wall_ms":...,"ticks_per_sec":...,
+//   BENCH_perf {"ticks":6000,"wall_ms":...,"ticks_per_sec":...,
 //               "ns_per_cache_access":...,"detector_ns_per_sample":...,
 //               "pcm_ns_per_sample":...,"spans":{"vm.tick":{...},...}}
 //
@@ -14,7 +14,6 @@
 // subsystem shares answer "WHERE did the regression land" without rerunning
 // anything.
 //
-//   --smoke        short run for CI (fewer ticks, still every pipeline stage)
 //   --seconds S    virtual seconds to step, clean half then attacked half
 //   --trace_out F  also write a Perfetto/Chrome trace of the run to F
 //   --profile_out F  write the full telemetry JSONL (spans included) to F
@@ -81,25 +80,23 @@ int main(int argc, char** argv) {
   Flags flags;
   if (!flags.Parse(
           argc, argv,
-          {{"smoke", "short CI run (~10 virtual seconds per stage)"},
-           {"seconds", "virtual seconds to step, half clean (default 60)"},
+          {{"seconds", "virtual seconds to step, half clean (default 60)"},
            {"seed", "scenario seed"},
            {"trace_out", "write a Perfetto/Chrome trace JSON to this path"},
            {"profile_out", "write full telemetry JSONL to this path"},
            {"json_out", "also write the BENCH_perf JSON to this file"}})) {
     return flags.help_requested() ? 0 : 1;
   }
-  const bool smoke = flags.GetBool("smoke", false);
   const TickClock clock;
-  const double seconds = flags.GetDouble("seconds", smoke ? 10.0 : 60.0);
+  const double seconds = flags.GetDouble("seconds", 60.0);
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 42));
   const Tick run_ticks = clock.ToTicks(seconds);
 
-  // Stage 1 (profile) and the warm-up run in the constructor, traced but
-  // unprofiled: that is setup, not the measurement.
+  // Stage 1 (profile, in its own untraced world) and the traced warm-up run
+  // in the constructor, unprofiled: that is setup, not the measurement.
   telemetry::Telemetry telemetry;
   eval::DetectionRunConfig cfg;  // kmeans, bus-lock, combined SDS
-  cfg.profile_ticks = clock.ToTicks(smoke ? 30.0 : 120.0);
+  cfg.profile_ticks = clock.ToTicks(120.0);
   cfg.clean_ticks = run_ticks / 2;
   cfg.attack_ticks = run_ticks - cfg.clean_ticks;
   cfg.scenario.machine.telemetry = &telemetry;

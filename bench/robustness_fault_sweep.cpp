@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
   auto row = [&table](const eval::RobustnessCell& cell, const char* kind) {
     table.Row(kind, FormatFixed(cell.rate, 2), FormatFixed(cell.recall(), 2),
               FormatFixed(cell.specificity(), 3),
-              FormatFixed(cell.mean_delay_ticks, 0),
+              bench::FixedOrDash(cell.mean_delay_ticks, 0),
               TextTable::Str(cell.counters.degrade.gap_ticks),
               TextTable::Str(cell.counters.degrade.quarantined),
               TextTable::Str(cell.counters.degrade.watchdog_restarts));

@@ -32,7 +32,6 @@ int main(int argc, char** argv) {
            {"ticks", "feed length in ticks (default 1200)"},
            {"seed", "feed seed (default 42)"},
            {"threads", "crash points evaluated in parallel (default 4)"},
-           {"smoke", "short feed + sparse crash grid: CI smoke test"},
            {"accounting_out", "write svc_ref/svc_recovery JSONL here"},
            {"json_out", "also write the BENCH_svc JSON to this file"}})) {
     return flags.help_requested() ? 0 : 1;
@@ -44,16 +43,6 @@ int main(int argc, char** argv) {
   config.seed = static_cast<std::uint64_t>(flags.GetInt("seed", 42));
   config.threads = static_cast<int>(flags.GetInt("threads", 4));
   config.attack_start = config.ticks / 2;
-
-  if (flags.GetBool("smoke", false)) {
-    // CI-sized: short feed, one torn fraction, two ordinals. Still covers
-    // every crash kind and both recovery sources (checkpoint + WAL tail).
-    config.ticks = 500;
-    config.attack_start = 250;
-    config.tenants = 4;
-    config.op_fractions = {0.3, 0.8};
-    config.byte_fractions = {0.5};
-  }
 
   bench::PrintBenchHeader(
       std::cout, "bench_svc_chaos_sweep",

@@ -116,15 +116,13 @@ AttributionSweepResult RunAttributionSweep(const AttributionSweepConfig& config,
   colluding.attack2 = AttackKind::kLlcCleansing;
   grid.push_back(colluding);
 
-  if (config.kstest_cell) {
-    AttributionCell kstest;
-    kstest.app = "bayes";
-    kstest.attack = AttackKind::kBusLock;
-    grid.push_back(kstest);
-  }
-  const auto is_kstest = [&](std::size_t c) {
-    return config.kstest_cell && c + 1 == grid.size();
-  };
+  // The KStest baseline cell (bayes vs bus locking, full identification
+  // sweep) closes the grid.
+  AttributionCell kstest;
+  kstest.app = "bayes";
+  kstest.attack = AttackKind::kBusLock;
+  grid.push_back(kstest);
+  const auto is_kstest = [&](std::size_t c) { return c + 1 == grid.size(); };
 
   const auto run_cell = [&](std::size_t c, std::size_t /*run*/) {
     AttributionCell cell = grid[c];

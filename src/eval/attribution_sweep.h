@@ -11,7 +11,8 @@
 // fraction (single-attacker cells), attribution precision/recall over the
 // whole grid, and an FNV fingerprint of every report — two sweeps of the
 // same seed must fingerprint identically or scoring has gone
-// non-deterministic (bench_attrib_sweep runs the self-check).
+// non-deterministic (the bench's payload pin under tests/sweeps/ carries
+// the fingerprint).
 #pragma once
 
 #include <cstdint>
@@ -32,9 +33,6 @@ struct AttributionSweepConfig {
   Tick attack_ticks = 600;
   std::uint64_t base_seed = 9100;
   detect::ForensicsConfig forensics;
-  // Run the KStest baseline cell (bayes vs bus locking, full identification
-  // sweep). Dominates the sweep's runtime; off in unit tests.
-  bool kstest_cell = true;
 };
 
 struct AttributionCell {
@@ -74,8 +72,8 @@ struct AttributionSweepResult {
   double precision = 1.0;
   double recall = 1.0;
   double mean_rank_of_true = 0.0;
-  // FNV-1a over every cell's scored fields (doubles by bit pattern): the
-  // determinism self-check compares this across repeated sweeps.
+  // FNV-1a over every cell's scored fields (doubles by bit pattern): equal
+  // across repeated sweeps of the same config.
   std::uint64_t fingerprint = 0;
 };
 

@@ -38,7 +38,10 @@ class StageSpan {
     start_ = std::chrono::steady_clock::now();
   }
 
-  void Finish(Tick end_tick) {
+  // Closes the stage at `end_tick`, `stage_ticks` long (by default, the
+  // ticks since the start tick).
+  void Finish(Tick end_tick) { Finish(end_tick, end_tick - start_tick_); }
+  void Finish(Tick end_tick, Tick stage_ticks) {
     if (!telemetry_ || finished_) return;
     finished_ = true;
     if (entered_) telemetry_->profiler().Exit();
@@ -46,7 +49,7 @@ class StageSpan {
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - start_)
             .count();
-    const double ticks = static_cast<double>(end_tick - start_tick_);
+    const double ticks = static_cast<double>(stage_ticks);
     if (telemetry_->tracer().enabled(tel::Layer::kEval)) {
       telemetry_->tracer().Emit(
           tel::MakeEvent(end_tick, tel::Layer::kEval, "stage_end")
@@ -108,6 +111,10 @@ std::vector<pcm::PcmSample> SampleVictim(const ScenarioConfig& config,
 // for the schemes that watch periods. KStest self-calibrates online and the
 // no-scheme baseline runs no detector, so both get an empty profile.
 // `periodic`, when given, receives whether profiling itself found a period.
+// The profile world is a separate simulation with its own clock, so it runs
+// with no telemetry attached: the caller's stream gets only the profile
+// stage's span and events, stamped at tick 0 of the measured world, with the
+// profile length in their `ticks` field.
 template <typename Config>
 detect::SdsProfile ProfileFor(const Config& config, Tick ticks,
                               std::uint64_t seed, bool* periodic) {
@@ -119,13 +126,14 @@ detect::SdsProfile ProfileFor(const Config& config, Tick ticks,
                  0);
   ScenarioConfig base = config.scenario;
   base.app = config.app;
+  base.machine.telemetry = nullptr;
   profile = detect::BuildSdsProfile(CollectCleanSamples(base, ticks, seed),
                                     config.params);
   if (periodic) *periodic = profile.periodic();
   if (config.scheme == Scheme::kSdsP || config.scheme == Scheme::kSds) {
     ApplyNominalPeriodFallback(config.app, config.params, profile);
   }
-  span.Finish(ticks);
+  span.Finish(0, ticks);
   return profile;
 }
 

@@ -170,33 +170,23 @@ FleetObsResult RunFleetObsSweep(const FleetObsConfig& config,
 
   // The determinism pin at bench scale: the same stream through ONE shard
   // must merge to the byte-same rollup rows.
-  if (config.verify_single_shard) {
-    FleetObsConfig reference = config;
-    reference.shards = 1;
-    reference.threads = 1;
-    obs::RollupConfig ref_config = rollup_config;
-    ref_config.shards = 1;
-    // One shard must admit what N shards admitted in aggregate.
-    ref_config.max_series_per_shard =
-        config.max_series_per_shard * config.shards;
-    obs::FleetRollup ref_rollup(ref_config);
-    obs::MetricId ref_ids[kMetricCount];
-    for (std::size_t m = 0; m < kMetricCount; ++m) {
-      ref_ids[m] = ref_rollup.RegisterMetric(kMetricNames[m]);
-    }
-    IngestFleet(reference, model, ref_ids, &ref_rollup);
-    result.verified_single_shard = true;
-    result.sharded_matches_single_shard =
-        rollup.completed().size() == ref_rollup.completed().size();
-    if (result.sharded_matches_single_shard) {
-      for (std::size_t i = 0; i < rollup.completed().size(); ++i) {
-        if (!RowsIdentical(rollup.completed()[i], ref_rollup.completed()[i])) {
-          result.sharded_matches_single_shard = false;
-          break;
-        }
-      }
-    }
+  FleetObsConfig reference = config;
+  reference.shards = 1;
+  reference.threads = 1;
+  obs::RollupConfig ref_config = rollup_config;
+  ref_config.shards = 1;
+  // One shard must admit what N shards admitted in aggregate.
+  ref_config.max_series_per_shard = config.max_series_per_shard * config.shards;
+  obs::FleetRollup ref_rollup(ref_config);
+  obs::MetricId ref_ids[kMetricCount];
+  for (std::size_t m = 0; m < kMetricCount; ++m) {
+    ref_ids[m] = ref_rollup.RegisterMetric(kMetricNames[m]);
   }
+  IngestFleet(reference, model, ref_ids, &ref_rollup);
+  result.sharded_matches_single_shard =
+      std::equal(rollup.completed().begin(), rollup.completed().end(),
+                 ref_rollup.completed().begin(), ref_rollup.completed().end(),
+                 RowsIdentical);
 
   // SLO evaluation over the merged stream, window by window (empty windows
   // still advance the burn estimate).
@@ -270,8 +260,6 @@ void WriteFleetObsJson(const FleetObsConfig& config,
      << ",\"seed\":" << config.seed
      << ",\"attacked_pairs\":" << result.attacked_pairs
      << ",\"samples\":" << result.samples << ",\"rows\":" << result.rows
-     << ",\"ingest_wall_seconds\":" << result.ingest_wall_seconds
-     << ",\"ingest_rate_per_sec\":" << result.ingest_rate_per_sec
      << ",\"rollup_memory_bytes\":" << result.rollup_memory_bytes
      << ",\"live_series\":" << result.live_series
      << ",\"dropped_late\":" << result.dropped_late
@@ -280,8 +268,6 @@ void WriteFleetObsJson(const FleetObsConfig& config,
      << ",\"slo_alerts\":" << result.slo_alerts
      << ",\"slo_pages\":" << result.slo_pages
      << ",\"slo_warns\":" << result.slo_warns
-     << ",\"verified_single_shard\":"
-     << (result.verified_single_shard ? "true" : "false")
      << ",\"sharded_matches_single_shard\":"
      << (result.sharded_matches_single_shard ? "true" : "false")
      << ",\"curve\":[";

@@ -1,7 +1,6 @@
 #include "eval/service_chaos.h"
 
 #include <algorithm>
-#include <chrono>
 #include <ostream>
 
 #include "common/rng.h"
@@ -171,7 +170,6 @@ svc::SvcConfig ChaosSvcConfig() {
 
 ServiceChaosResult RunServiceChaosSweep(const ServiceChaosConfig& config,
                                         std::ostream* accounting_out) {
-  const auto wall_start = std::chrono::steady_clock::now();
   ServiceChaosResult result;
   const std::vector<FeedEvent> feed = BuildChaosFeed(config);
   result.feed_events = feed.size();
@@ -190,14 +188,14 @@ ServiceChaosResult RunServiceChaosSweep(const ServiceChaosConfig& config,
 
   // Crash-point grid, scaled to the reference run's operation counts.
   std::vector<fault::ServiceCrashPoint> grid;
-  for (const double f : config.op_fractions) {
+  for (const double f : kCrashOpFractions) {
     const auto wal_op = std::max<std::uint64_t>(
         1, static_cast<std::uint64_t>(
                f * static_cast<double>(result.ref_wal_appends)));
     const auto ckpt_op = std::max<std::uint64_t>(
         1, static_cast<std::uint64_t>(
                f * static_cast<double>(result.ref_checkpoints)));
-    for (const double b : config.byte_fractions) {
+    for (const double b : kCrashByteFractions) {
       fault::ServiceCrashPoint p;
       p.kind = fault::ServiceFaultKind::kCrashMidWalAppend;
       p.op_index = wal_op;
@@ -296,10 +294,6 @@ ServiceChaosResult RunServiceChaosSweep(const ServiceChaosConfig& config,
     }
   }
 
-  result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
   return result;
 }
 
@@ -321,7 +315,7 @@ void WriteServiceChaosJson(const ServiceChaosConfig& config,
      << ",\"crash_points\":" << result.points.size()
      << ",\"all_bit_identical\":"
      << (result.all_bit_identical ? "true" : "false")
-     << ",\"wall_seconds\":" << result.wall_seconds << ",\"recovery_curve\":[";
+     << ",\"recovery_curve\":[";
   for (std::size_t i = 0; i < result.points.size(); ++i) {
     const ChaosPointResult& p = result.points[i];
     if (i) os << ",";

@@ -50,11 +50,6 @@ struct ServiceChaosConfig {
   // [attack_start, ticks).
   Tick attack_start = 600;
   double attacked_fraction = 0.34;
-  // Crash-point grid: each kind fires at these fractions of the reference
-  // run's operation count, each torn kind at these surviving byte
-  // fractions.
-  std::vector<double> op_fractions = {0.15, 0.5, 0.85};
-  std::vector<double> byte_fractions = {0.0, 0.5};
   int threads = 4;
 };
 
@@ -89,8 +84,14 @@ struct ServiceChaosResult {
   svc::SvcAccounting ref_accounting;
   std::vector<ChaosPointResult> points;
   bool all_bit_identical = false;
-  double wall_seconds = 0.0;
 };
+
+// Crash-point grid: each kind fires at these fractions of the reference
+// run's operation count, each torn kind at these surviving byte fractions —
+// per op fraction, one mid-WAL and one mid-checkpoint point per byte
+// fraction plus one after-append point.
+inline constexpr double kCrashOpFractions[] = {0.15, 0.5, 0.85};
+inline constexpr double kCrashByteFractions[] = {0.0, 0.5};
 
 // Runs the sweep. When `accounting_out` is non-null, one svc_ref line plus
 // one svc_recovery line per crash point are written as JSONL — the input of

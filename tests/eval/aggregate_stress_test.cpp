@@ -303,14 +303,13 @@ TEST(RunGridStressTest, AttributionSweepRunsInParallel) {
   AttributionSweepConfig config;
   config.apps = {"kmeans"};
   config.attack_ticks = 400;
-  config.kstest_cell = false;
   std::ostringstream log;
   const AttributionSweepResult result = RunAttributionSweep(config, &log);
-  ASSERT_EQ(result.cells.size(), 4u);
+  ASSERT_EQ(result.cells.size(), 5u);
   // One log line per cell, in cell order, written after the grid.
   const std::string text = log.str();
   EXPECT_EQ(text.rfind("  kmeans / none: ", 0), 0u);
-  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 4);
+  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 5);
 }
 
 }  // namespace

@@ -11,14 +11,14 @@ AttributionSweepConfig SmallConfig() {
   AttributionSweepConfig config;
   config.apps = {"kmeans"};
   config.attack_ticks = 400;
-  config.kstest_cell = false;  // identification sweep is too slow for a unit
   return config;
 }
 
 TEST(AttributionSweep, GridCoversQuietSingleAndColludingCells) {
   const AttributionSweepResult result = RunAttributionSweep(SmallConfig());
-  // One app: quiet + bus-lock + cleansing + the colluding cell.
-  ASSERT_EQ(result.cells.size(), 4u);
+  // One app: quiet + bus-lock + cleansing + the colluding cell, then the
+  // KStest cell.
+  ASSERT_EQ(result.cells.size(), 5u);
   EXPECT_EQ(result.cells[0].attack, AttackKind::kNone);
   EXPECT_EQ(result.cells[0].true_attacker, 0u);
   EXPECT_EQ(result.cells[1].attack, AttackKind::kBusLock);

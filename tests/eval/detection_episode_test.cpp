@@ -2,14 +2,18 @@
 // out of what the detector showed after every Step(), and compared with
 // Result(). The cases span SDS, SDS/B, SDS/P and KStest over a few seeds,
 // including KStest on TeraSort, whose phase switches raise clean-stage
-// false alarms.
+// false alarms. A second test pins what the episode writes into an attached
+// telemetry stream.
+#include <algorithm>
 #include <cstdio>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "eval/experiment.h"
+#include "telemetry/telemetry.h"
 
 namespace sds::eval {
 namespace {
@@ -155,6 +159,81 @@ TEST(DetectionEpisodeTest, ResultFollowsTheDocumentedScoringRules) {
   std::printf("[ scoring ] %zu cases: %d new-alarm detections, %d zero-delay "
               "credits, %d clean false-positive intervals\n",
               cases.size(), new_alarms, credits, clean_false_positives);
+}
+
+// The profile stage runs its own world with no telemetry attached, so an
+// SDS episode's sim and pcm events are the measured run's alone: they do not
+// depend on the profile's length. The eval layer's events (profile stage at
+// tick 0, then the clean and attack stages) never go back in tick.
+TEST(DetectionEpisodeTest, ProfileWorldTracesNothingIntoTheCallersStream) {
+  struct Trace {
+    std::vector<std::string> measured;  // sim.* and pcm events, as JSON
+    std::vector<Tick> eval_ticks;
+    Tick profile_stage_ticks = -1;
+  };
+  const auto run = [](Tick profile_ticks) {
+    telemetry::Telemetry telemetry(1 << 18);
+    DetectionRunConfig cfg;  // kmeans, bus-lock, combined SDS
+    cfg.profile_ticks = profile_ticks;
+    cfg.clean_ticks = 1000;
+    cfg.attack_ticks = 1000;
+    cfg.scenario.machine.telemetry = &telemetry;
+    RunDetectionRun(cfg, 11);
+    EXPECT_EQ(telemetry.tracer().dropped(), 0u);
+
+    Trace trace;
+    for (std::size_t i = 0; i < telemetry.tracer().retained(); ++i) {
+      const telemetry::TraceEvent& e = telemetry.tracer().event(i);
+      switch (e.layer) {
+        case telemetry::Layer::kSimMachine:
+        case telemetry::Layer::kSimCache:
+        case telemetry::Layer::kSimBus:
+        case telemetry::Layer::kPcm: {
+          std::ostringstream json;
+          telemetry::WriteEventJson(json, e);
+          trace.measured.push_back(json.str());
+          break;
+        }
+        case telemetry::Layer::kEval:
+          trace.eval_ticks.push_back(e.tick);
+          if (std::string(e.name) == "stage_end" &&
+              std::string(e.strs[0].value) == "profile") {
+            for (const auto& field : e.nums) {
+              if (field.key != nullptr && std::string(field.key) == "ticks") {
+                trace.profile_stage_ticks = static_cast<Tick>(field.value);
+              }
+            }
+          }
+          break;
+        default:
+          break;
+      }
+    }
+    return trace;
+  };
+
+  const Trace short_profile = run(3000);
+  const Trace long_profile = run(6000);
+  // Compared event by event, so a failure names the first difference
+  // rather than printing two whole streams.
+  const std::vector<std::string>& a = short_profile.measured;
+  const std::vector<std::string>& b = long_profile.measured;
+  EXPECT_FALSE(a.empty());
+  EXPECT_EQ(a.size(), b.size());
+  const auto diff = std::mismatch(a.begin(), a.end(), b.begin(), b.end());
+  if (diff.first != a.end() && diff.second != b.end()) {
+    ADD_FAILURE() << "event " << (diff.first - a.begin()) << ": "
+                  << *diff.first << " vs " << *diff.second;
+  }
+  EXPECT_EQ(short_profile.profile_stage_ticks, 3000);
+  EXPECT_EQ(long_profile.profile_stage_ticks, 6000);
+  for (const Trace* trace : {&short_profile, &long_profile}) {
+    ASSERT_FALSE(trace->eval_ticks.empty());
+    EXPECT_EQ(trace->eval_ticks.front(), 0);
+    for (std::size_t i = 1; i < trace->eval_ticks.size(); ++i) {
+      EXPECT_LE(trace->eval_ticks[i - 1], trace->eval_ticks[i]) << i;
+    }
+  }
 }
 
 }  // namespace

@@ -7,22 +7,22 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <sstream>
 #include <string>
 
 namespace sds::eval {
 namespace {
 
-// CI-sized grid, the same shape bench_svc_chaos_sweep --smoke runs: every
-// crash kind, two ordinals, whole-frame-lost and half-frame tears.
-ServiceChaosConfig SmokeConfig() {
+// A shorter feed than bench_svc_chaos_sweep's over the same crash-point
+// grid: every crash kind, three ordinals, whole-frame-lost and half-frame
+// tears.
+ServiceChaosConfig ShortConfig() {
   ServiceChaosConfig config;
   config.tenants = 4;
   config.ticks = 400;
   config.attack_start = 200;
   config.seed = 42;
-  config.op_fractions = {0.3, 0.8};
-  config.byte_fractions = {0.0, 0.5};
   config.threads = 2;
   return config;
 }
@@ -30,11 +30,13 @@ ServiceChaosConfig SmokeConfig() {
 TEST(ServiceChaosTest, EveryCrashPointRecoversBitIdentical) {
   std::ostringstream accounting;
   const ServiceChaosResult result =
-      RunServiceChaosSweep(SmokeConfig(), &accounting);
+      RunServiceChaosSweep(ShortConfig(), &accounting);
 
   // Grid shape: per op fraction, one mid-WAL point per byte fraction, one
   // mid-checkpoint point per byte fraction, one after-append point.
-  ASSERT_EQ(result.points.size(), 2u * (2u + 2u + 1u));
+  ASSERT_EQ(result.points.size(),
+            std::size(kCrashOpFractions) *
+                (2 * std::size(kCrashByteFractions) + 1));
 
   EXPECT_TRUE(result.all_bit_identical);
   for (const ChaosPointResult& p : result.points) {
@@ -84,7 +86,7 @@ TEST(ServiceChaosTest, EveryCrashPointRecoversBitIdentical) {
 }
 
 TEST(ServiceChaosTest, RecoveryCurveGrowsWithCrashOrdinal) {
-  const ServiceChaosResult result = RunServiceChaosSweep(SmokeConfig());
+  const ServiceChaosResult result = RunServiceChaosSweep(ShortConfig());
 
   // A later crash leaves more durable history behind: the late after-append
   // point must replay at least as many WAL records + dedupe at least as
@@ -104,7 +106,7 @@ TEST(ServiceChaosTest, RecoveryCurveGrowsWithCrashOrdinal) {
 }
 
 TEST(ServiceChaosTest, BenchJsonCarriesTheCurve) {
-  const ServiceChaosConfig config = SmokeConfig();
+  const ServiceChaosConfig config = ShortConfig();
   const ServiceChaosResult result = RunServiceChaosSweep(config);
 
   std::ostringstream os;
