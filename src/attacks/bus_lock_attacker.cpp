@@ -10,7 +10,11 @@ BusLockAttacker::BusLockAttacker(const BusLockConfig& config)
   SDS_CHECK(config.buffer_lines > 0, "attack buffer must be non-empty");
 }
 
-void BusLockAttacker::Bind(LineAddr base, Rng /*rng*/) { base_ = base; }
+void BusLockAttacker::Bind(LineAddr base, Rng /*rng*/) {
+  SDS_CHECK(config_.buffer_lines <= LineAddr{1} << vm::kVmLineBits,
+            "attack buffer exceeds its VM's line range");
+  base_ = base;
+}
 
 void BusLockAttacker::BeginTick(Tick /*now*/) {
   ops_left_this_tick_ = config_.atomics_per_tick;

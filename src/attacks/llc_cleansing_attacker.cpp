@@ -21,6 +21,9 @@ LlcCleansingAttacker::LlcCleansingAttacker(const LlcCleansingConfig& config)
 void LlcCleansingAttacker::Bind(LineAddr base, Rng /*rng*/) {
   SDS_CHECK(base % config_.cache_sets == 0,
             "attack buffer must be set-aligned");
+  SDS_CHECK(std::uint64_t{config_.cache_sets} * config_.cache_ways <=
+                LineAddr{1} << vm::kVmLineBits,
+            "attack buffer exceeds its VM's line range");
   base_ = base;
 }
 

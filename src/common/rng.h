@@ -44,7 +44,7 @@ class Rng {
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~result_type{0}; }
 
-  // The per-op draws (this, the bounded UniformInt, UniformDouble and
+  // The per-op draws (this, the bounded UniformInt, UniformDouble, Below and
   // Bernoulli) are defined below the class so they inline into the
   // simulator's hot loops.
   result_type operator()();
@@ -70,8 +70,16 @@ class Rng {
   // for large lambda). Always >= 0.
   std::int64_t Poisson(double lambda);
 
-  // Bernoulli trial with success probability p.
+  // Bernoulli trial with success probability p: Below(Threshold(p)).
   bool Bernoulli(double p);
+
+  // The integer form of the draw `UniformDouble() < p`: UniformDouble() is
+  // k * 2^-53 for the top 53 bits k of one draw, and k * 2^-53 < p exactly
+  // when k < ceil(p * 2^53). A caller that draws against a fixed p many
+  // times computes Threshold(p) once and calls Below, which consumes the
+  // same draw and returns the same result with no int-to-double conversion.
+  static std::uint64_t Threshold(double p);
+  bool Below(std::uint64_t threshold);
 
   // Exponential with rate lambda (> 0).
   double Exponential(double lambda);
@@ -124,7 +132,17 @@ inline double Rng::UniformDouble() {
   return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
 }
 
-inline bool Rng::Bernoulli(double p) { return UniformDouble() < p; }
+inline std::uint64_t Rng::Threshold(double p) {
+  if (!(p > 0.0)) return 0;  // also NaN, which no draw is below
+  if (p >= 1.0) return std::uint64_t{1} << 53;
+  return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+}
+
+inline bool Rng::Below(std::uint64_t threshold) {
+  return ((*this)() >> 11) < threshold;
+}
+
+inline bool Rng::Bernoulli(double p) { return Below(Threshold(p)); }
 
 // Samples from a Zipf(n, s) distribution over {0, ..., n-1} using a
 // precomputed inverse-CDF table. Used by the PageRank-style workloads whose

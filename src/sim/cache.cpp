@@ -10,12 +10,13 @@ LastLevelCache::LastLevelCache(const CacheConfig& config) : config_(config) {
   SDS_CHECK(config.ways > 0, "cache needs at least one way");
   SDS_CHECK(config.ways <= kMaxWays, "cache supports at most 16 ways");
   set_mask_ = config.sets - 1;
+  set_bits_ = static_cast<std::uint32_t>(std::countr_zero(config.sets));
   lru_shift_ = 4 * (config.ways - 1);
   sets_.resize(config.sets);
 }
 
 bool LastLevelCache::Contains(LineAddr addr) const {
-  return FindWay(sets_[SetIndexOf(addr)], addr) >= 0;
+  return FindWay(sets_[SetIndexOf(addr)], TagOf(addr)) >= 0;
 }
 
 std::size_t LastLevelCache::CountOwnerLines(OwnerId owner) const {

@@ -6,25 +6,30 @@
 // evictions rather than being injected. The default configuration scales the
 // paper's 35 MB / 20-way Xeon LLC down to 2 MiB / 16-way; shapes are
 // scale-free. Measured on a shared 4-vCPU x86 box (perfbench, one thread,
-// RelWithDebInfo): 17-18k simulated ticks/s on the cleansing deployment
-// (terasort_cleanse_kstest, ~1800 ops/tick, 80% misses) and 44-55k ticks/s
-// on the 9-VM bus-lock one (pca_buslock_sds).
+// RelWithDebInfo, median of 10 runs): 27.6k simulated ticks/s on the
+// cleansing deployment (terasort_cleanse_kstest, ~1800 ops/tick, 80% misses)
+// and 72.2k ticks/s on the 9-VM bus-lock one (pca_buslock_sds).
 //
-// Each set is one packed block: the tags and owners of its ways plus a
-// recency stack, a uint64 holding one 4-bit way index per nibble with the
-// MRU way in the low nibble. Lines are only ever invalidated all at once (by
-// Flush), so the valid ways are always the prefix [0, fill): a miss fills way
-// `fill` while the set has room, and otherwise evicts the way in nibble
-// ways-1, the LRU. A hit moves its way to the front with constant-time nibble
-// arithmetic, so no access scans for a victim. The 4-bit nibbles cap the
-// associativity at 16 ways.
+// Each set is one packed 144-byte block: the tags and owners of its ways plus
+// a recency stack, a uint64 holding one 4-bit way index per nibble with the
+// MRU way in the low nibble. A way's tag is the line address above the set
+// index bits, stored in 32 bits, so a lookup compares all 16 tags with four
+// 4-lane vector compares. The tag is exact only while addr >> log2(sets) fits
+// in 32 bits; Access checks that on every call (VMs space their ranges
+// 2^vm::kVmLineBits lines apart, so 32 owners fit at any set count). Lines
+// are only ever invalidated all at once (by Flush), so the valid ways are
+// always the prefix [0, fill): a miss fills way `fill` while the set has
+// room, and otherwise evicts the way in nibble ways-1, the LRU. A hit moves
+// its way to the front with constant-time nibble arithmetic, so no access
+// scans for a victim. The 4-bit nibbles cap the associativity at 16 ways.
 #pragma once
 
 #include <bit>
 #include <cstdint>
-#include <utility>
+#include <cstring>
 #include <vector>
 
+#include "common/check.h"
 #include "common/types.h"
 #include "sim/attribution.h"
 
@@ -52,7 +57,8 @@ class LastLevelCache {
   explicit LastLevelCache(const CacheConfig& config);
 
   // Performs a load of `addr` on behalf of `owner`: on hit refreshes LRU, on
-  // miss fills the line (evicting the LRU way).
+  // miss fills the line (evicting the LRU way). Aborts unless
+  // addr >> log2(sets) fits in 32 bits (see the file comment).
   CacheAccessResult Access(OwnerId owner, LineAddr addr);
 
   // Attaches the interference attribution ledger (nullptr detaches). While
@@ -64,6 +70,7 @@ class LastLevelCache {
   void AttachLedger(AttributionLedger* ledger) { ledger_ = ledger; }
 
   // True when the line currently resides in the cache (no state change).
+  // Same address range as Access.
   bool Contains(LineAddr addr) const;
 
   // Number of valid lines currently owned by `owner` (introspection for
@@ -86,6 +93,10 @@ class LastLevelCache {
 
  private:
   static constexpr std::uint32_t kMaxWays = 16;
+  // Four 32-bit tags, compared in one vector operation (GCC/Clang vector
+  // extension; SSE2 on baseline x86-64, which has no 64-bit lane compare).
+  using TagLanes = std::uint32_t __attribute__((vector_size(16)));
+  static constexpr std::uint32_t kLanes = 4;
 
   // Deliberately not alignas(64): the vector would then allocate through
   // aligned operator new, and a build that did so read about three times
@@ -93,7 +104,7 @@ class LastLevelCache {
   struct Set {
     // All kMaxWays tags are compared on every lookup, so they come first.
     // Ways at or past `fill` hold 0 or stale tags; FindWay masks them out.
-    LineAddr tag[kMaxWays] = {};
+    std::uint32_t tag[kMaxWays] = {};
     OwnerId owner[kMaxWays] = {};
     // Way indices by recency, 4 bits each, MRU in the low nibble. Only the
     // low `fill` nibbles are meaningful; evictions shift stale nibbles past
@@ -102,14 +113,17 @@ class LastLevelCache {
     std::uint32_t fill = 0;  // ways [0, fill) hold valid lines
   };
 
-  // Way holding `addr` in `set`, or -1. Branch-free: one equality compare
-  // per way folds into a bitmask, the valid prefix [0, fill) masks out stale
-  // and unused ways, and the lowest set bit names the way.
-  static int FindWay(const Set& set, LineAddr addr);
+  // The tag `addr` carries in its set; aborts when it does not fit 32 bits.
+  std::uint32_t TagOf(LineAddr addr) const;
+  // Way holding `tag` in `set`, or -1. Branch-free: four 4-lane compares
+  // fold into a 16-bit mask, the valid prefix [0, fill) masks out stale and
+  // unused ways, and the lowest set bit names the way.
+  static int FindWay(const Set& set, std::uint32_t tag);
   static std::uint64_t MoveToFront(std::uint64_t stack, std::uint32_t w);
 
   CacheConfig config_;
   std::uint32_t set_mask_;
+  std::uint32_t set_bits_;   // log2(sets): the tag is addr >> set_bits_
   std::uint32_t lru_shift_;  // bit offset of the LRU nibble of a full set
   std::vector<Set> sets_;
   AttributionLedger* ledger_ = nullptr;  // not owned; see AttachLedger
@@ -118,17 +132,25 @@ class LastLevelCache {
 // The per-access path is defined in the header so that Machine::Access and
 // its callers inline it.
 
-// One compare per way, unrolled by the fold (a loop over the ways was
-// measured slower: compilers keep it rolled at -O2).
-template <std::size_t... W>
-inline std::uint32_t MatchMask(const LineAddr* tag, LineAddr addr,
-                               std::index_sequence<W...> /*ways*/) {
-  return ((static_cast<std::uint32_t>(tag[W] == addr) << W) | ...);
+inline std::uint32_t LastLevelCache::TagOf(LineAddr addr) const {
+  const LineAddr tag = addr >> set_bits_;
+  SDS_CHECK(tag >> 32 == 0, "line address past the cache's 32-bit tag range");
+  return static_cast<std::uint32_t>(tag);
 }
 
-inline int LastLevelCache::FindWay(const Set& set, LineAddr addr) {
-  std::uint32_t match =
-      MatchMask(set.tag, addr, std::make_index_sequence<kMaxWays>{});
+inline int LastLevelCache::FindWay(const Set& set, std::uint32_t tag) {
+  // Lane l of group g stands for way 4g + l: a matching lane keeps its bit,
+  // and OR-ing the lanes together gives the 16-bit way mask.
+  const TagLanes key = {tag, tag, tag, tag};
+  const auto group = [&](std::uint32_t g) {
+    TagLanes lanes;
+    std::memcpy(&lanes, &set.tag[kLanes * g], sizeof lanes);
+    const std::uint32_t b = 1u << (kLanes * g);
+    const TagLanes weight = {b, b << 1, b << 2, b << 3};
+    return reinterpret_cast<TagLanes>(lanes == key) & weight;
+  };
+  const TagLanes bits = group(0) | group(1) | group(2) | group(3);
+  std::uint32_t match = bits[0] | bits[1] | bits[2] | bits[3];
   // A line occupies at most one valid way: at most one bit survives.
   match &= (1u << set.fill) - 1;
   return match == 0 ? -1 : std::countr_zero(match);
@@ -153,9 +175,10 @@ inline std::uint64_t LastLevelCache::MoveToFront(std::uint64_t stack,
 
 inline CacheAccessResult LastLevelCache::Access(OwnerId owner, LineAddr addr) {
   Set& set = sets_[SetIndexOf(addr)];
+  const std::uint32_t tag = TagOf(addr);
   CacheAccessResult result;
 
-  if (const int way = FindWay(set, addr); way >= 0) {
+  if (const int way = FindWay(set, tag); way >= 0) {
     const auto w = static_cast<std::uint32_t>(way);
     set.stack = MoveToFront(set.stack, w);
     set.owner[w] = owner;  // shared lines re-tag to the latest toucher
@@ -175,7 +198,7 @@ inline CacheAccessResult LastLevelCache::Access(OwnerId owner, LineAddr addr) {
     result.evicted_owner = set.owner[victim];
     if (ledger_ != nullptr) ledger_->RecordEviction(owner, set.owner[victim]);
   }
-  set.tag[victim] = addr;
+  set.tag[victim] = tag;
   set.owner[victim] = owner;
   return result;
 }

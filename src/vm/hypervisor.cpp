@@ -84,9 +84,9 @@ void Hypervisor::ThrottleAllExcept(OwnerId protected_vm, Tick duration) {
 }
 
 void Hypervisor::UpdateDropProbability() {
-  drop_probability_ =
+  drop_threshold_ = Rng::Threshold(
       1.0 - std::pow(1.0 - config_.monitor_load_fraction,
-                     static_cast<double>(active_monitors_));
+                     static_cast<double>(active_monitors_)));
 }
 
 void Hypervisor::AttachMonitor() {
@@ -150,7 +150,7 @@ void Hypervisor::RunTick() {
           break;
         }
         ++ops_this_tick;
-        if (drop_probability_ > 0.0 && rng_.Bernoulli(drop_probability_)) {
+        if (drop_threshold_ > 0 && rng_.Below(drop_threshold_)) {
           // Cycles stolen by the monitoring agent: the op is deferred and
           // does not execute this tick.
           ++monitor_dropped_ops_;

@@ -87,7 +87,7 @@ class Hypervisor {
  private:
   void TraceEventVm(const char* name, std::int64_t owner, const char* key,
                     double value);
-  // Recomputes drop_probability_ from active_monitors_.
+  // Recomputes drop_threshold_ from active_monitors_.
   void UpdateDropProbability();
 
   // A VM that may still issue ops this tick.
@@ -105,8 +105,9 @@ class Hypervisor {
   OwnerId throttle_protected_ = 0;
   std::vector<Tick> vm_throttle_remaining_;
   int active_monitors_ = 0;
-  // Chance that the monitoring load defers an op: 1 - (1 - f)^monitors.
-  double drop_probability_ = 0.0;
+  // Chance that the monitoring load defers an op, 1 - (1 - f)^monitors, as
+  // an Rng::Threshold. 0 with no monitor attached, and then no op draws.
+  std::uint64_t drop_threshold_ = 0;
   std::uint64_t monitor_dropped_ops_ = 0;
   // RunTick's service rotation, kept across ticks so no tick allocates.
   std::vector<Slot> slots_;

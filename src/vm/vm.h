@@ -20,9 +20,10 @@ enum class VmState : std::uint8_t {
 
 class VirtualMachine {
  public:
-  // Each VM owns a disjoint 2^36-line address range derived from its id, so
-  // distinct VMs can never share cache lines (hypervisors isolate memory
-  // pages; only the cache SETS are contended, as in the paper's threat model).
+  // Each VM owns a disjoint 2^kVmLineBits-line address range derived from
+  // its id (vm/workload.h), so distinct VMs can never share cache lines
+  // (hypervisors isolate memory pages; only the cache SETS are contended, as
+  // in the paper's threat model).
   VirtualMachine(OwnerId id, std::string name,
                  std::unique_ptr<Workload> workload, Rng rng);
 

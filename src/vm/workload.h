@@ -19,12 +19,20 @@
 
 namespace sds::vm {
 
+// Each VM's private line-address range spans 2^kVmLineBits lines, starting at
+// id << kVmLineBits. 32 owners then fit below 2^32 lines, inside the LLC's
+// 32-bit tag range at every set count (sim/cache.h), and 2^27 is a multiple
+// of every power-of-two set count up to 2^27, so a range starts at set 0.
+inline constexpr unsigned kVmLineBits = 27;
+
 class Workload {
  public:
   virtual ~Workload() = default;
 
   // Called once when the workload is attached to a VM; `base` is the start
   // of the VM's private line-address range and `rng` its private stream.
+  // Every address the workload issues lies in [base, base + 2^kVmLineBits);
+  // Bind aborts when the workload's footprint does not fit.
   virtual void Bind(LineAddr base, Rng rng) = 0;
 
   // Called at the start of every tick the VM is runnable.

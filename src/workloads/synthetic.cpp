@@ -8,7 +8,10 @@
 namespace sds::workloads {
 
 SyntheticWorkload::SyntheticWorkload(SyntheticSpec spec)
-    : spec_(std::move(spec)) {
+    : spec_(std::move(spec)),
+      miss_stall_ops_(spec_.miss_stall_cost > 0.0
+                          ? static_cast<std::uint64_t>(spec_.miss_stall_cost)
+                          : 0) {
   SDS_CHECK(!spec_.phases.empty(), "workload needs at least one phase");
   for (const PhaseSpec& p : spec_.phases) {
     SDS_CHECK(p.intensity >= 0.0, "phase intensity must be non-negative");
@@ -34,6 +37,12 @@ void SyntheticWorkload::Bind(LineAddr base, Rng rng) {
     offset += p.hot_lines;
   }
   stream_offset_ = offset;
+  std::uint64_t stream_lines = 0;
+  for (const PhaseSpec& p : spec_.phases) {
+    stream_lines = std::max(stream_lines, p.stream_lines);
+  }
+  SDS_CHECK(stream_offset_ + stream_lines <= LineAddr{1} << vm::kVmLineBits,
+            "workload footprint exceeds its VM's line range");
 
   if (spec_.zipf_exponent > 0.0) {
     for (const PhaseSpec& p : spec_.phases) {
@@ -50,6 +59,7 @@ void SyntheticWorkload::EnterPhase(std::size_t index) {
   phase_work_done_ = 0;
   const PhaseSpec& p = phase();
   stream_pos_ = stream_cursor_ % p.stream_lines;
+  hot_threshold_ = Rng::Threshold(p.hot_fraction);
   double target = static_cast<double>(p.work);
   if (p.work_jitter > 0.0 && p.work > 0) {
     target *= 1.0 + rng_.UniformDouble(-p.work_jitter, p.work_jitter);
@@ -80,7 +90,7 @@ bool SyntheticWorkload::NextOp(sim::MemOp& op) {
 
   const PhaseSpec& p = phase();
   op.atomic = false;
-  if (rng_.UniformDouble() < p.hot_fraction) {
+  if (rng_.Below(hot_threshold_)) {
     const std::uint64_t idx =
         zipf_.empty() ? rng_.UniformInt(p.hot_lines)
                       : static_cast<std::uint64_t>(
@@ -97,11 +107,10 @@ bool SyntheticWorkload::NextOp(sim::MemOp& op) {
 void SyntheticWorkload::OnOutcome(const sim::MemOp& /*op*/,
                                   sim::AccessOutcome outcome) {
   if (outcome == sim::AccessOutcome::kStalled) return;
-  if (outcome == sim::AccessOutcome::kMiss && spec_.miss_stall_cost > 0.0) {
+  if (outcome == sim::AccessOutcome::kMiss) {
     // The DRAM stall eats issue budget the core would otherwise spend on
     // further accesses this tick.
-    const auto stall = static_cast<std::uint64_t>(spec_.miss_stall_cost);
-    ops_left_this_tick_ -= std::min(ops_left_this_tick_, stall);
+    ops_left_this_tick_ -= std::min(ops_left_this_tick_, miss_stall_ops_);
   }
   ++completed_ops_;
   if (phase_work_target_ == 0) return;  // infinite phase

@@ -101,6 +101,8 @@ class SyntheticWorkload final : public vm::Workload {
   const PhaseSpec& phase() const { return spec_.phases[phase_index_]; }
 
   SyntheticSpec spec_;
+  // spec_.miss_stall_cost in whole issue-budget units (0 when not positive).
+  std::uint64_t miss_stall_ops_;
   Rng rng_{0};
   LineAddr base_ = 0;
   bool bound_ = false;
@@ -113,6 +115,9 @@ class SyntheticWorkload final : public vm::Workload {
   // compares and wraps).
   std::uint64_t stream_cursor_ = 0;
   std::uint64_t stream_pos_ = 0;
+  // The current phase's hot_fraction as an Rng::Threshold (set by
+  // EnterPhase), so NextOp's hot-or-stream draw is one integer compare.
+  std::uint64_t hot_threshold_ = 0;
   std::vector<std::unique_ptr<ZipfSampler>> zipf_;
 
   std::size_t phase_index_ = 0;

@@ -107,5 +107,15 @@ TEST(BusLockAttackerTest, StarvesVictimOnSharedBus) {
   EXPECT_LT(under_attack, 200u * 50u * 7 / 10);
 }
 
+TEST(BusLockAttackerTest, BufferMustFitTheVmRange) {
+  BusLockConfig cfg;
+  cfg.buffer_lines = 1u << vm::kVmLineBits;
+  BusLockAttacker fits(cfg);
+  fits.Bind(0, Rng(3));
+  cfg.buffer_lines += 1;
+  BusLockAttacker spills(cfg);
+  EXPECT_DEATH(spills.Bind(0, Rng(3)), "VM's line range");
+}
+
 }  // namespace
 }  // namespace sds::attacks

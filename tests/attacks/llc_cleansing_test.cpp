@@ -205,5 +205,16 @@ TEST(LlcCleansingAttackerTest, RequiresSetAlignedBuffer) {
   EXPECT_DEATH(a.Bind(3, Rng(8)), "set-aligned");
 }
 
+// The eviction buffer (sets x ways lines) must fit the VM's line range.
+TEST(LlcCleansingAttackerTest, BufferMustFitTheVmRange) {
+  LlcCleansingConfig cfg = SmallConfig();
+  cfg.cache_ways = (1u << vm::kVmLineBits) / cfg.cache_sets;
+  LlcCleansingAttacker fits(cfg);
+  fits.Bind(0, Rng(9));
+  cfg.cache_ways += 1;
+  LlcCleansingAttacker spills(cfg);
+  EXPECT_DEATH(spills.Bind(0, Rng(9)), "VM's line range");
+}
+
 }  // namespace
 }  // namespace sds::attacks

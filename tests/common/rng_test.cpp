@@ -173,6 +173,34 @@ TEST(RngTest, BernoulliFrequency) {
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
 }
 
+// Below(Threshold(p)) is the draw UniformDouble() < p in integer form: one
+// generator step each, and the same outcome draw for draw.
+TEST(RngTest, BelowThresholdMatchesUniformDoubleDraw) {
+  // A multiple of 2^-53 (its last mantissa bit is 0) and the next double up,
+  // which is not: the two thresholds straddle ceil's exact case.
+  const double exact = 0x1.23456789abcdep-2;
+  const double above = std::nextafter(exact, 1.0);
+  for (const double p : {0.0, 0.012, 0.75, 1.0, exact, above}) {
+    SCOPED_TRACE(p);
+    const std::uint64_t threshold = Rng::Threshold(p);
+    Rng a(21);
+    Rng b(21);
+    for (int i = 0; i < 100000; ++i) {
+      ASSERT_EQ(a.Below(threshold), b.UniformDouble() < p) << "draw " << i;
+    }
+    EXPECT_EQ(a(), b());
+    // The threshold sits exactly on the boundary: the largest passing 53-bit
+    // draw is below p and the smallest failing one is not.
+    if (threshold > 0) {
+      EXPECT_LT(static_cast<double>(threshold - 1) * 0x1.0p-53, p);
+    }
+    EXPECT_GE(static_cast<double>(threshold) * 0x1.0p-53, p);
+  }
+  EXPECT_EQ(Rng::Threshold(0.0), 0u);
+  EXPECT_EQ(Rng::Threshold(1.0), std::uint64_t{1} << 53);
+  EXPECT_EQ(Rng::Threshold(exact) + 1, Rng::Threshold(above));
+}
+
 TEST(RngTest, ExponentialMean) {
   Rng rng(17);
   double sum = 0.0;

@@ -195,6 +195,30 @@ TEST(CacheTest, WorkingSetSmallerThanCacheAlwaysHitsEventually) {
   EXPECT_LT(misses, 50);
 }
 
+// Tags are stored in 32 bits: two lines of one set whose tags differ only in
+// bit 31 (the top stored bit) are distinct lines.
+TEST(CacheTest, TagsDifferingOnlyInBit31AreDistinct) {
+  LastLevelCache cache(SmallCache(8, 4));
+  const LineAddr low = (LineAddr{0x7fffffff} << 3) | 5;
+  const LineAddr high = (LineAddr{0xffffffff} << 3) | 5;
+  ASSERT_EQ(cache.SetIndexOf(low), cache.SetIndexOf(high));
+  EXPECT_FALSE(cache.Access(1, low).hit);
+  EXPECT_FALSE(cache.Contains(high));
+  EXPECT_FALSE(cache.Access(2, high).hit);
+  EXPECT_TRUE(cache.Access(1, low).hit);
+  EXPECT_TRUE(cache.Access(2, high).hit);
+  EXPECT_EQ(cache.OwnerLinesInSet(5, 1), 1u);
+  EXPECT_EQ(cache.OwnerLinesInSet(5, 2), 1u);
+}
+
+// addr >> log2(sets) must fit the 32-bit tag; the first address past that
+// range aborts instead of aliasing a line inside it.
+TEST(CacheTest, AddressPastTagRangeRejected) {
+  LastLevelCache cache(SmallCache(8, 4));
+  EXPECT_FALSE(cache.Access(1, (LineAddr{1} << 35) - 1).hit);
+  EXPECT_DEATH(cache.Access(1, LineAddr{1} << 35), "32-bit tag range");
+}
+
 TEST(CacheTest, MoreThanSixteenWaysRejected) {
   EXPECT_DEATH(LastLevelCache(SmallCache(8, 17)), "16 ways");
 }
@@ -278,6 +302,8 @@ class ReferenceCache {
 // Drives the cache and the reference with one seeded stream that mixes hot
 // reuse, set-conflict storms (the cleansing pattern: ways+1 fresh lines into
 // one set) and scattered misses, flushing both every few thousand accesses.
+// Every address stays below 2^32, inside the tag range at any set count:
+// owners revisit lines from owner << 24, storms draw fresh lines from 2^28.
 class CacheDifferentialTest
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
@@ -313,16 +339,16 @@ TEST_P(CacheDifferentialTest, MatchesTimestampLru) {
     const double mode = rng.UniformDouble();
     if (mode < 0.55) {
       // Hot reuse: each owner revisits its own half-cache working set.
-      step(owner, owner * (1ull << 32) + rng.UniformInt(hot_lines));
+      step(owner, (LineAddr{owner} << 24) + rng.UniformInt(hot_lines));
     } else if (mode < 0.9) {
       // Conflict storm: a burst of fresh lines into one set.
       const std::uint64_t set = rng.UniformInt(std::uint64_t{sets});
       const std::uint64_t burst = 1 + rng.UniformInt(std::uint64_t{ways} + 2);
       for (std::uint64_t b = 0; b < burst; ++b) {
-        step(owner, (1ull << 40) + (++storm_cursor) * sets + set);
+        step(owner, (LineAddr{1} << 28) + (++storm_cursor) * sets + set);
       }
     } else {
-      step(owner, owner * (1ull << 32) + rng.UniformInt(wide_lines));
+      step(owner, (LineAddr{owner} << 24) + rng.UniformInt(wide_lines));
     }
     if (HasFatalFailure()) return;
   }

@@ -48,14 +48,26 @@ TEST(SyntheticWorkloadTest, PlansIntensityOpsPerTick) {
 
 TEST(SyntheticWorkloadTest, AddressesStayInOwnRegion) {
   SyntheticWorkload w(SimpleSpec());
-  const LineAddr base = 1ull << 36;
+  const LineAddr base = LineAddr{1} << vm::kVmLineBits;
   w.Bind(base, Rng(2));
   for (Tick t = 0; t < 10; ++t) {
     for (const auto& op : DrainTick(w, t, sim::AccessOutcome::kHit)) {
       EXPECT_GE(op.addr, base);
-      EXPECT_LT(op.addr, base + (1ull << 36));
+      EXPECT_LT(op.addr, base + (LineAddr{1} << vm::kVmLineBits));
     }
   }
+}
+
+// The hot regions plus the largest stream region must fit the VM's range.
+TEST(SyntheticWorkloadTest, FootprintMustFitTheVmRange) {
+  SyntheticSpec spec = SimpleSpec();
+  spec.phases[0].stream_lines =
+      (std::uint64_t{1} << vm::kVmLineBits) - spec.phases[0].hot_lines;
+  SyntheticWorkload fits(spec);
+  fits.Bind(0, Rng(4));
+  spec.phases[0].stream_lines += 1;
+  SyntheticWorkload spills(spec);
+  EXPECT_DEATH(spills.Bind(0, Rng(4)), "VM's line range");
 }
 
 TEST(SyntheticWorkloadTest, HotFractionRespected) {
